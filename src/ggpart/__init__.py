@@ -10,13 +10,9 @@ from .classify import (
     classify_lt,
     classify_sim,
     cluster_indexes,
-    division_index,
-    division_threshold,
     find_m_eq33,
     find_pt_eq,
     find_pt_lt,
-    insertion_index,
-    insertion_threshold,
     insertion_types,
     reduction_types,
     starting_profile,
@@ -33,7 +29,6 @@ from .errors import (
 from .extint import NEG_INF, POS_INF
 from .maps import (
     DilationTrace,
-    MapReceipt,
     dilate,
     insert_odd,
     phi_global,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import debug
-from .errors import ClassificationError, MembershipError, UniquenessError
+from .errors import ClassificationError, UniquenessError
 from .extint import NEG_INF, POS_INF
 from .marking import MarkedPartition
 from .membership import is_in_C
@@ -50,10 +50,18 @@ class StartingProfile:
 
 @dataclass(frozen=True)
 class SubsetLabel:
+    """One classification of a family member at (p, t).
+
+    index: the insertion index (lt/sim) or division index (eq) of subset j;
+    l: the number of row-2 parts above that index.
+    """
+
     family: str  # "lt" | "sim" | "eq"
     j: int
     p: int
     t: int
+    index: int
+    l: int
 
 
 @dataclass(frozen=True)
@@ -94,7 +102,7 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
     """Assign starting types to the 2-marked parts, largest first.
 
     Indexes past the threshold get "s-1"; each remaining index is matched
-    against the four cases in order (first match wins; debug mode asserts
+    against the four cases in order (first match wins; debug mode checks
     the match is unique).
     """
     cached = mp._memo.get("profile")
@@ -125,8 +133,8 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
             (_has1(mp, v), S3, v),
         )
         hits = [(ty, a) for ok, ty, a in cases if ok]
-        if debug.enabled():
-            assert len(hits) <= 1, f"starting-type cases overlap at index {b} of {mp.parts}"
+        if debug.enabled() and len(hits) > 1:
+            raise ClassificationError(f"starting-type cases overlap at index {b} of {mp.parts}")
         if hits:
             types[b - 1], anchors[b - 1] = hits[0]
         else:
@@ -241,15 +249,21 @@ def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
         raise ClassificationError(
             f"lt member {mp.parts} at (p,t)=({p},{t}) matched subsets {hits}"
         )
-    return SubsetLabel("lt", hits[0], p, t)
+    index = _insertion_index(mp, p, t, hits[0])
+    return SubsetLabel("lt", hits[0], p, t, index, _threshold(mp, index))
 
 
-def insertion_index(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> int:
-    """Even value at which the new odd part threads in."""
-    label = classify_lt(mp, k, r, p, t)
-    if label is None:
-        raise MembershipError(f"{mp.parts} is not in the lt family at (p,t)=({p},{t})")
-    j = label.j
+def _threshold(mp: MarkedPartition, bound: int) -> int:
+    """Largest row-2 index whose part exceeds `bound`."""
+    row = mp.row_values(2)
+    l = 0
+    while l < len(row) and row[l] > bound:
+        l += 1
+    return l
+
+
+def _insertion_index(mp: MarkedPartition, p: int, t: int, j: int) -> int:
+    """Even value at which the new odd part threads in, for lt subset j."""
     if j <= 5:
         return 2 * t + 2
     ps = cluster_indexes(mp, p)
@@ -264,16 +278,6 @@ def insertion_index(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> int:
     if j == 11:
         return _r2(mp, p2)
     return _r2(mp, p2) + 2
-
-
-def insertion_threshold(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> int:
-    """Largest row-2 index whose part exceeds the insertion index."""
-    idx = insertion_index(mp, k, r, p, t)
-    row = mp.row_values(2)
-    l = 0
-    while l + 1 <= len(row) and row[l] > idx:
-        l += 1
-    return l
 
 
 def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
@@ -404,15 +408,12 @@ def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
         raise ClassificationError(
             f"eq member {mp.parts} at (p,t)=({p},{t}) matched subsets {hits}"
         )
-    return SubsetLabel("eq", hits[0], p, t)
+    index = _division_index(mp, p, t, hits[0])
+    return SubsetLabel("eq", hits[0], p, t, index, _threshold(mp, index))
 
 
-def division_index(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> int:
-    """Even value at which the largest odd part threads out."""
-    label = classify_eq(mp, k, r, p, t)
-    if label is None:
-        raise MembershipError(f"{mp.parts} is not in the eq family at (p,t)=({p},{t})")
-    j = label.j
+def _division_index(mp: MarkedPartition, p: int, t: int, j: int) -> int:
+    """Even value at which the largest odd part threads out, for eq subset j."""
     if j <= 5:
         return 2 * t + 2
     v = _r2(mp, p)
@@ -441,16 +442,6 @@ def division_index(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> int:
     )
 
 
-def division_threshold(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> int:
-    """Largest row-2 index whose part exceeds the division index."""
-    idx = division_index(mp, k, r, p, t)
-    row = mp.row_values(2)
-    l = 0
-    while l + 1 <= len(row) and row[l] > idx:
-        l += 1
-    return l
-
-
 # -- group typings -----------------------------------------------------
 
 
@@ -470,9 +461,8 @@ def _reduction_label(mp, prof, row, s, e) -> Optional[str]:
     return None
 
 
-def reduction_types(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> GroupTypes:
-    """Group the indexes above the insertion threshold, smallest index first."""
-    l = insertion_threshold(mp, k, r, p, t)
+def reduction_types(mp: MarkedPartition, l: int) -> GroupTypes:
+    """Group the indexes 1..l above the insertion threshold, smallest index first."""
     prof = starting_profile(mp)
     row = mp.row_values(2)
     groups: list[tuple[int, int, str]] = []
@@ -514,9 +504,8 @@ def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
     return None
 
 
-def insertion_types(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> GroupTypes:
-    """Group the indexes above the insertion threshold, largest index first."""
-    l = insertion_threshold(mp, k, r, p, t)
+def insertion_types(mp: MarkedPartition, l: int) -> GroupTypes:
+    """Group the indexes 1..l above the insertion threshold, largest index first."""
     prof = starting_profile(mp)
     row = mp.row_values(2)
     groups: list[tuple[int, int, str]] = []
@@ -549,8 +538,8 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
     if base is None:
         return None
     v = _r2(mp, p)
-    l = insertion_threshold(mp, k, r, p, t)
-    red = reduction_types(mp, k, r, p, t) if l >= 1 else GroupTypes("reduction", ())
+    l = base.l
+    red = reduction_types(mp, l)
 
     def red_label(i: int) -> Optional[str]:
         if 1 <= i <= l:
@@ -569,8 +558,7 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
     if v == 2 * t + 4 and red_label(p) == "A1":
         hits.append(5)
     if base.j >= 6:
-        idx = insertion_index(mp, k, r, p, t)
-        if _r2(mp, l) != idx + 4 or red_label(l) == "A1":
+        if _r2(mp, l) != base.index + 4 or red_label(l) == "A1":
             hits.append(base.j)
     if len(hits) > 1:
         raise ClassificationError(
@@ -578,7 +566,7 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
         )
     if not hits:
         return None
-    return SubsetLabel("sim", hits[0], p, t)
+    return SubsetLabel("sim", hits[0], p, t, base.index, l)
 
 
 # -- decompositions ----------------------------------------------------
@@ -613,16 +601,13 @@ def find_m_eq33(mp: MarkedPartition) -> Optional[int]:
     if not odds:
         return None
     t = (max(odds) - 1) // 2
-    row = mp.row_values(2)
-    l = 0
-    while l + 1 <= len(row) and row[l] > 2 * t + 1:
-        l += 1
+    l = _threshold(mp, 2 * t + 1)
     prof = starting_profile(mp)
-    if l >= 1 and row[l - 1] == 2 * t + 2 and prof.type_at(l) == S0:
+    if l >= 1 and mp.row_values(2)[l - 1] == 2 * t + 2 and prof.type_at(l) == S0:
         p = l - 1
     else:
         p = l
     m = p + t
-    if debug.enabled():
-        assert _member_eq(mp, 3, 3, p, t), f"constructed (p,t)=({p},{t}) rejected for {mp.parts}"
+    if debug.enabled() and not _member_eq(mp, 3, 3, p, t):
+        raise ClassificationError(f"constructed (p,t)=({p},{t}) rejected for {mp.parts}")
     return m

@@ -18,8 +18,6 @@ from .classify import (
     classify_lt,
     classify_sim,
     cluster_indexes,
-    division_index,
-    insertion_index,
     starting_profile,
 )
 from .errors import GGError
@@ -53,6 +51,7 @@ def _input_partition(args) -> tuple[tuple[int, ...], int | None]:
     if getattr(args, "fixture", None):
         return fixture_parts(args.fixture), fixture_overline(args.fixture)
     if args.parts is None:
+        print("error: give --parts or --fixture", file=sys.stderr)
         raise SystemExit(2)
     return _parse_parts(args.parts), getattr(args, "overline", None)
 
@@ -100,13 +99,13 @@ def cmd_classify(args) -> int:
     eq = classify_eq(mp, k, r, p, t)
     fams = {}
     if lt:
-        fams["lt"] = {"j": lt.j, "index": insertion_index(mp, k, r, p, t)}
+        fams["lt"] = {"j": lt.j, "index": lt.index}
         if p >= 1:
             fams["lt"]["clusters"] = list(cluster_indexes(mp, p, t))
     if sim:
         fams["sim"] = {"j": sim.j}
     if eq:
-        fams["eq"] = {"j": eq.j, "index": division_index(mp, k, r, p, t)}
+        fams["eq"] = {"j": eq.j, "index": eq.index}
     out["families"] = fams
     _emit(out, "json")
     return 0

@@ -1,9 +1,9 @@
 """Optional internal cross-checks.
 
 When enabled (GGPART_DEBUG=1 or set_debug(True)), predicates that have two
-independent characterizations evaluate both and assert agreement, and
-classification passes assert that exactly one clause fired instead of taking
-the first match.  The test suite switches this on globally.
+independent characterizations evaluate both and raise on disagreement, and
+classification passes raise unless exactly one clause fired instead of taking
+the first match.  The test suite switches this on unless GGPART_DEBUG=0.
 """
 
 import os

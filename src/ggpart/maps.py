@@ -21,13 +21,9 @@ from .classify import (
     classify_lt,
     classify_sim,
     cluster_indexes,
-    division_index,
-    division_threshold,
     find_m_eq33,
     find_pt_eq,
     find_pt_lt,
-    insertion_index,
-    insertion_threshold,
     insertion_types,
     reduction_types,
 )
@@ -43,25 +39,6 @@ class DilationTrace:
 
     steps: tuple[MarkedPartition, ...]
     bookkeeping: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class MapReceipt:
-    in_weight: int
-    out_weight: int
-    in_length: int
-    out_length: int
-    l: int
-    p: int
-    t: int
-    j: int
-    index: int  # insertion index of the lt/sim input, or division index of the eq input
-
-    @classmethod
-    def pair(cls, before: MarkedPartition, after: MarkedPartition, l, p, t, j, index):
-        return cls(
-            before.weight, after.weight, before.length, after.length, l, p, t, j, index
-        )
 
 
 def _ledger(name: str, before: MarkedPartition, after: MarkedPartition, dw: int, dl: int):
@@ -104,10 +81,10 @@ def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     label = classify_lt(mp, k, r, p, t)
     if label is None:
         raise MembershipError(f"{mp.parts} is not in the lt family at (p,t)=({p},{t})")
-    l = insertion_threshold(mp, k, r, p, t)
+    l = label.l
     if l == 0:
         return mp, DilationTrace((), ())
-    groups = insertion_types(mp, k, r, p, t)
+    groups = insertion_types(mp, l)
     row = mp.row_values(2)
     steps, book = [], []
     cur, tb, rb, over = _basic_dilation(mp, row[l - 1], groups.label_of(l))
@@ -162,10 +139,10 @@ def reduce(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     label = classify_sim(mp, k, r, p, t)
     if label is None:
         raise MembershipError(f"{mp.parts} is not in the tilde family at (p,t)=({p},{t})")
-    l = insertion_threshold(mp, k, r, p, t)
+    l = label.l
     if l == 0:
         return mp, DilationTrace((), ())
-    groups = reduction_types(mp, k, r, p, t)
+    groups = reduction_types(mp, l)
     row = mp.row_values(2)
     steps, book = [], []
     cur, tb, rb, over = _basic_reduction(mp, row[0], groups.label_of(1))
@@ -193,10 +170,9 @@ def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     label = classify_sim(mp, k, r, p, t)
     if label is None:
         raise MembershipError(f"{mp.parts} is not in the tilde family at (p,t)=({p},{t})")
-    j = label.j
+    j, l = label.j, label.l
     odd = 2 * t + 1
     row = mp.row_values(2)
-    l = insertion_threshold(mp, k, r, p, t)
     mid: tuple[MarkedPartition, ...] = ()
 
     if j <= 5:
@@ -254,7 +230,7 @@ def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     if label_out is None or label_out.j != j:
         got = label_out.j if label_out else None
         raise GGError(f"insert_odd moved {mp.parts} from subset {j} to {got} at ({p},{t})")
-    if division_index(out, k, r, p, t) != insertion_index(mp, k, r, p, t):
+    if label_out.index != label.index:
         raise GGError(f"index transport broke inserting into {mp.parts} at ({p},{t})")
     return out, mid
 
@@ -287,11 +263,9 @@ def separate_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     label = classify_eq(mp, k, r, p, t)
     if label is None:
         raise MembershipError(f"{mp.parts} is not in the eq family at (p,t)=({p},{t})")
-    j = label.j
+    j, l = label.j, label.l
     odd = 2 * t + 1
     row = mp.row_values(2)
-    dv = division_index(mp, k, r, p, t)
-    l = division_threshold(mp, k, r, p, t)
     mid: tuple[MarkedPartition, ...] = ()
 
     if j <= 5:
@@ -355,7 +329,7 @@ def separate_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
         raise GGError(
             f"separate_odd moved {mp.parts} from subset {j} to {got} at ({p},{t})"
         )
-    if insertion_index(out, k, r, p, t) != dv:
+    if label_out.index != label.index:
         raise GGError(f"index transport broke separating {mp.parts} at ({p},{t})")
     return out, mid
 

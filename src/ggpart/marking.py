@@ -40,19 +40,20 @@ def _conflict_marks(marks_at: dict, value: int) -> set:
 def _assign(entries: Sequence[tuple[int, bool]]) -> list[tuple[int, int, bool]]:
     """Run the greedy assignment over (value, overlined) pairs.
 
-    Equal values are processed plain-before-overlined; the overlined copy
-    starts its mark search at 2.  Returns (value, mark, overlined) triples in
-    processing order (ascending by value).
+    Parts are processed by ascending value, plain before overlined and equal
+    entries in input order; the overlined copy starts its mark search at 2.
+    Returns (value, mark, overlined) triples in input order.
     """
     marks_at: dict[int, set] = {}
-    out = []
-    for value, over in sorted(entries, key=lambda e: (e[0], e[1])):
+    out: list = [None] * len(entries)
+    for i in sorted(range(len(entries)), key=entries.__getitem__):
+        value, over = entries[i]
         used = _conflict_marks(marks_at, value)
         mark = 2 if over else 1
         while mark in used:
             mark += 1
         marks_at.setdefault(value, set()).add(mark)
-        out.append((value, mark, over))
+        out[i] = (value, mark, over)
     return out
 
 
@@ -169,12 +170,9 @@ class MarkedPartition:
         """
         return self._replace(removals, additions)[0]
 
-    def replace_reporting(self, removals, additions):
-        """Like :meth:`replace` but also reports the mark each addition got."""
-        return self._replace(removals, additions)
-
     def _replace(self, removals, additions):
-        work = [[v, m, over, None] for v, m, over in self.entries]
+        """`replace`, also reporting the mark each addition received."""
+        work = list(self.entries)
         for value, mark, over in removals:
             for slot in work:
                 if slot[0] == value and slot[2] == over and (mark is None or slot[1] == mark):
@@ -183,29 +181,11 @@ class MarkedPartition:
             else:
                 who = f"{'overlined ' if over else ''}{mark if mark is not None else 'any'}-marked {value}"
                 raise MissingEntryError(f"no {who} in {self!r}", partition=self)
-        tagged = [(v, over, None) for v, _, over, _ in work]
-        for idx, (value, over) in enumerate(additions):
-            tagged.append((int(value), bool(over), idx))
-        values = [(v, over) for v, over, _ in tagged]
+        values = [(v, over) for v, _, over in work]
+        values += [(int(value), bool(over)) for value, over in additions]
         _check_overlines(values)
-        assigned = _assign_tagged(tagged)
-        new = MarkedPartition([(v, m, over) for v, m, over, _ in assigned])
-        report = {tag: m for v, m, over, tag in assigned if tag is not None}
-        return new, tuple(report[i] for i in range(len(report)))
-
-
-def _assign_tagged(entries):
-    """`_assign` variant that threads an opaque tag through the sort."""
-    marks_at: dict[int, set] = {}
-    out = []
-    for value, over, tag in sorted(entries, key=lambda e: (e[0], e[1])):
-        used = _conflict_marks(marks_at, value)
-        mark = 2 if over else 1
-        while mark in used:
-            mark += 1
-        marks_at.setdefault(value, set()).add(mark)
-        out.append((value, mark, over, tag))
-    return out
+        assigned = _assign(values)
+        return MarkedPartition(assigned), tuple(m for _, m, _ in assigned[len(work):])
 
 
 def _check_overlines(values: Sequence[tuple[int, bool]]) -> None:
@@ -272,7 +252,7 @@ def replace_part(
 
     Returns (marked partition, mark received by the inserted copy).
     """
-    new, marks = mp.replace_reporting(
+    new, marks = mp._replace(
         [(value, mark, target_overlined)], [(new_value, new_overline)]
     )
     return new, marks[0]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import debug
+from .errors import GGError
 from .marking import MarkedPartition, gg_mark
 
 
@@ -86,8 +87,8 @@ def is_in_C(p, k: int, r: int) -> bool:
     if hit is None:
         hit = _is_in_C(mp, k, r)
         if debug.enabled():
-            ref = is_bressoud_B(mp.parts, BressoudParams((1,), 2, k, r))
-            assert hit == ref, f"membership characterizations disagree on {mp.parts}"
+            if hit != is_bressoud_B(mp.parts, BressoudParams((1,), 2, k, r)):
+                raise GGError(f"membership characterizations disagree on {mp.parts}")
         mp._memo[key] = hit
     return hit
 

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from ggpart import debug
@@ -5,6 +7,7 @@ from ggpart import debug
 
 @pytest.fixture(scope="session", autouse=True)
 def _debug_checks():
-    debug.set_debug(True)
+    # debug cross-checks are on unless the run asks for GGPART_DEBUG=0
+    debug.set_debug(os.environ.get("GGPART_DEBUG") != "0")
     yield
     debug.set_debug(False)

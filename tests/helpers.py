@@ -3,7 +3,6 @@
 from functools import cache
 
 from ggpart import enumerate_C, enumerate_E, gg_mark
-from ggpart.membership import all_partitions
 
 
 @cache
@@ -15,11 +14,6 @@ def c_members(k: int, r: int, wmax: int):
 @cache
 def e_members(k: int, r: int, wmax: int):
     return {n: [gg_mark(p) for p in enumerate_E(k, r, n)] for n in range(wmax + 1)}
-
-
-@cache
-def partitions_upto(wmax: int):
-    return {n: list(all_partitions(n)) for n in range(wmax + 1)}
 
 
 def pt_grid(mp, t_max: int):

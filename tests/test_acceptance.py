@@ -14,7 +14,6 @@ from ggpart import (
     classify_sim,
     cluster_indexes,
     dilate,
-    division_index,
     enumerate_B,
     enumerate_F33,
     find_m_eq33,
@@ -23,8 +22,6 @@ from ggpart import (
     gg_mark,
     gg_companion_bivariate,
     insert_odd,
-    insertion_index,
-    insertion_threshold,
     kursungoz_cell,
     phi_global,
     phi_pt,
@@ -164,15 +161,14 @@ def test_criterion_06_factorized_round_trips():
                     label = classify_lt(mp, k, r, p, t)
                     if label is None:
                         continue
-                    l = insertion_threshold(mp, k, r, p, t)
                     mu, _ = dilate(mp, k, r, p, t)
-                    assert mu.weight == mp.weight + 2 * l and mu.length == mp.length
+                    assert mu.weight == mp.weight + 2 * label.l and mu.length == mp.length
                     sim = classify_sim(mu, k, r, p, t)
                     assert sim is not None and sim.j == label.j, (mp.parts, p, t)
                     back, _ = reduce(mu, k, r, p, t)
                     assert back == mp, (mp.parts, p, t)
                     omega = insert_odd(mu, k, r, p, t)  # asserts kind and index transport
-                    assert division_index(omega, k, r, p, t) == insertion_index(mu, k, r, p, t)
+                    assert classify_eq(omega, k, r, p, t).index == sim.index
                     assert separate_odd(omega, k, r, p, t) == mu, (mu.parts, p, t)
                     checked += 1
     _passed(6, f"reduce(dilate)=id and separate(insert)=id with transport ({checked} members)")
@@ -246,7 +242,7 @@ def test_criterion_09_property_suite():
                     label = classify_lt(mp, k, r, p, t)
                     if label is not None:
                         assert p + t >= mp.N(2), (mp.parts, p, t)
-                        idx = insertion_index(mp, k, r, p, t)
+                        idx = label.index
                         assert not (mp.has_part(idx) and mp.has_part(idx + 2)), (
                             mp.parts,
                             p,
@@ -263,7 +259,7 @@ def test_criterion_09_property_suite():
                         assert not mp.has(2 * t, 2), (mp.parts, p, t)
                     eq_label = classify_eq(mp, k, r, p, t)
                     if eq_label is not None:
-                        dv = division_index(mp, k, r, p, t)
+                        dv = eq_label.index
                         assert not (mp.has_part(dv) and mp.has_part(dv + 2)), (
                             mp.parts,
                             p,

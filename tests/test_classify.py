@@ -1,21 +1,22 @@
 import pytest
 
 from ggpart import (
+    GGError,
+    MarkedPartition,
     classify_eq,
     classify_lt,
     classify_sim,
     cluster_indexes,
-    division_index,
     find_m_eq33,
     find_pt_eq,
     find_pt_lt,
     gg_mark,
-    insertion_index,
-    insertion_threshold,
     insertion_types,
+    is_in_C,
     reduction_types,
     starting_profile,
 )
+from ggpart import classify, debug, membership
 from ggpart.fixtures import fixture_marked
 
 from helpers import c_members, pt_grid
@@ -78,32 +79,32 @@ def test_lt_requires_admissible_kr():
     [(6, 5, 18), (5, 7, 18), (3, 12, 38), (4, 9, 2 * 9 + 2), (0, 19, 2 * 19 + 2)],
 )
 def test_insertion_index(p, t, want):
-    assert insertion_index(PI1, 4, 3, p, t) == want
+    assert classify_lt(PI1, 4, 3, p, t).index == want
 
 
 def test_insertion_threshold():
-    assert insertion_threshold(PI1, 4, 3, 6, 5) == 4
-    assert insertion_threshold(gg_mark(()), 3, 3, 0, 0) == 0
+    assert classify_lt(PI1, 4, 3, 6, 5).l == 4
+    assert classify_lt(gg_mark(()), 3, 3, 0, 0).l == 0
 
 
 def test_eq_classification_examples():
     label = classify_eq(PI1, 4, 3, 6, 4)
     assert label is not None and label.j == 12
-    assert division_index(PI1, 4, 3, 6, 4) == 26
+    assert label.index == 26
     label = classify_eq(PI2, 4, 3, 6, 5)
     assert label is not None and label.j == 6
-    assert division_index(PI2, 4, 3, 6, 5) == 18
+    assert label.index == 18
     assert classify_eq(PI1, 4, 3, 6, 5) is None  # largest odd part is 9, not 11
 
 
 def test_reduction_groups_worked_example():
-    groups = reduction_types(PI3, 4, 3, 9, 0)
+    groups = reduction_types(PI3, classify_lt(PI3, 4, 3, 9, 0).l)
     assert groups.groups == ((1, 2, "A2"), (3, 3, "A1"), (4, 5, "A3"), (6, 6, "B"), (7, 9, "C"))
     assert groups.label_of(8) == "C"
 
 
 def test_insertion_groups_worked_example():
-    groups = insertion_types(PI1, 4, 3, 6, 5)
+    groups = insertion_types(PI1, classify_lt(PI1, 4, 3, 6, 5).l)
     assert groups.groups == ((4, 4, "A1"), (3, 3, "C"), (1, 2, "A3"))
 
 
@@ -111,12 +112,11 @@ def test_group_steps_of_four():
     for n in range(0, 25):
         for mp in c_members(4, 3, 24)[n]:
             for p, t in pt_grid(mp, 14):
-                if classify_lt(mp, 4, 3, p, t) is None:
-                    continue
-                if insertion_threshold(mp, 4, 3, p, t) == 0:
+                label = classify_lt(mp, 4, 3, p, t)
+                if label is None or label.l == 0:
                     continue
                 for kinds in (reduction_types, insertion_types):
-                    for lo, hi, _ in kinds(mp, 4, 3, p, t).groups:
+                    for lo, hi, _ in kinds(mp, label.l).groups:
                         vals = [mp.row(2, i) for i in range(lo, hi + 1)]
                         assert all(a - b == 4 for a, b in zip(vals, vals[1:]))
 
@@ -153,11 +153,10 @@ def test_threshold_part_type_table():
                 label = classify_lt(mp, 4, 3, p, t)
                 if label is None:
                     continue
-                l = insertion_threshold(mp, 4, 3, p, t)
+                l, idx = label.l, label.index
                 if l == 0:
                     continue
-                idx = insertion_index(mp, 4, 3, p, t)
-                got = insertion_types(mp, 4, 3, p, t).label_of(l)
+                got = insertion_types(mp, l).label_of(l)
                 if label.j <= 5 and mp.row(2, l) in (idx + 2, idx + 4):
                     assert got in table[label.j], (mp.parts, p, t, label.j, got)
                 elif label.j >= 6 and mp.row(2, l) == idx + 4:
@@ -189,3 +188,26 @@ def test_find_m_examples():
                 assert all(v % 2 == 0 for v in mp.parts)
             else:
                 assert find_pt_eq(mp, 3, 3, m) is not None
+
+
+def _fresh(parts):
+    """A newly built marking, so no memoised answer hides the check."""
+    return MarkedPartition(gg_mark(parts).entries)
+
+
+def test_debug_cross_checks_raise_not_assert(monkeypatch):
+    # `python -O` strips asserts; these checks must raise a GGError instead
+    monkeypatch.setattr(debug, "_enabled", True)
+    with monkeypatch.context() as m:
+        real = membership._is_in_C
+        m.setattr(membership, "_is_in_C", lambda mp, k, r: not real(mp, k, r))
+        with pytest.raises(GGError):
+            is_in_C(_fresh((6, 4, 2)), 3, 3)
+    with monkeypatch.context() as m:
+        m.setattr(classify, "_has1", lambda mp, value: True)
+        with pytest.raises(GGError):
+            starting_profile(_fresh((4, 4)))
+    with monkeypatch.context() as m:
+        m.setattr(classify, "_member_eq", lambda *args: False)
+        with pytest.raises(GGError):
+            find_m_eq33(gg_mark((1,)))

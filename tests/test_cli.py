@@ -101,6 +101,13 @@ def test_usage_error_exit_2(capsys):
     assert exc.value.code == 2
 
 
+def test_mark_without_input_says_why(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mark"])
+    assert exc.value.code == 2
+    assert "error: give --parts or --fixture" in capsys.readouterr().err
+
+
 def test_deterministic_output(capsys):
     a = run(capsys, "--seedless", "enumerate", "--set", "F33", "-n", "8")
     b = run(capsys, "--seedless", "enumerate", "--set", "F33", "-n", "8")

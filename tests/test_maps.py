@@ -2,16 +2,14 @@ import pytest
 
 from ggpart import (
     MembershipError,
+    classify_eq,
     classify_lt,
     classify_sim,
     dilate,
-    division_index,
     enumerate_F33,
     find_m_eq33,
     gg_mark,
     insert_odd,
-    insertion_index,
-    insertion_threshold,
     phi_global,
     phi_m,
     phi_pt,
@@ -21,8 +19,9 @@ from ggpart import (
     reduce,
     separate_odd,
 )
+from ggpart import classify
 from ggpart.fixtures import FIXTURES, fixture_marked
-from ggpart.maps import MapReceipt, insert_odd_trace, separate_odd_trace
+from ggpart.maps import insert_odd_trace, separate_odd_trace
 
 from helpers import c_members, e_members, pt_grid
 
@@ -106,11 +105,23 @@ def test_phi_on_empty():
     assert psi_pt(out, 3, 3, 0, 0).parts == ()
 
 
-def test_receipt_fields():
-    out = phi_pt(PI1, 4, 3, 6, 5)
-    rec = MapReceipt.pair(PI1, out, l=4, p=6, t=5, j=6, index=18)
-    assert rec.out_weight - rec.in_weight == 2 * 6 + 2 * 5 + 1
-    assert rec.out_length - rec.in_length == 1
+@pytest.mark.parametrize(
+    "fn, src, want",
+    [(dilate, "pi1", (1, 0)), (insert_odd, "mu", (1, 1)), (separate_odd, "pi2", (1, 1)), (reduce, "mu", (1, 0))],
+)
+def test_each_map_classifies_once(monkeypatch, fn, src, want):
+    # one membership pass for the input, plus one for the output a map checks
+    calls = {"_member_lt": 0, "_member_eq": 0}
+    for name in calls:
+        real = getattr(classify, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+    fn(fixture_marked(src), 4, 3, 6, 5)
+    assert (calls["_member_lt"], calls["_member_eq"]) == want
 
 
 def test_round_trips_small_sweep():
@@ -124,16 +135,15 @@ def test_round_trips_small_sweep():
                     label = classify_lt(mp, k, r, p, t)
                     if label is None:
                         continue
-                    l = insertion_threshold(mp, k, r, p, t)
                     mu, _ = dilate(mp, k, r, p, t)
-                    assert mu.weight == mp.weight + 2 * l
+                    assert mu.weight == mp.weight + 2 * label.l
                     assert mu.length == mp.length
                     sim = classify_sim(mu, k, r, p, t)
                     assert sim is not None and sim.j == label.j
                     back, _ = reduce(mu, k, r, p, t)
                     assert back == mp
                     omega = insert_odd(mu, k, r, p, t)
-                    assert division_index(omega, k, r, p, t) == insertion_index(mu, k, r, p, t)
+                    assert classify_eq(omega, k, r, p, t).index == sim.index
                     assert separate_odd(omega, k, r, p, t) == mu
                     assert psi_pt(omega, k, r, p, t) == mp
 
