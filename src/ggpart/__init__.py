@@ -46,7 +46,6 @@ from .marking import (
     gg_mark_special,
     marked_to_dict,
     render_grid,
-    replace_part,
 )
 from .membership import (
     BressoudParams,

@@ -44,9 +44,6 @@ class StartingProfile:
     def type_at(self, i: int) -> str:
         return self.types[i - 1]
 
-    def anchor_at(self, i: int) -> Optional[int]:
-        return self.anchors[i - 1]
-
 
 @dataclass(frozen=True)
 class SubsetLabel:
@@ -79,9 +76,6 @@ class GroupTypes:
 
     def label_of(self, i: int) -> str:
         return self.group_of(i)[2]
-
-    def labels(self) -> dict[int, str]:
-        return {i: lab for lo, hi, lab in self.groups for i in range(lo, hi + 1)}
 
 
 def _r2(mp: MarkedPartition, j: int):

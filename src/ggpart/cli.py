@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import maps, series
+from . import maps, verify
 from .classify import (
     classify_eq,
     classify_lt,
@@ -196,115 +196,45 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
-def _first_mismatch(a, b, qmax):
-    for n in range(qmax + 1):
-        if a[n] != b[n]:
-            return n
-    return None
+_IDENTITIES = {
+    "conjecture": lambda a: verify.conjecture(_params_from(a), a.qmax),
+    "product": lambda a: verify.product(_params_from(a), a.qmax),
+    "sum-product": lambda a: verify.sum_product(_params_from(a), a.qmax),
+    "companion": lambda a: verify.companion(a.qmax),
+    "cell": lambda a: verify.cell(a.k, a.r, a.qmax, a.max_n1),
+}
+
+
+def _mismatch(res: verify.Result) -> str:
+    where, expected, got = res.first
+    return f"first mismatch at {where} expected {expected!r} got {got!r}"
 
 
 def cmd_verify(args) -> int:
-    qmax = args.qmax
-    if args.identity == "conjecture":
-        params = _params_from(args)
-        lhs = series.bressoud_multisum(params, qmax)
-        rhs = [len(enumerate_B(params, n)) for n in range(qmax + 1)]
-        bad = _first_mismatch(lhs.coeffs, rhs, qmax)
-    elif args.identity == "product":
-        params = _params_from(args)
-        lhs = series.bressoud_product(params, qmax)
-        rhs = [len(enumerate_B(params, n)) for n in range(qmax + 1)]
-        bad = _first_mismatch(lhs.coeffs, rhs, qmax)
-    elif args.identity == "sum-product":
-        params = _params_from(args)
-        lhs = series.bressoud_multisum(params, qmax)
-        rhs = series.bressoud_product(params, qmax).coeffs
-        bad = _first_mismatch(lhs.coeffs, rhs, qmax)
-    elif args.identity == "companion":
-        biv = series.gg_companion_bivariate(qmax)
-        bad = None
-        for n in range(qmax + 1):
-            by_len: dict[int, int] = {}
-            for p in enumerate_C(3, 3, n):
-                by_len[len(p)] = by_len.get(len(p), 0) + 1
-            if by_len != {d: v for d, v in biv.coeffs[n].items() if v}:
-                bad = n
-                break
-    else:  # cell
-        from .marking import gg_mark as _mark
-        from .membership import row_counts
-
-        k, r = args.k, args.r
-        tallies: dict[tuple, dict[int, int]] = {}
-        for n in range(qmax + 1):
-            for p in enumerate_E(k, r, n):
-                key = row_counts(_mark(p), k - 1)
-                tallies.setdefault(key, {})[n] = tallies.get(key, {}).get(n, 0) + 1
-        bad = None
-        for key, by_n in sorted(tallies.items()):
-            if key[0] > args.max_n1:
-                continue
-            cell = series.kursungoz_cell(key, r, qmax)
-            if any(cell[n] != by_n.get(n, 0) for n in range(qmax + 1)):
-                bad = key
-                break
-    if bad is None:
-        print(f"PASS {args.identity} qmax={qmax}")
+    res = _IDENTITIES[args.identity](args)
+    if res.ok:
+        print(f"PASS {args.identity} qmax={args.qmax}")
         return 0
-    print(f"FAIL {args.identity} qmax={qmax} first mismatch at {bad}")
+    print(f"FAIL {args.identity} qmax={args.qmax} {_mismatch(res)}")
     return 1
 
 
 def cmd_roundtrip(args) -> int:
-    from .marking import gg_mark as _mark
-
-    k, r, wmax = args.k, args.r, args.max_weight
-    members: dict[int, list] = {
-        n: [_mark(p) for p in enumerate_C(k, r, n)] for n in range(wmax + 1)
-    }
-    checked = eq_checked = failures = 0
-    for m in range(0, wmax // 2 + 1):
-        for p in range(0, m + 1):
-            t = m - p
-            delta = 2 * p + 2 * t + 1
-            for n in range(0, wmax + 1 - delta):
-                for mp in members[n]:
-                    if classify_lt(mp, k, r, p, t) is None:
-                        continue
-                    checked += 1
-                    try:
-                        out = maps.phi_pt(mp, k, r, p, t)
-                        back = maps.psi_pt(out, k, r, p, t)
-                        if back.parts != mp.parts:
-                            failures += 1
-                    except GGError:
-                        failures += 1
-            for n in range(delta, wmax + 1):
-                for mp in members[n]:
-                    if classify_eq(mp, k, r, p, t) is None:
-                        continue
-                    eq_checked += 1
-                    try:
-                        back = maps.phi_pt(maps.psi_pt(mp, k, r, p, t), k, r, p, t)
-                        if back.parts != mp.parts:
-                            failures += 1
-                    except GGError:
-                        failures += 1
-    print(f"phi(psi) round-trips checked={eq_checked}")
-    print(f"psi(phi) round-trips checked={checked}")
-    print(f"failures={failures}")
+    k, r = args.k, args.r
+    members = verify.members_by_weight(k, r, args.max_weight)
+    fwd, bwd = verify.pt_bijection(k, r, members)
+    print(f"phi(psi) round-trips checked={bwd.checked}")
+    print(f"psi(phi) round-trips checked={fwd.checked}")
+    print(f"failures={fwd.failures + bwd.failures}")
+    results = [fwd, bwd]
     if k == r == 3:
-        g_checked = g_failures = 0
-        for n in range(wmax + 1):
-            for pair in enumerate_F33(n):
-                g_checked += 1
-                out = maps.phi_global(*pair)
-                back, zeta = maps.psi_global(out)
-                if (back.parts, zeta) != pair:
-                    g_failures += 1
-        print(f"global round-trips checked={g_checked} failures={g_failures}")
-        failures += g_failures
-    return 1 if failures else 0
+        gfwd, gbwd = verify.global_pairs(members)
+        print(f"global round-trips checked={gfwd.checked} failures={gfwd.failures + gbwd.failures}")
+        results += [gfwd, gbwd]
+    failed = [res for res in results if not res.ok]
+    if failed:
+        print(_mismatch(failed[0]))
+    return 1 if failed else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--identity",
         required=True,
-        choices=("conjecture", "product", "sum-product", "companion", "cell"),
+        choices=tuple(_IDENTITIES),
     )
     p.add_argument("--alphas")
     p.add_argument("--eta", type=int, default=2)

@@ -168,10 +168,6 @@ class MarkedPartition:
         matches any copy of the value with the given overline state.
         additions: iterable of (value, overlined).
         """
-        return self._replace(removals, additions)[0]
-
-    def _replace(self, removals, additions):
-        """`replace`, also reporting the mark each addition received."""
         work = list(self.entries)
         for value, mark, over in removals:
             for slot in work:
@@ -184,8 +180,7 @@ class MarkedPartition:
         values = [(v, over) for v, _, over in work]
         values += [(int(value), bool(over)) for value, over in additions]
         _check_overlines(values)
-        assigned = _assign(values)
-        return MarkedPartition(assigned), tuple(m for _, m, _ in assigned[len(work):])
+        return MarkedPartition(_assign(values))
 
 
 def _check_overlines(values: Sequence[tuple[int, bool]]) -> None:
@@ -237,25 +232,6 @@ def gg_mark_special(parts: Iterable[int], overline: Optional[int] = None) -> Mar
     entries.append((overline, True))
     _check_overlines(entries)
     return MarkedPartition(_assign(entries))
-
-
-def replace_part(
-    mp: MarkedPartition,
-    value: int,
-    mark: int,
-    new_value: int,
-    *,
-    new_overline: bool = False,
-    target_overlined: bool = False,
-):
-    """Swap one (value, mark) occurrence for `new_value` and re-mark.
-
-    Returns (marked partition, mark received by the inserted copy).
-    """
-    new, marks = mp._replace(
-        [(value, mark, target_overlined)], [(new_value, new_overline)]
-    )
-    return new, marks[0]
 
 
 # -- presentation ------------------------------------------------------

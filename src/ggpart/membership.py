@@ -119,9 +119,21 @@ def all_partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int
         yield ()
         return
     hi = n if max_part is None else min(max_part, n)
-    for v in range(hi, 0, -1):
-        for rest in all_partitions(n - v, v):
-            yield (v,) + rest
+    if hi < 1:
+        return
+    parts: list[int] = []
+    freed, v = n, hi
+    while True:
+        q, rest = divmod(freed, v)  # refill greedily with parts <= v
+        parts += [v] * q + ([rest] if rest else [])
+        yield tuple(parts)
+        freed = 0
+        while parts and parts[-1] == 1:
+            freed += parts.pop()
+        if not parts:
+            return
+        v = parts.pop() - 1  # lower the last part above 1
+        freed += v + 1
 
 
 def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:

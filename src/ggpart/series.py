@@ -112,10 +112,6 @@ class TruncatedSeries:
 
     __rmul__ = __mul__
 
-    def shift(self, e: int) -> "TruncatedSeries":
-        """Multiply by q^e (e >= 0)."""
-        return TruncatedSeries([0] * e + list(self.coeffs), self.qmax)
-
     def reciprocal(self) -> "TruncatedSeries":
         """Inverse series; the constant term must be +-1 to stay integral."""
         c0 = self.coeffs[0]
@@ -127,9 +123,6 @@ class TruncatedSeries:
             acc = sum(self.coeffs[i] * out[n - i] for i in range(1, n + 1))
             out[n] = -acc * c0
         return TruncatedSeries(out, self.qmax)
-
-    def truncate(self, qmax: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs[: qmax + 1], min(qmax, self.qmax))
 
 
 def pochhammer(sign: int, c: int, step: int, n: Optional[int], qmax: int) -> TruncatedSeries:
@@ -191,14 +184,6 @@ class BivariateSeries:
             {d: v for d, v in c.items() if v} for c in cs
         )
 
-    @classmethod
-    def one(cls, qmax: int) -> "BivariateSeries":
-        return cls([{0: 1}], qmax)
-
-    @classmethod
-    def zero(cls, qmax: int) -> "BivariateSeries":
-        return cls([], qmax)
-
     def coefficient(self, n: int, xdeg: int) -> int:
         return self.coeffs[n].get(xdeg, 0)
 
@@ -235,14 +220,6 @@ class BivariateSeries:
                         else:
                             dst.pop(nd, None)
         return BivariateSeries(out, q)
-
-    def times_x(self, d: int) -> "BivariateSeries":
-        return BivariateSeries(
-            [{xd + d: v for xd, v in c.items()} for c in self.coeffs], self.qmax
-        )
-
-    def shift(self, e: int) -> "BivariateSeries":
-        return BivariateSeries([{}] * e + [dict(c) for c in self.coeffs], self.qmax)
 
     def at_x1(self) -> TruncatedSeries:
         return TruncatedSeries([sum(c.values()) for c in self.coeffs], self.qmax)

@@ -2,13 +2,10 @@
 
 from functools import cache
 
-from ggpart import enumerate_C, enumerate_E, gg_mark
+from ggpart import enumerate_E, gg_mark, verify
 
-
-@cache
-def c_members(k: int, r: int, wmax: int):
-    """{weight: [marked members]} for the eta=2 single-residue family."""
-    return {n: [gg_mark(p) for p in enumerate_C(k, r, n)] for n in range(wmax + 1)}
+# {weight: [marked members]} for the eta=2 single-residue family
+c_members = cache(verify.members_by_weight)
 
 
 @cache

@@ -14,30 +14,18 @@ from ggpart import (
     classify_sim,
     cluster_indexes,
     dilate,
-    enumerate_B,
-    enumerate_F33,
     find_m_eq33,
     find_pt_eq,
     find_pt_lt,
-    gg_mark,
-    gg_companion_bivariate,
     insert_odd,
-    kursungoz_cell,
-    phi_global,
-    phi_pt,
-    psi_global,
-    psi_pt,
-    bressoud_multisum,
-    bressoud_product,
     reduce,
     render_grid,
-    row_counts,
     separate_odd,
     starting_profile,
+    verify,
 )
 from ggpart.fixtures import FIXTURES, fixture_marked, fixture_overline, fixture_parts
 from ggpart.marking import gg_mark_special
-from ggpart.membership import enumerate_E
 
 from helpers import c_members, e_members, pt_grid
 
@@ -49,14 +37,8 @@ def _passed(n, text):
 
 
 def test_criterion_01_headline_identity():
-    qmax = 36
-    biv = gg_companion_bivariate(qmax)
-    members = c_members(3, 3, qmax)
-    for n in range(qmax + 1):
-        by_len: dict[int, int] = {}
-        for mp in members[n]:
-            by_len[mp.length] = by_len.get(mp.length, 0) + 1
-        assert by_len == dict(biv.coeffs[n]), f"length-refined mismatch at weight {n}"
+    res = verify.companion(36)
+    assert res.ok, res.first
     _passed(1, "length-refined generating function matches enumeration to q^36")
 
 
@@ -69,10 +51,8 @@ PRODUCT_PARAMS = (
 
 @pytest.mark.parametrize("params", PRODUCT_PARAMS, ids=str)
 def test_criterion_02_product_form(params):
-    qmax = 36
-    prod = bressoud_product(params, qmax)
-    for n in range(qmax + 1):
-        assert prod[n] == len(enumerate_B(params, n)), f"{params} mismatch at q^{n}"
+    res = verify.product(params, 36)
+    assert res.ok, (params, res.first)
     _passed(2, f"product coefficients equal member counts to q^36 for {params}")
 
 
@@ -80,37 +60,17 @@ def test_criterion_02_product_form(params):
     "params", PRODUCT_PARAMS + (BressoudParams((1,), 2, 4, 4),), ids=str
 )
 def test_criterion_03_sum_equals_product(params):
-    qmax = 40
-    assert bressoud_multisum(params, qmax) == bressoud_product(params, qmax)
+    res = verify.sum_product(params, 40)
+    assert res.ok, (params, res.first)
     _passed(3, f"multi-sum equals product to q^40 for {params}")
 
 
 def test_criterion_04_cell_identity():
-    qmax = 40
-    for k in (3, 4):
-        for r in range(3, k + 1):
-            tallies: dict[tuple, dict[int, int]] = {}
-            for n in range(qmax + 1):
-                for p in enumerate_E(k, r, n):
-                    key = row_counts(gg_mark(p), k - 1)
-                    tallies.setdefault(key, {}).setdefault(n, 0)
-                    tallies[key][n] += 1
-
-            def tuples_with_small_lead(size):
-                if size == 0:
-                    yield ()
-                    return
-                for rest in tuples_with_small_lead(size - 1):
-                    hi = rest[0] if rest else 4
-                    for v in range(hi, 5):
-                        yield (v,) + rest
-
-            for key in tuples_with_small_lead(k - 1):
-                cell = kursungoz_cell(key, r, qmax)
-                by_n = tallies.get(key, {})
-                for n in range(qmax + 1):
-                    assert cell[n] == by_n.get(n, 0), (k, r, key, n)
-    _passed(4, "cell formula equals weighted cell enumeration to q^40, leads <= 4")
+    for (k, r), cells in {(3, 3): 15, (4, 3): 35, (4, 4): 35}.items():
+        res = verify.cell(k, r, 40, 4)
+        assert res.ok, (k, r, res.first)
+        assert res.checked == cells, (k, r)
+    _passed(4, "cell formula equals weighted cell enumeration to q^40, every lead <= 4")
 
 
 def _pt_range(bound=29):
@@ -123,29 +83,12 @@ def _pt_range(bound=29):
 
 
 def test_criterion_05_pt_bijection():
-    wmax = 30
     checked = 0
     for k, r in KR_SETS:
-        members = c_members(k, r, wmax)
-        eq_cache: dict = {}
-        for p, t in _pt_range():
-            delta = 2 * p + 2 * t + 1
-            for n in range(0, wmax + 1 - delta):
-                sources = [mp for mp in members[n] if classify_lt(mp, k, r, p, t)]
-                if not sources:
-                    continue
-                targets = sorted(
-                    mp.parts for mp in members[n + delta] if classify_eq(mp, k, r, p, t)
-                )
-                images = []
-                for mp in sources:
-                    out = phi_pt(mp, k, r, p, t)
-                    assert out.length == mp.length + 1
-                    assert psi_pt(out, k, r, p, t) == mp, (k, r, p, t, mp.parts)
-                    images.append(out.parts)
-                    checked += 1
-                assert len(set(images)) == len(images), (k, r, p, t, n)
-                assert sorted(images) == targets, (k, r, p, t, n)
+        fwd, bwd = verify.pt_bijection(k, r, c_members(k, r, 30))
+        assert fwd.ok and bwd.ok, (k, r, fwd.first, bwd.first)
+        checked += fwd.checked
+    assert checked == 7410
     _passed(5, f"phi/psi bijective with matching image sets ({checked} members)")
 
 
@@ -194,31 +137,8 @@ def test_criterion_07_twelve_subset_integrity():
 
 
 def test_criterion_08_global_bijection():
-    nmax = 26
-    members = c_members(3, 3, nmax)
-    for n in range(nmax + 1):
-        targets = sorted(mp.parts for mp in members[n])
-        by_stats: dict[tuple, int] = {}
-        images = []
-        for pair in enumerate_F33(n):
-            out = phi_global(*pair)
-            assert out.weight == sum(pair[0]) + sum(pair[1]) == n
-            assert out.length == len(pair[0]) + len(pair[1])
-            back, zeta = psi_global(out)
-            assert (back.parts, zeta) == pair, pair
-            images.append(out.parts)
-            key = (out.weight, out.length)
-            by_stats[key] = by_stats.get(key, 0) + 1
-        assert len(set(images)) == len(images), n
-        assert sorted(images) == targets, n
-        want_stats: dict[tuple, int] = {}
-        for mp in members[n]:
-            key = (mp.weight, mp.length)
-            want_stats[key] = want_stats.get(key, 0) + 1
-        assert by_stats == want_stats, n
-        for mp in members[n]:
-            pair = psi_global(mp)
-            assert phi_global(*pair) == mp, mp.parts
+    fwd, bwd = verify.global_pairs(c_members(3, 3, 26))
+    assert fwd.ok and bwd.ok, (fwd.first, bwd.first)
     _passed(8, "pair absorption is a weight/length-preserving bijection to n=26")
 
 

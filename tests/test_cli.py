@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ggpart import series, verify
 from ggpart.cli import main
 
 
@@ -79,20 +80,62 @@ def test_enumerate_json_lines(capsys):
     assert sorted(map(tuple, rows)) == [(2, 2), (3, 1), (4,)]
 
 
-def test_verify_pass_and_exit_codes(capsys):
-    code, out, _ = run(
-        capsys, "verify", "--identity", "sum-product", "--alphas", "1",
-        "--eta", "2", "-k", "3", "-r", "3", "--qmax", "18",
-    )
-    assert code == 0 and out.startswith("PASS")
-    code, out, _ = run(capsys, "verify", "--identity", "companion", "--qmax", "14")
-    assert code == 0 and out.startswith("PASS")
+VERIFY_PASSING = {
+    "conjecture": ("--alphas", "1", "-k", "4", "-r", "3", "--qmax", "16"),
+    "product": ("--alphas", "1,2", "--eta", "3", "--qmax", "16"),
+    "sum-product": ("--alphas", "1", "--eta", "2", "-k", "3", "-r", "3", "--qmax", "18"),
+    "companion": ("--qmax", "14"),
+    "cell": ("-k", "4", "-r", "3", "--qmax", "16"),
+}
+
+
+@pytest.mark.parametrize("identity", VERIFY_PASSING)
+def test_verify_pass_and_exit_codes(capsys, identity):
+    args = VERIFY_PASSING[identity]
+    code, out, _ = run(capsys, "verify", "--identity", identity, *args)
+    qmax = args[-1]
+    assert code == 0 and out == f"PASS {identity} qmax={qmax}\n"
+
+
+def test_verify_fail_names_expected_and_got(monkeypatch, capsys):
+    real = series.bressoud_product
+
+    def off_at_7(params, qmax):
+        coeffs = list(real(params, qmax).coeffs)
+        coeffs[7] += 1
+        return series.TruncatedSeries(coeffs, qmax)
+
+    monkeypatch.setattr(series, "bressoud_product", off_at_7)
+    code, out, _ = run(capsys, "verify", "--identity", "product", "--alphas", "1", "--qmax", "12")
+    assert code == 1
+    assert out == "FAIL product qmax=12 first mismatch at 7 expected 5 got 6\n"
+
+
+def test_cell_check_covers_empty_cells(monkeypatch, capsys):
+    real = series.kursungoz_cell
+
+    def wrong_on_222(counts, r, qmax, track_x=False):
+        if tuple(counts) == (2, 2, 2):
+            return series.TruncatedSeries.one(qmax)
+        return real(counts, r, qmax, track_x)
+
+    monkeypatch.setattr(series, "kursungoz_cell", wrong_on_222)
+    res = verify.cell(4, 3, 20, 4)
+    assert not res.ok and res.first == (((2, 2, 2), 0), 0, 1)
+    code, out, _ = run(capsys, "verify", "--identity", "cell", "-k", "4", "-r", "3", "--qmax", "20")
+    assert code == 1
+    assert out == "FAIL cell qmax=20 first mismatch at ((2, 2, 2), 0) expected 0 got 1\n"
 
 
 def test_roundtrip_command(capsys):
-    code, out, _ = run(capsys, "roundtrip", "-k", "3", "-r", "3", "--max-weight", "12")
+    code, out, _ = run(capsys, "roundtrip", "-k", "3", "-r", "3", "--max-weight", "20")
     assert code == 0
-    assert "failures=0" in out
+    assert out == (
+        "phi(psi) round-trips checked=341\n"
+        "psi(phi) round-trips checked=341\n"
+        "failures=0\n"
+        "global round-trips checked=405 failures=0\n"
+    )
 
 
 def test_usage_error_exit_2(capsys):

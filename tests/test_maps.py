@@ -6,7 +6,6 @@ from ggpart import (
     classify_lt,
     classify_sim,
     dilate,
-    enumerate_F33,
     find_m_eq33,
     gg_mark,
     insert_odd,
@@ -18,6 +17,7 @@ from ggpart import (
     psi_pt,
     reduce,
     separate_odd,
+    verify,
 )
 from ggpart import classify
 from ggpart.fixtures import FIXTURES, fixture_marked
@@ -174,17 +174,8 @@ def test_global_examples():
 
 
 def test_global_round_trip_sweep():
-    for n in range(0, 21):
-        targets = sorted(p for p in (mp.parts for mp in c_members(3, 3, 20)[n]))
-        images = []
-        for pair in enumerate_F33(n):
-            out = phi_global(*pair)
-            assert out.weight == n
-            assert out.length == len(pair[0]) + len(pair[1])
-            back, zeta = psi_global(out)
-            assert (back.parts, zeta) == pair
-            images.append(out.parts)
-        assert sorted(images) == targets
+    fwd, bwd = verify.global_pairs(c_members(3, 3, 20))
+    assert fwd.ok and bwd.ok, (fwd.first, bwd.first)
 
 
 def test_global_rejects_bad_pairs():

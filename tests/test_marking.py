@@ -13,7 +13,6 @@ from ggpart import (
     gg_mark_special,
     marked_to_dict,
     render_grid,
-    replace_part,
 )
 from ggpart.fixtures import fixture_marked, fixture_overline, fixture_rows
 from ggpart.membership import all_partitions
@@ -160,10 +159,10 @@ def test_row_sentinels_and_values():
 
 def test_replace_part_worked_step():
     mp = gg_mark(PI1_PARTS)
-    out, got = replace_part(mp, 22, 3, 23)
+    out = mp.replace([(22, 3, False)], [(23, False)])
     want = fixture_marked("pi1_step4")
     assert out.rows == want.rows
-    assert got == 3
+    assert out.has(23, 3)
 
 
 def test_replace_identity_surgery():
@@ -173,14 +172,14 @@ def test_replace_identity_surgery():
                 continue
             mp = gg_mark(p)
             v, m, _ = mp.entries[0]
-            out, _ = replace_part(mp, v, m, v)
+            out = mp.replace([(v, m, False)], [(v, False)])
             assert out.rows == mp.rows
 
 
 def test_replace_missing_entry():
     mp = gg_mark((4, 2))
     with pytest.raises(MissingEntryError):
-        replace_part(mp, 4, 3, 5)
+        mp.replace([(4, 3, False)], [(5, False)])
 
 
 @given(partitions_st, st.integers(0, 7), st.integers(1, 15))
@@ -190,13 +189,12 @@ def test_replace_round_trip_multiset(parts, pick, new_value):
     if not mp.entries:
         return
     v, m, _ = mp.entries[pick % len(mp.entries)]
-    out, got = replace_part(mp, v, m, new_value)
+    out = mp.replace([(v, m, False)], [(new_value, False)])
     removed = list(mp.parts)
     removed.remove(v)
     removed.append(new_value)
     assert sorted(out.parts) == sorted(removed)
-    assert out.has(new_value, got)
-    back, _ = replace_part(out, new_value, got, v)
+    back = out.replace([(new_value, None, False)], [(v, False)])
     assert sorted(back.parts) == sorted(mp.parts)
     assert back.rows == mp.rows
 

@@ -44,6 +44,14 @@ def test_pi1_membership():
     assert is_in_C((), 3, 3)
 
 
+def test_all_partitions_order_and_depth():
+    assert list(all_partitions(5)) == [
+        (5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1, 1, 1, 1, 1)
+    ]
+    assert list(all_partitions(7, max_part=3))[:3] == [(3, 3, 1), (3, 2, 2), (3, 2, 1, 1)]
+    assert list(all_partitions(1200, max_part=1)) == [(1,) * 1200]
+
+
 def test_characterizations_agree_exhaustive():
     for n in range(0, 31):
         for p in all_partitions(n):
