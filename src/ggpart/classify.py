@@ -104,11 +104,9 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
         return cached
     row = mp.row_values(2)
     n2 = len(row)
-    odds = [v for v in mp.parts if v % 2 == 1]
-    largest_odd = max(odds, default=None)
     threshold = 0
     for i in range(1, n2 + 1):
-        if largest_odd is not None and largest_odd >= row[i - 1]:
+        if mp.largest_odd >= row[i - 1]:
             break
         threshold = i
     types: list[str] = [S_MINUS1] * n2
@@ -180,18 +178,24 @@ def _check_kr(k: int, r: int) -> None:
 
 
 def _member_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
+    # Bracket first: at most two t pass it per p.  Row-2 index 0 is +inf, N2 + 1 is -inf.
     if p < 0 or t < 0:
+        return False
+    row = mp.row_values(2)
+    n2 = len(row)
+    if p > n2:
+        return False
+    odd = 2 * t + 1
+    if (p < n2 and row[p] >= odd) or (p > 0 and row[p - 1] <= odd):
+        return False
+    if mp.largest_odd >= odd:
         return False
     if not is_in_C(mp, k, r):
         return False
-    if any(v % 2 == 1 and v >= 2 * t + 1 for v in mp.parts):
-        return False
-    if not (_r2(mp, p + 1) < 2 * t + 1 < _r2(mp, p)):
-        return False
     prof = starting_profile(mp)
-    if _r2(mp, p) == 2 * t + 2 and prof.type_at(p) not in (S2, S3):
+    if p > 0 and row[p - 1] == 2 * t + 2 and prof.type_at(p) not in (S2, S3):
         return False
-    if _r2(mp, p + 1) == 2 * t and prof.type_at(p + 1) not in (S0, S1):
+    if p < n2 and row[p] == 2 * t and prof.type_at(p + 1) not in (S0, S1):
         return False
     return True
 
@@ -277,14 +281,17 @@ def _insertion_index(mp: MarkedPartition, p: int, t: int, j: int) -> int:
 def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     if p < 0 or t < 0:
         return False
+    row = mp.row_values(2)  # bracket first, as in _member_lt
+    n2 = len(row)
+    if p > n2:
+        return False
+    if (p < n2 and row[p] > 2 * t + 2) or (p > 0 and row[p - 1] < 2 * t + 2):
+        return False
+    if mp.largest_odd != 2 * t + 1:
+        return False
     if not is_in_C(mp, k, r):
         return False
-    odds = [v for v in mp.parts if v % 2 == 1]
-    if not odds or max(odds) != 2 * t + 1:
-        return False
     if min(mp.marks_of(2 * t + 1)) > 2:
-        return False
-    if not (_r2(mp, p) >= 2 * t + 2 and _r2(mp, p + 1) <= 2 * t + 2):
         return False
     prof = starting_profile(mp)
     two_marked = mp.has(2 * t + 2, 2)
@@ -569,7 +576,7 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
 def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
     """Unique (p, t) with p + t = m placing mp in the lt family, if any."""
     _check_kr(k, r)
-    hits = [(p, m - p) for p in range(0, m + 1) if _member_lt(mp, k, r, p, m - p)]
+    hits = [(p, m - p) for p in range(0, min(m, mp.N(2)) + 1) if _member_lt(mp, k, r, p, m - p)]
     if len(hits) > 1:
         raise UniquenessError(f"{mp.parts} sits in the lt family at {hits} for m={m}")
     return hits[0] if hits else None
@@ -578,7 +585,7 @@ def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[in
 def find_pt_eq(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
     """Unique (p, t) with p + t = m placing mp in the eq family, if any."""
     _check_kr(k, r)
-    hits = [(p, m - p) for p in range(0, m + 1) if _member_eq(mp, k, r, p, m - p)]
+    hits = [(p, m - p) for p in range(0, min(m, mp.N(2)) + 1) if _member_eq(mp, k, r, p, m - p)]
     if len(hits) > 1:
         raise UniquenessError(f"{mp.parts} sits in the eq family at {hits} for m={m}")
     return hits[0] if hits else None
@@ -591,10 +598,9 @@ def find_m_eq33(mp: MarkedPartition) -> Optional[int]:
     and the boundary case (part 2t+2 at the walk's end, starting type s0)
     shifts p down by one.  Returns None when no odd part exists.
     """
-    odds = [v for v in mp.parts if v % 2 == 1]
-    if not odds:
+    if not mp.largest_odd:
         return None
-    t = (max(odds) - 1) // 2
+    t = (mp.largest_odd - 1) // 2
     l = _threshold(mp, 2 * t + 1)
     prof = starting_profile(mp)
     if l >= 1 and mp.row_values(2)[l - 1] == 2 * t + 2 and prof.type_at(l) == S0:

@@ -143,6 +143,8 @@ def cmd_map(args) -> int:
         mp = gg_mark_special(parts, over)
         out, trace = _OPS[args.op](mp, args)
         result = {"partition": list(out.parts), "weight": out.weight, "length": out.length}
+        if out.overline is not None:
+            result["overline"] = out.overline[0]
         if args.trace and trace is not None:
             for step in trace.steps:
                 print(render_grid(step), file=sys.stderr)
@@ -150,7 +152,7 @@ def cmd_map(args) -> int:
     if args.op in ("dilate", "reduce", "insert", "separate", "phi-pt", "psi-pt"):
         result["p"], result["t"] = args.p, args.t
     if args.format == "text":
-        print(render_grid(gg_mark(result["partition"])))
+        print(render_grid(out))
         if "zeta" in result:
             print("zeta:", ",".join(str(z) for z in result["zeta"]))
     else:

@@ -391,7 +391,7 @@ def phi_global(parts, zeta) -> MarkedPartition:
     """Absorb a distinct-odd partition into an even k=r=3 member, smallest
     odd part first."""
     mp = parts if isinstance(parts, MarkedPartition) else gg_mark(parts)
-    if any(v % 2 for v in mp.parts) or not is_in_C(mp, 3, 3):
+    if mp.largest_odd or not is_in_C(mp, 3, 3):
         raise MembershipError(f"{mp.parts} is not an even k=r=3 member")
     zeta = tuple(sorted(zeta, reverse=True))
     if len(set(zeta)) != len(zeta) or any(z % 2 == 0 for z in zeta):
@@ -410,7 +410,7 @@ def psi_global(mp: MarkedPartition):
         raise MembershipError(f"{mp.parts} is not a k=r=3 member")
     budget = sum(1 for v in mp.parts if v % 2)
     zeta: list[int] = []
-    while any(v % 2 for v in mp.parts):
+    while mp.largest_odd:
         if len(zeta) >= budget:
             raise GGError(f"separation loop exceeded the odd-part budget on {mp.parts}")
         m = find_m_eq33(mp)

@@ -62,10 +62,11 @@ class MarkedPartition:
 
     `entries` holds (value, mark, overlined) triples sorted by decreasing
     value; `rows[i-1]` is the decreasing tuple of i-marked values; `overline`
-    is the (value, mark) of the overlined copy, or None.
+    is the (value, mark) of the overlined copy, or None; `largest_odd` is the
+    largest odd part, or 0 when there is none.
     """
 
-    __slots__ = ("parts", "entries", "rows", "overline", "_marks_at", "_counts", "_memo")
+    __slots__ = ("parts", "entries", "rows", "overline", "largest_odd", "_marks_at", "_counts", "_memo")
 
     def __init__(self, assigned: Iterable[tuple[int, int, bool]]):
         entries = tuple(sorted(assigned, key=lambda e: (-e[0], e[1])))
@@ -84,6 +85,7 @@ class MarkedPartition:
                 overline = (value, mark)
         self.rows = tuple(tuple(row) for row in rows)
         self.overline = overline
+        self.largest_odd = next((v for v in self.parts if v % 2), 0)
         self._marks_at = {v: frozenset(s) for v, s in marks_at.items()}
         self._counts = counts
         self._memo: dict = {}
@@ -204,7 +206,7 @@ def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 14)
 def _gg_mark_cached(parts: tuple[int, ...]) -> MarkedPartition:
     return MarkedPartition(_assign([(v, False) for v in parts]))
 

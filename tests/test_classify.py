@@ -190,6 +190,130 @@ def test_find_m_examples():
                 assert find_pt_eq(mp, 3, 3, m) is not None
 
 
+# -- reference membership predicates -------------------------------------
+#
+# Reference copies of the lt/eq membership predicates in definitional order:
+# is_in_C, then a scan of the odd parts, then the row-2 bracket through the
+# sentinel lookup mp.row(2, .).  The library tests the bracket first; these
+# copies check that the order of the clauses changes no answer.
+
+
+def _ref_r2(mp, j):
+    return mp.row(2, min(j, mp.N(2) + 1))  # -inf anywhere past the end
+
+
+def _ref_member_lt(mp, k, r, p, t):
+    if p < 0 or t < 0:
+        return False
+    if not is_in_C(mp, k, r):
+        return False
+    if any(v % 2 == 1 and v >= 2 * t + 1 for v in mp.parts):
+        return False
+    if not (_ref_r2(mp, p + 1) < 2 * t + 1 < _ref_r2(mp, p)):
+        return False
+    prof = starting_profile(mp)
+    if _ref_r2(mp, p) == 2 * t + 2 and prof.type_at(p) not in ("s2", "s3"):
+        return False
+    if _ref_r2(mp, p + 1) == 2 * t and prof.type_at(p + 1) not in ("s0", "s1"):
+        return False
+    return True
+
+
+def _ref_member_eq(mp, k, r, p, t):
+    if p < 0 or t < 0:
+        return False
+    if not is_in_C(mp, k, r):
+        return False
+    odds = [v for v in mp.parts if v % 2 == 1]
+    if not odds or max(odds) != 2 * t + 1:
+        return False
+    if min(mp.marks_of(2 * t + 1)) > 2:
+        return False
+    if not (_ref_r2(mp, p) >= 2 * t + 2 and _ref_r2(mp, p + 1) <= 2 * t + 2):
+        return False
+    prof = starting_profile(mp)
+    two_marked = mp.has(2 * t + 2, 2)
+    if two_marked:
+        q = mp.row_values(2).index(2 * t + 2) + 1
+        ty = prof.type_at(q)
+        if ty == "s0":
+            if _ref_r2(mp, p + 1) != 2 * t + 2:
+                return False
+            base = _ref_r2(mp, p + 1)
+            if not any(
+                _ref_r2(mp, i) == base + 4 * (p - i + 1) and mp.count(_ref_r2(mp, i)) == 1
+                for i in range(1, p + 2)
+            ):
+                return False
+        elif ty == "s2":
+            if _ref_r2(mp, p) != 2 * t + 2:
+                return False
+    if mp.has_part(2 * t + 2) and not two_marked:
+        if _ref_r2(mp, p) != 2 * t + 4 or prof.type_at(p) != "s3":
+            return False
+        base = _ref_r2(mp, p)
+        if not any(
+            _ref_r2(mp, i) == base + 4 * (p - i) and not mp.has_part(_ref_r2(mp, i) + 2)
+            for i in range(1, p + 1)
+        ):
+            return False
+    return True
+
+
+def _probe_grid(mp):
+    """Every (p, t) around the membership region, negatives included."""
+    t_hi = max(mp.parts, default=0) // 2 + 3
+    return [(p, t) for p in range(-1, mp.N(2) + 3) for t in range(-1, t_hi + 1)]
+
+
+def _ref_find(member, mp, k, r, m):
+    hits = [(p, m - p) for p in range(0, m + 1) if member(mp, k, r, p, m - p)]
+    assert len(hits) <= 1, (mp.parts, m, hits)
+    return hits[0] if hits else None
+
+
+@pytest.mark.parametrize("k, r", [(3, 3), (4, 3), (4, 4), (5, 3)])
+def test_membership_matches_definition(k, r):
+    members = c_members(k, r, 22)
+    for n in range(0, 23):
+        for mp in members[n]:
+            eq_hits = []
+            for p, t in _probe_grid(mp):
+                lt = _ref_member_lt(mp, k, r, p, t)
+                eq = _ref_member_eq(mp, k, r, p, t)
+                assert (classify_lt(mp, k, r, p, t) is not None) == lt, (mp.parts, p, t)
+                assert (classify_eq(mp, k, r, p, t) is not None) == eq, (mp.parts, p, t)
+                if eq:
+                    eq_hits.append(p + t)
+            for m in range(0, 21):
+                assert find_pt_lt(mp, k, r, m) == _ref_find(_ref_member_lt, mp, k, r, m)
+                assert find_pt_eq(mp, k, r, m) == _ref_find(_ref_member_eq, mp, k, r, m)
+            if (k, r) == (3, 3):
+                assert eq_hits == ([find_m_eq33(mp)] if mp.largest_odd else []), mp.parts
+
+
+def test_rejected_probe_does_no_membership_work(monkeypatch):
+    # a probe outside the row-2 bracket must stop before is_in_C and the profile
+    calls = {"is_in_C": 0, "starting_profile": 0}
+    for name in calls:
+        real = getattr(classify, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(classify, name, counted)
+    probes = 0
+    for p, t in _probe_grid(PI1):
+        if p < 0 or not _ref_r2(PI1, p + 1) < 2 * t + 1 < _ref_r2(PI1, p):
+            assert classify_lt(PI1, 4, 3, p, t) is None
+            probes += 1
+        if p < 0 or not _ref_r2(PI1, p + 1) <= 2 * t + 2 <= _ref_r2(PI1, p):
+            assert classify_eq(PI1, 4, 3, p, t) is None
+            probes += 1
+    assert probes > 0 and calls == {"is_in_C": 0, "starting_profile": 0}
+
+
 def _fresh(parts):
     """A newly built marking, so no memoised answer hides the check."""
     return MarkedPartition(gg_mark(parts).entries)

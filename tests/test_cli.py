@@ -57,6 +57,20 @@ def test_map_with_trace(capsys):
     assert data["weight"] == 454 + 8
 
 
+def test_map_keeps_the_overline(capsys):
+    # dilate returns the special partition ~1; the output must not be re-marked
+    argv = ("map", "--op", "dilate", "--parts", "1", "--overline", "1",
+            "-k", "3", "-r", "3", "-p", "0", "-t", "1")
+    code, out, _ = run(capsys, *argv, "--format", "text")
+    assert code == 0 and out.splitlines()[0] == "~1"
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "length": 1, "overline": 1, "p": 0, "partition": [1], "t": 1, "weight": 1
+    }
+    code, out, _ = run(capsys, "map", "--op", "phi", "--partition", "[]", "--zeta", "[1]", "--format", "json")
+    assert "overline" not in json.loads(out)
+
+
 def test_map_usage_error_on_nonmember(capsys):
     code, _, err = run(
         capsys, "map", "--op", "dilate", "--fixture", "pi1",

@@ -15,6 +15,7 @@ from ggpart import (
     render_grid,
 )
 from ggpart.fixtures import fixture_marked, fixture_overline, fixture_rows
+from ggpart.marking import _gg_mark_cached
 from ggpart.membership import all_partitions
 
 PI1_PARTS = (38, 38, 36, 34, 32, 30, 26, 26, 22, 22, 22, 18, 16, 16, 14, 12, 12, 10, 9, 6, 6, 6, 2, 1)
@@ -123,6 +124,7 @@ def test_special_marking_exhaustive():
             mp = gg_mark_special(p, max(odds))
             _assert_canonical(mp)
             assert mp.overline[1] >= 2
+            assert mp.largest_odd == max(odds)
 
 
 def test_special_trace_fixtures():
@@ -206,6 +208,15 @@ def test_marking_invariants_random(parts):
     _assert_canonical(mp)
     sizes = [mp.N(i) for i in range(1, mp.n_rows + 1)]
     assert sizes == sorted(sizes, reverse=True)
+    assert mp.largest_odd == max((v for v in parts if v % 2), default=0)
+
+
+def test_marking_cache_is_bounded():
+    # a long sweep must not keep every partition it has marked
+    bound = _gg_mark_cached.cache_info().maxsize
+    for v in range(1, bound + 100):
+        gg_mark((v,))
+    assert _gg_mark_cached.cache_info().currsize == bound
 
 
 # -- rendering and serialization -----------------------------------------
