@@ -5,6 +5,8 @@ Everything here is a pure function of a marked partition (plus the family
 parameters).  Membership predicates are evaluated definitionally, clause by
 clause; stronger structural facts that follow from the definitions live in
 the test suite, never in the implementation, so each one stays falsifiable.
+Row 2 is read as plain ints: where the paper reads r2(0) = +inf or
+r2(N2 + 1) = -inf, a clause tests the index instead (`p == 0 or ...`).
 The only caches are the per-partition starting profile and cluster runs,
 which several procedures share.
 
@@ -21,7 +23,6 @@ from typing import Optional
 
 from . import debug
 from .errors import ClassificationError, UniquenessError
-from .extint import NEG_INF, POS_INF
 from .marking import MarkedPartition
 from .membership import is_in_C
 
@@ -78,16 +79,6 @@ class GroupTypes:
         return self.group_of(i)[2]
 
 
-def _r2(mp: MarkedPartition, j: int):
-    """Total row-2 lookup: +inf at 0, -inf past the end."""
-    row = mp.row_values(2)
-    if j <= 0:
-        return POS_INF
-    if j > len(row):
-        return NEG_INF
-    return row[j - 1]
-
-
 def _has1(mp: MarkedPartition, value: int) -> bool:
     return 1 in mp.marks_of(value)
 
@@ -137,12 +128,11 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
     return prof
 
 
-def cluster_indexes(mp: MarkedPartition, p: int, t: Optional[int] = None) -> tuple[int, ...]:
+def cluster_indexes(mp: MarkedPartition, p: int) -> tuple[int, ...]:
     """Starting cluster indexes p_1 > p_2 > ... > 1 below p.
 
     Each cluster is a maximal run of 2-marked parts stepping by 4 with a
-    constant starting type; `t` only documents the family parameter the
-    caller asserted membership for.
+    constant starting type.
     """
     if p < 1:
         raise ValueError(f"cluster indexes need p >= 1, got {p}")
@@ -206,12 +196,15 @@ def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
     if not _member_lt(mp, k, r, p, t):
         return None
     prof = starting_profile(mp)
-    v = _r2(mp, p)
-    ty = prof.type_at(p) if 1 <= p <= mp.N(2) else None
+    row = mp.row_values(2)
+    v = row[p - 1] if p else None
+    ty = prof.type_at(p) if p else None
     hits = []
 
-    if v >= 2 * t + 6 and (
-        v != 2 * t + 6 or (ty in (S2, S3) and mp.max_mark(2 * t + 6) == 2)
+    if (
+        p == 0
+        or v > 2 * t + 6
+        or (v == 2 * t + 6 and ty in (S2, S3) and mp.max_mark(2 * t + 6) == 2)
     ):
         hits.append(1)
     if v == 2 * t + 6 and not mp.has_part(2 * t + 2) and (
@@ -232,12 +225,12 @@ def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
         hits.append(8)
     if v == 2 * t + 2 and ty == S3:
         p1 = cluster_indexes(mp, p)[0]
-        w = _r2(mp, p1)
+        w = row[p1 - 1]
         if not mp.has_part(w + 4):
             hits.append(9)
         if mp.has_part(w + 4) and not mp.has_part(w + 6):
             hits.append(10)
-        if _r2(mp, p1 - 1) == w + 6 and p1 - 1 >= 1:
+        if p1 > 1 and row[p1 - 2] == w + 6:
             ty1 = prof.type_at(p1 - 1)
             if ty1 == S1:
                 hits.append(11)
@@ -264,18 +257,19 @@ def _insertion_index(mp: MarkedPartition, p: int, t: int, j: int) -> int:
     """Even value at which the new odd part threads in, for lt subset j."""
     if j <= 5:
         return 2 * t + 2
+    row = mp.row_values(2)
     ps = cluster_indexes(mp, p)
-    p1 = ps[0]
+    w = row[ps[0] - 1]
     if j == 6:
-        return _r2(mp, p1)
+        return w
     if 7 <= j <= 9:
-        return _r2(mp, p1) + 2
+        return w + 2
     if j == 10:
-        return _r2(mp, p1) + 4
-    p2 = ps[1]
+        return w + 4
+    w2 = row[ps[1] - 1]
     if j == 11:
-        return _r2(mp, p2)
-    return _r2(mp, p2) + 2
+        return w2
+    return w2 + 2
 
 
 def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
@@ -294,28 +288,27 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     if min(mp.marks_of(2 * t + 1)) > 2:
         return False
     prof = starting_profile(mp)
+    v = row[p - 1] if p else None
+    vp1 = row[p] if p < n2 else None
     two_marked = mp.has(2 * t + 2, 2)
     if two_marked:
-        q = mp.row_values(2).index(2 * t + 2) + 1
-        ty = prof.type_at(q)
+        ty = prof.type_at(row.index(2 * t + 2) + 1)
         if ty == S0:
-            if _r2(mp, p + 1) != 2 * t + 2:
+            if vp1 != 2 * t + 2:
                 return False
-            base = _r2(mp, p + 1)
             if not any(
-                _r2(mp, i) == base + 4 * (p - i + 1) and mp.count(_r2(mp, i)) == 1
+                row[i - 1] == vp1 + 4 * (p - i + 1) and mp.count(row[i - 1]) == 1
                 for i in range(1, p + 2)
             ):
                 return False
         elif ty == S2:
-            if _r2(mp, p) != 2 * t + 2:
+            if v != 2 * t + 2:
                 return False
     if mp.has_part(2 * t + 2) and not two_marked:
-        if _r2(mp, p) != 2 * t + 4 or prof.type_at(p) != S3:
+        if v != 2 * t + 4 or prof.type_at(p) != S3:
             return False
-        base = _r2(mp, p)
         if not any(
-            _r2(mp, i) == base + 4 * (p - i) and not mp.has_part(_r2(mp, i) + 2)
+            row[i - 1] == v + 4 * (p - i) and not mp.has_part(row[i - 1] + 2)
             for i in range(1, p + 1)
         ):
             return False
@@ -328,116 +321,107 @@ def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
     if not _member_eq(mp, k, r, p, t):
         return None
     prof = starting_profile(mp)
-    v = _r2(mp, p)
-    vp1 = _r2(mp, p + 1)
-    ty = prof.type_at(p) if 1 <= p <= mp.N(2) else None
+    row = mp.row_values(2)
+    n2 = len(row)
+    v = row[p - 1] if p else None
+    vp1 = row[p] if p < n2 else None
+    ty = prof.type_at(p) if p else None
     odd_marks = mp.marks_of(2 * t + 1)
-
-    def chain_p(i: int) -> bool:
-        return _r2(mp, i) == v + 4 * (p - i)
-
-    chain = [i for i in range(1, p + 1) if chain_p(i)] if p >= 1 else []
+    chain = [i for i in range(1, p + 1) if row[i - 1] == v + 4 * (p - i)]
     hits = []
 
-    if v >= 2 * t + 8:
+    if p == 0 or v >= 2 * t + 8:
         hits.append(1)
     if (
         v == 2 * t + 6
         and ty in (S2, S3)
-        and vp1 < 2 * t + 2
-        and (ty != S2 or all(mp.count(_r2(mp, i) + 2) >= 2 for i in chain))
+        and (p == n2 or vp1 < 2 * t + 2)
+        and (ty != S2 or all(mp.count(row[i - 1] + 2) >= 2 for i in chain))
     ):
         hits.append(2)
     if (
         v == 2 * t + 6
         and ty == S3
         and vp1 == 2 * t + 2
-        and all(mp.has_part(_r2(mp, i) + 2) for i in chain)
+        and all(mp.has_part(row[i - 1] + 2) for i in chain)
     ):
         hits.append(3)
     if (
         v == 2 * t + 6
         and ty in (S1, S2)
-        and vp1 < 2 * t + 2
-        and (ty != S2 or any(mp.count(_r2(mp, i) + 2) == 1 for i in chain))
+        and (p == n2 or vp1 < 2 * t + 2)
+        and (ty != S2 or any(mp.count(row[i - 1] + 2) == 1 for i in chain))
     ):
         hits.append(4)
-    if v == 2 * t + 4 and ty == S3 and all(mp.has_part(_r2(mp, i) + 2) for i in chain):
+    if v == 2 * t + 4 and ty == S3 and all(mp.has_part(row[i - 1] + 2) for i in chain):
         hits.append(5)
     if (
         v == 2 * t + 4
         and ty == S3
         and odd_marks == frozenset({1})
-        and any(not mp.has_part(_r2(mp, i) + 2) for i in chain)
+        and any(not mp.has_part(row[i - 1] + 2) for i in chain)
     ):
         hits.append(6)
     if v == 2 * t + 6 and vp1 == 2 * t + 2:
-        once = [i for i in chain if mp.count(_r2(mp, i)) == 1]
+        once = [i for i in chain if mp.count(row[i - 1]) == 1]
         s10 = min(once) if once else None
         # the index-(p+1) chain extends the index-p chain by one step
         if (
             s10 is None
             and mp.count(2 * t + 2) == 1
-            and any(not mp.has_part(_r2(mp, i) + 2) for i in chain)
+            and any(not mp.has_part(row[i - 1] + 2) for i in chain)
         ):
             hits.append(7)
         if s10 is not None and all(
-            prof.type_at(i) == S3 and mp.has_part(_r2(mp, i) + 2)
+            prof.type_at(i) == S3 and mp.has_part(row[i - 1] + 2)
             for i in chain
             if i < s10
         ):
             hits.append(10)
-        if s10 is not None and any(not mp.has_part(_r2(mp, i) + 2) for i in chain if i < s10):
+        if s10 is not None and any(not mp.has_part(row[i - 1] + 2) for i in chain if i < s10):
             hits.append(12)
     if (
         v == 2 * t + 4
         and ty == S3
         and odd_marks == frozenset({2})
-        and any(not mp.has_part(_r2(mp, i) + 2) for i in chain)
+        and any(not mp.has_part(row[i - 1] + 2) for i in chain)
     ):
         hits.append(8)
     if v == 2 * t + 2:
         s9 = min(chain)  # i = p always qualifies
-        side = [i for i in range(1, s9) if _r2(mp, i) == v + 4 * (p - i) + 2]
-        if all(prof.type_at(i) == S3 and mp.has_part(_r2(mp, i) + 2) for i in side):
+        side = [i for i in range(1, s9) if row[i - 1] == v + 4 * (p - i) + 2]
+        if all(prof.type_at(i) == S3 and mp.has_part(row[i - 1] + 2) for i in side):
             hits.append(9)
         if any(
-            prof.type_at(i) == S3 and not mp.has_part(_r2(mp, i) + 2) for i in side
+            prof.type_at(i) == S3 and not mp.has_part(row[i - 1] + 2) for i in side
         ):
             hits.append(11)
     if len(hits) != 1:
         raise ClassificationError(
             f"eq member {mp.parts} at (p,t)=({p},{t}) matched subsets {hits}"
         )
-    index = _division_index(mp, p, t, hits[0])
+    index = _division_index(mp, p, t, hits[0], chain)
     return SubsetLabel("eq", hits[0], p, t, index, _threshold(mp, index))
 
 
-def _division_index(mp: MarkedPartition, p: int, t: int, j: int) -> int:
-    """Even value at which the largest odd part threads out, for eq subset j."""
+def _division_index(mp: MarkedPartition, p: int, t: int, j: int, chain: list[int]) -> int:
+    """Even value at which the largest odd part threads out, for eq subset j.
+
+    chain: the row-2 indexes i <= p with r2(i) = r2(p) + 4(p - i), ascending.
+    """
     if j <= 5:
         return 2 * t + 2
-    v = _r2(mp, p)
-
-    def chain_value(i: int) -> bool:
-        return _r2(mp, i) == v + 4 * (p - i)
-
-    if j in (6, 7, 8, 12):
-        for s in range(1, p + 1):
-            if chain_value(s) and not mp.has_part(_r2(mp, s) + 2):
-                return _r2(mp, s)
-    elif j == 10:
-        for s in range(1, p + 1):
-            if chain_value(s) and mp.count(_r2(mp, s)) == 1:
-                return _r2(mp, s)
-    elif j == 9:
-        for s in range(1, p + 1):
-            if chain_value(s):
-                return _r2(mp, s) + 2
-    else:  # j == 11
-        for s in range(1, p + 1):
-            if _r2(mp, s) == v + 4 * (p - s) + 2 and not mp.has_part(_r2(mp, s) + 2):
-                return _r2(mp, s)
+    row = mp.row_values(2)
+    if j == 9:
+        return row[chain[0] - 1] + 2
+    if j == 10:
+        found = [i for i in chain if mp.count(row[i - 1]) == 1]
+    else:
+        if j == 11:  # the side chain, two above the one through p
+            chain = [i for i in range(1, p + 1) if row[i - 1] == row[p - 1] + 4 * (p - i) + 2]
+        found = [i for i in chain if not mp.has_part(row[i - 1] + 2)]
+    if found:
+        return row[found[0] - 1]
     raise ClassificationError(
         f"division index scan found no anchor for subset {j} of {mp.parts} at ({p},{t})"
     )
@@ -538,7 +522,8 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
     base = classify_lt(mp, k, r, p, t)
     if base is None:
         return None
-    v = _r2(mp, p)
+    row = mp.row_values(2)
+    v = row[p - 1] if p else None
     l = base.l
     red = reduction_types(mp, l)
 
@@ -548,7 +533,7 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
         return None
 
     hits = []
-    if v >= 2 * t + 8:
+    if p == 0 or v >= 2 * t + 8:
         hits.append(1)
     if v == 2 * t + 6 and red_label(p) in ("A1", "A2", "B") and not mp.has_part(2 * t + 2):
         hits.append(2)
@@ -559,7 +544,7 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
     if v == 2 * t + 4 and red_label(p) == "A1":
         hits.append(5)
     if base.j >= 6:
-        if _r2(mp, l) != base.index + 4 or red_label(l) == "A1":
+        if l == 0 or row[l - 1] != base.index + 4 or red_label(l) == "A1":
             hits.append(base.j)
     if len(hits) > 1:
         raise ClassificationError(

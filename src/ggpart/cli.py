@@ -18,6 +18,8 @@ from .classify import (
     classify_lt,
     classify_sim,
     cluster_indexes,
+    find_pt_eq,
+    find_pt_lt,
     starting_profile,
 )
 from .errors import GGError
@@ -82,8 +84,6 @@ def cmd_classify(args) -> int:
     out["types"] = {str(i): prof.type_at(i) for i in range(1, mp.N(2) + 1)}
     out["threshold"] = prof.threshold
     if args.m is not None:
-        from .classify import find_pt_eq, find_pt_lt
-
         out["m"] = args.m
         out["lt"] = find_pt_lt(mp, k, r, args.m)
         out["eq"] = find_pt_eq(mp, k, r, args.m)
@@ -101,7 +101,7 @@ def cmd_classify(args) -> int:
     if lt:
         fams["lt"] = {"j": lt.j, "index": lt.index}
         if p >= 1:
-            fams["lt"]["clusters"] = list(cluster_indexes(mp, p, t))
+            fams["lt"]["clusters"] = list(cluster_indexes(mp, p))
     if sim:
         fams["sim"] = {"j": sim.j}
     if eq:

@@ -1,9 +1,9 @@
 """Signed-infinity sentinels for out-of-range row lookups.
 
-Row views use +inf left of the first entry and -inf right of the last one, so
-membership predicates can compare without special-casing the boundary.  These
-sentinels compare exactly against ints; they are deliberately not numbers (no
-arithmetic), so a stray +inf in integer code fails fast.
+They serve only `MarkedPartition.row()`, +inf left of the first entry and -inf
+right of the last (the tests' definitional oracle reads them); the classifier
+reads plain ints.  They compare exactly against ints and are deliberately not
+numbers (no arithmetic), so a stray +inf in integer code fails fast.
 """
 
 from __future__ import annotations

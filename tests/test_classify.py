@@ -17,6 +17,7 @@ from ggpart import (
     starting_profile,
 )
 from ggpart import classify, debug, membership
+from ggpart.extint import Extended
 from ggpart.fixtures import fixture_marked
 
 from helpers import c_members, pt_grid
@@ -312,6 +313,31 @@ def test_rejected_probe_does_no_membership_work(monkeypatch):
             assert classify_eq(PI1, 4, 3, p, t) is None
             probes += 1
     assert probes > 0 and calls == {"is_in_C": 0, "starting_profile": 0}
+
+
+def test_classifier_never_touches_a_sentinel(monkeypatch):
+    # the classifier reads row 2 as ints; the +-inf sentinels are for row() alone
+    def sentinel_used(self, *other):
+        raise AssertionError(f"classifier compared or hashed the sentinel {self!r}")
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__", "__hash__"):
+        monkeypatch.setattr(Extended, name, sentinel_used)
+    at_zero = set()
+    for k, r in [(3, 3), (4, 3)]:
+        for members in c_members(k, r, 16).values():
+            for mp in members:
+                for p, t in _probe_grid(mp):
+                    for family in (classify_lt, classify_sim, classify_eq):
+                        label = family(mp, k, r, p, t)
+                        if label is not None and p == 0:
+                            assert (label.j, label.index, label.l) == (1, 2 * t + 2, 0)
+                            at_zero.add(label.family)
+                for m in range(0, 15):
+                    find_pt_lt(mp, k, r, m)
+                    find_pt_eq(mp, k, r, m)
+                if (k, r) == (3, 3):
+                    find_m_eq33(mp)
+    assert at_zero == {"lt", "sim", "eq"}
 
 
 def _fresh(parts):
