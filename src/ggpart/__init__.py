@@ -53,7 +53,6 @@ from .membership import (
     enumerate_B,
     enumerate_C,
     enumerate_E,
-    enumerate_E_cell,
     enumerate_F33,
     enumerate_I,
     is_bressoud_B,

@@ -518,10 +518,14 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
     The first five subsets key on the reduction type of the part at index p;
     the rest refine the lt subsets by the reduction type at the threshold.
     """
-    _check_kr(k, r)
     base = classify_lt(mp, k, r, p, t)
-    if base is None:
-        return None
+    return None if base is None else _refine_sim(mp, k, r, p, t, base)
+
+
+def _refine_sim(
+    mp: MarkedPartition, k: int, r: int, p: int, t: int, base: SubsetLabel
+) -> Optional[SubsetLabel]:
+    """The tilde subset of a member whose lt label at (p, t) is `base`."""
     row = mp.row_values(2)
     v = row[p - 1] if p else None
     l = base.l

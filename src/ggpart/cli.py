@@ -14,9 +14,9 @@ import sys
 
 from . import maps, verify
 from .classify import (
+    _refine_sim,
     classify_eq,
     classify_lt,
-    classify_sim,
     cluster_indexes,
     find_pt_eq,
     find_pt_lt,
@@ -95,7 +95,7 @@ def cmd_classify(args) -> int:
     p, t = args.p, args.t
     out["p"], out["t"] = p, t
     lt = classify_lt(mp, k, r, p, t)
-    sim = classify_sim(mp, k, r, p, t) if lt else None
+    sim = _refine_sim(mp, k, r, p, t, lt) if lt else None
     eq = classify_eq(mp, k, r, p, t)
     fams = {}
     if lt:
@@ -166,10 +166,11 @@ def _params_from(args) -> BressoudParams:
 
 
 def cmd_count(args) -> int:
+    params = _params_from(args) if args.set == "B" else None
     print("n,count")
     for n in range(args.max_n + 1):
         if args.set == "B":
-            cnt = len(enumerate_B(_params_from(args), n))
+            cnt = len(enumerate_B(params, n))
         elif args.set == "C":
             cnt = len(enumerate_C(args.k, args.r, n))
         else:

@@ -3,8 +3,11 @@
 `is_bressoud_B` evaluates the four difference/congruence conditions directly
 on a partition; `is_in_C` is the marking-based characterization of the eta=2,
 alpha=(1) family.  The enumerators backtrack over parts in decreasing order,
-checking the window condition with a (k-1)-lookback, so they stay cheap at
-desk scale (weights up to ~60).
+checking the window condition with a (k-1)-lookback.  `enumerate_B` also
+stops at the first part v too small to finish the weight: a member has
+parts[i] >= parts[i+k-1] + eta, so with largest part <= v its j-th part is
+at most v - eta*(j // (k-1)) and its weight at most
+cap[v] = (k-1)*v + cap[v-eta], where cap[v] = (k-1)*v for v <= eta.
 """
 
 from __future__ import annotations
@@ -145,6 +148,10 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
         return [()]
     if k == 1:
         return []
+    # cap[v]: the largest weight of a member with every part <= v
+    cap = [0] * (n + 1)
+    for v in range(1, n + 1):
+        cap[v] = (k - 1) * v + (cap[v - eta] if v > eta else 0)
     stack: list[int] = []
 
     def rec(remaining: int, max_part: int, small: int) -> None:
@@ -152,6 +159,8 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
             out.append(tuple(stack))
             return
         for v in range(min(max_part, remaining), 0, -1):
+            if cap[v] < remaining:
+                break
             if v % eta not in residues:
                 continue
             if stack and v == stack[-1] and v % eta != 0:
@@ -179,13 +188,6 @@ def enumerate_C(k: int, r: int, n: int) -> list[tuple[int, ...]]:
 def enumerate_E(k: int, r: int, n: int) -> list[tuple[int, ...]]:
     """Members without odd parts; the lambda=0 instance of the same family."""
     return enumerate_B(BressoudParams((), 2, k, r), n)
-
-
-def enumerate_E_cell(counts: Sequence[int], r: int, n: int) -> list[tuple[int, ...]]:
-    """Members of the even family whose marking has exactly the given row sizes."""
-    counts = tuple(counts)
-    k = len(counts) + 1
-    return [p for p in enumerate_E(k, r, n) if row_counts(gg_mark(p), k - 1) == counts]
 
 
 def enumerate_I(floor: int, max_weight: int) -> list[tuple[int, ...]]:

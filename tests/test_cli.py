@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ggpart import series, verify
+from ggpart import classify, series, verify
 from ggpart.cli import main
 
 
@@ -32,6 +32,21 @@ def test_classify_command(capsys):
     data = json.loads(out)
     assert data["families"]["lt"] == {"j": 6, "index": 18, "clusters": [5, 3, 1]}
     assert data["threshold"] == 7
+
+
+def test_classify_runs_one_membership_pass(monkeypatch, capsys):
+    # the sim family is refined from the lt label, not classified again
+    calls = []
+    real = classify._member_lt
+    monkeypatch.setattr(classify, "_member_lt", lambda *a: calls.append(a) or real(*a))
+    code, out, _ = run(capsys, "classify", "--fixture", "mu", "-k", "4", "-r", "3", "-p", "6", "-t", "5")
+    assert code == 0 and len(calls) == 1
+    assert out == (
+        '{"families": {"lt": {"clusters": [5, 4, 3, 1], "index": 18, "j": 6}, "sim": {"j": 6}}, '
+        '"k": 4, "p": 6, "parts": [38, 38, 38, 34, 34, 30, 28, 26, 24, 22, 22, 18, 16, 16, 14, '
+        '12, 12, 10, 9, 6, 6, 6, 2, 1], "r": 3, "t": 5, "threshold": 7, "types": {"1": "s3", '
+        '"2": "s3", "3": "s2", "4": "s3", "5": "s1", "6": "s1", "7": "s0", "8": "s-1", "9": "s-1"}}\n'
+    )
 
 
 def test_classify_by_m(capsys):
@@ -85,6 +100,13 @@ def test_count_csv(capsys):
     assert code == 0
     assert lines[0] == "n,count"
     assert lines[1:] == ["0,1", "1,1", "2,1", "3,2", "4,3", "5,3", "6,4"]
+
+
+def test_count_bad_params_prints_no_header(capsys):
+    code, out, err = run(capsys, "count", "--set", "B", "--alphas", "1", "--eta", "2",
+                         "-k", "1", "-r", "3", "--max-n", "3")
+    assert code == 2 and out == ""
+    assert err == "error: need k >= r >= lambda >= 0, got k=1 r=3 lambda=1\n"
 
 
 def test_enumerate_json_lines(capsys):

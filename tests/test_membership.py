@@ -6,7 +6,6 @@ from ggpart import (
     enumerate_B,
     enumerate_C,
     enumerate_E,
-    enumerate_E_cell,
     enumerate_F33,
     enumerate_I,
     gg_companion_bivariate,
@@ -16,6 +15,8 @@ from ggpart import (
     row_counts,
 )
 from ggpart.membership import all_partitions, enumerate_I_exact
+
+from helpers import e_cell
 
 GG33 = BressoudParams((1,), 2, 3, 3)
 
@@ -81,6 +82,24 @@ def test_general_eta_enumeration():
         assert sorted(enumerate_B(params, n)) == sorted(naive)
 
 
+def test_enumerate_B_equals_definition():
+    # same list in the same descending-lex order; eta 1..4, lambda 0..2, k 2..5
+    grid = [
+        BressoudParams((), 1, 3, 2),
+        BressoudParams((), 1, 2, 1),
+        BressoudParams((1,), 2, 2, 2),
+        BressoudParams((), 2, 5, 3),
+        BressoudParams((1, 2), 3, 4, 2),
+        BressoudParams((), 3, 2, 2),
+        BressoudParams((2,), 4, 3, 3),
+        BressoudParams((1, 3), 4, 5, 4),
+    ]
+    for n in range(0, 25):
+        every = list(all_partitions(n))
+        for params in grid:
+            assert enumerate_B(params, n) == [p for p in every if is_bressoud_B(p, params)], (params, n)
+
+
 def test_e_is_even_sublist():
     for n in range(0, 25):
         evens = [p for p in enumerate_C(4, 3, n) if all(v % 2 == 0 for v in p)]
@@ -96,7 +115,7 @@ def test_cells_partition_the_even_family():
                 seen.setdefault(row_counts(gg_mark(p), k - 1), []).append(p)
             rebuilt = []
             for counts, members in seen.items():
-                cell = enumerate_E_cell(counts, r, n)
+                cell = e_cell(counts, r, n)
                 assert sorted(cell) == sorted(members)
                 rebuilt.extend(cell)
             assert sorted(rebuilt) == sorted(whole)

@@ -9,7 +9,6 @@ from ggpart import (
     TruncatedSeries,
     bressoud_multisum,
     bressoud_product,
-    enumerate_E_cell,
     gg_companion_bivariate,
     gg_mark,
     kursungoz_cell,
@@ -18,6 +17,8 @@ from ggpart import (
     verify,
 )
 from ggpart.membership import all_partitions, enumerate_E
+
+from helpers import e_cell
 
 
 def test_pochhammer_examples():
@@ -114,7 +115,7 @@ def test_bivariate_collapse_commutes():
 def test_cell_trivial_and_example():
     assert kursungoz_cell((0, 0), 3, 10) == TruncatedSeries.one(10)
     cell = kursungoz_cell((1, 0), 3, 12)
-    enum = [len(enumerate_E_cell((1, 0), 3, n)) for n in range(13)]
+    enum = [len(e_cell((1, 0), 3, n)) for n in range(13)]
     assert list(cell.coeffs) == enum == [0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1]
     with_x = kursungoz_cell((2, 1), 3, 16, track_x=True)
     assert with_x.at_x1() == kursungoz_cell((2, 1), 3, 16)
@@ -138,7 +139,7 @@ def test_cell_weighted_enumeration_with_x():
     for counts in [(1, 0), (1, 1), (2, 0), (2, 1)]:
         cell = kursungoz_cell(counts, 3, qmax, track_x=True)
         for n in range(qmax + 1):
-            members = enumerate_E_cell(counts, 3, n)
+            members = e_cell(counts, 3, n)
             want: dict[int, int] = {}
             for p in members:
                 want[len(p)] = want.get(len(p), 0) + 1
