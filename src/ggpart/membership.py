@@ -47,8 +47,8 @@ class BressoudParams:
                 raise ValueError(
                     f"alphas must satisfy a_i = eta - a_(lambda+1-i): {self.alphas} with eta={self.eta}"
                 )
-        if not (self.k >= self.r >= lam >= 0):
-            raise ValueError(f"need k >= r >= lambda >= 0, got k={self.k} r={self.r} lambda={lam}")
+        if not (self.k >= self.r >= max(lam, 1)):
+            raise ValueError(f"need k >= r >= max(lambda, 1), got k={self.k} r={self.r} lambda={lam}")
 
     @property
     def lam(self) -> int:

@@ -2,14 +2,27 @@
 functions the enumeration oracles are checked against.
 
 Coefficients are plain Python ints, so nothing overflows no matter the
-truncation order.  Multiplying by (1 +- q^e) and dividing by (1 - q^e) are
-linear passes; everything else is built from those two kernels.  The
-bivariate variant tracks an extra length-counting variable x, with the
-coefficient of q^n stored as a sparse integer polynomial in x.
+truncation order.  The kernels multiply by (1 +- q^e) and divide by
+(1 - q^e) or (1 + q^e) in place, with slice operations that run in C.
+
+The multi-sum and the companion are built as incremental walks over their
+index tuples: neighbouring terms differ by a few q-factors, so each index
+step costs O(1) kernel calls on a running series instead of rebuilding the
+term from 1.  The running series is kept over its valuation and cut to the
+budget that is left under qmax.  Truncation to q^L is a ring map onto
+Z[q]/(q^L) and every divisor has constant term 1, so cutting a series
+shorter before the next factor keeps every step exact.  The companion
+tracks the length-counting variable x as rows, rows[d] the q-series of
+x^d; the x^d part starts at q^(d^2), so only rows with d^2 under the
+budget are kept.  `BivariateSeries` stores the result with the coefficient
+of q^n as a sparse integer polynomial in x.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
+from math import isqrt
+from operator import add, sub
 from typing import Optional, Sequence
 
 from .errors import DivergentProductError
@@ -20,24 +33,29 @@ from .membership import BressoudParams
 
 def _mul_one_plus(c: list[int], e: int, sign: int = 1) -> None:
     """c *= (1 + sign*q^e), exactly, in place."""
-    if e == 0:
-        if sign == -1:
-            for n in range(len(c)):
-                c[n] = 0
-        else:
-            for n in range(len(c)):
-                c[n] *= 2
-        return
-    for n in range(len(c) - 1, e - 1, -1):
-        c[n] += sign * c[n - e]
+    # the slice c[e:] is a copy, so every term reads the old c[n - e]
+    c[e:] = map(add if sign > 0 else sub, c[e:], c)
 
 
 def _div_one_minus(c: list[int], e: int) -> None:
-    """c *= 1/(1 - q^e), exactly, in place."""
+    """c *= 1/(1 - q^e), exactly, in place: a running sum along each residue
+    class mod e, taken class by class when e is small and block by block
+    when it is large, so neither form loops more than sqrt(len(c)) times."""
     if e <= 0:
         raise ValueError(f"geometric divisor needs a positive exponent, got {e}")
-    for n in range(e, len(c)):
-        c[n] += c[n - e]
+    n = len(c)
+    if e * e < n:
+        for s in range(e):
+            c[s::e] = accumulate(c[s::e])
+    else:
+        for s in range(e, n, e):
+            c[s : s + e] = map(add, c[s : s + e], c[s - e : s])
+
+
+def _div_one_plus(c: list[int], e: int) -> None:
+    """c *= 1/(1 + q^e) = (1 - q^e)/(1 - q^(2e)), exactly, in place."""
+    _mul_one_plus(c, e, -1)
+    _div_one_minus(c, 2 * e)
 
 
 def _mul(a: Sequence[int], b: Sequence[int], qmax: int) -> list[int]:
@@ -225,24 +243,13 @@ class BivariateSeries:
         return TruncatedSeries([sum(c.values()) for c in self.coeffs], self.qmax)
 
 
-def _bmul_one_plus_xq(coeffs: list[dict], e: int) -> None:
-    """coeffs *= (1 + x*q^e), in place."""
-    for n in range(len(coeffs) - 1, e - 1, -1):
-        _badd_into(coeffs[n], {d + 1: v for d, v in coeffs[n - e].items()})
-
-
-def _bdiv_one_minus(coeffs: list[dict], e: int) -> None:
-    for n in range(e, len(coeffs)):
-        _badd_into(coeffs[n], coeffs[n - e])
-
-
 # -- the four generating-function constructions -------------------------
 
 
 def _tuple_min_exponent(params: BressoudParams, values: list[int]) -> int:
     """Valuation of one multi-sum term: quadratic prefactor minus the shift
     absorbed from the negative-exponent finite products."""
-    eta, r = params.eta, params.r
+    eta = params.eta
     base = eta * sum(v * v for v in values) + eta * sum(values[params.r - 1 :])
     neg = 0
     for s, a in enumerate(params.alphas, start=1):
@@ -253,56 +260,49 @@ def _tuple_min_exponent(params: BressoudParams, values: list[int]) -> int:
 
 def bressoud_multisum(params: BressoudParams, qmax: int) -> TruncatedSeries:
     """The multi-sum generating function, summed over all index tuples whose
-    term valuation fits under qmax."""
-    eta, k, r = params.eta, params.k, params.r
+    term valuation fits under qmax.
+
+    A depth-first walk over N_1 >= ... >= N_(k-1): level i holds the term
+    with values[:i+1] fixed and the rest zero, over its valuation, and
+    stepping values[i] from v-1 to v changes at most four of its factors.
+    """
+    eta, k, alphas, lam = params.eta, params.k, params.alphas, params.lam
     if k < 2:
         raise ValueError(f"multi-sum needs k >= 2, got k={k}")
-    if params.lam > k - 1:
-        raise ValueError(f"needs lambda <= k-1, got lambda={params.lam}, k={k}")
+    if lam > k - 1:
+        raise ValueError(f"needs lambda <= k-1, got lambda={lam}, k={k}")
     total = [0] * (qmax + 1)
     values: list[int] = [0] * (k - 1)
 
-    def term() -> None:
-        base = _tuple_min_exponent(params, values)
-        budget = qmax - base
-        c = [1] + [0] * budget
-        for s, a in enumerate(params.alphas, start=1):
-            # (1 + q^(a + eta*(j-1))) for j = 1..N_s, exponents taken positive
-            # after pulling their total into the valuation
-            for jj in range(values[s - 1]):
-                e = a + eta * jj
-                if e <= budget:
-                    _mul_one_plus(c, e)
-        for s in range(2, params.lam + 1):
-            e = eta - params.alphas[s - 1] + eta * values[s - 2]
-            while e <= budget:
-                _mul_one_plus(c, e)
-                e += eta
-        diffs = [values[i] - values[i + 1] for i in range(k - 2)] + [values[k - 2]]
-        for d in diffs:
-            for jj in range(1, d + 1):
-                if eta * jj <= budget:
-                    _div_one_minus(c, eta * jj)
-        for n, v in enumerate(c):
-            if v:
-                total[base + n] += v
-
-    def rec(i: int) -> None:
-        if i == k - 1:
-            term()
-            return
-        cap = values[i - 1] if i > 0 else None
+    def walk(i: int, c: list[int], base: int) -> None:
         v = 0
-        while cap is None or v <= cap:
-            values[i] = v
-            if _tuple_min_exponent(params, values[: i + 1] + [0] * (k - 2 - i)) > qmax:
-                values[i] = 0
+        while True:
+            if i == k - 2:
+                total[base:] = map(add, total[base:], c)
+            else:
+                walk(i + 1, c[:], base)
+            if i and v == values[i - 1]:
                 break
-            rec(i + 1)
-            values[i] = 0
             v += 1
+            values[i] = v
+            base = _tuple_min_exponent(params, values)
+            if base > qmax:
+                break
+            del c[qmax - base + 1 :]
+            if i:  # 1/(q^eta;q^eta)_(N_i - v) lost its top factor
+                _mul_one_plus(c, eta * (values[i - 1] - v + 1), -1)
+            _div_one_minus(c, eta * v)
+            if i < lam:
+                _mul_one_plus(c, alphas[i] + eta * (v - 1))
+            if i + 1 < lam:  # the infinite product now starts one factor later
+                _div_one_plus(c, eta - alphas[i + 1] + eta * (v - 1))
+        values[i] = 0
 
-    rec(0)
+    root = [1] + [0] * qmax
+    for a in alphas[1:]:
+        for e in range(eta - a, qmax + 1, eta):
+            _mul_one_plus(root, e)
+    walk(0, root, 0)
     return TruncatedSeries(total, qmax)
 
 
@@ -347,28 +347,52 @@ def gg_companion_bivariate(qmax: int) -> BivariateSeries:
     """Length-refined generating function of the eta=2, k=r=3 family:
     sum over N1 >= N2 >= 0 of
     q^(2(N1^2+N2^2)) * x^(N1+N2) * prod(1 + x q^(1+2N2+2i)) /
-    ((q^2;q^2)_(N1-N2) (q^2;q^2)_(N2))."""
-    total: list[dict] = [{} for _ in range(qmax + 1)]
-    n1 = 0
-    while 2 * n1 * n1 <= qmax:
-        n2 = 0
-        while n2 <= n1 and 2 * (n1 * n1 + n2 * n2) <= qmax:
+    ((q^2;q^2)_(N1-N2) (q^2;q^2)_(N2)).
+
+    Series in x are held as rows, rows[d] the q-list of x^d; the x^d part
+    of the product starts at q^(d^2), so only rows with d^2 < len are kept.
+    """
+
+    def trim(rows: list[list[int]], length: int) -> list[list[int]]:
+        rows = rows[: isqrt(length - 1) + 1]
+        for row in rows:
+            del row[length:]
+        return rows
+
+    totals: list[list[int]] = []
+    rows = [[1] + [0] * qmax] + [[0] * (qmax + 1) for _ in range(isqrt(max(qmax, 0)))]
+    for e in range(1, qmax + 1, 2):
+        for d in range(len(rows) - 1, 0, -1):
+            rows[d][e:] = map(add, rows[d][e:], rows[d - 1])
+    n2 = 0
+    while 4 * n2 * n2 <= qmax:
+        if n2:  # prod(1 + x q^(1+2N2+2i)) / (q^2;q^2)_(N2) from its N2-1 value
+            rows = trim(rows, qmax - 4 * n2 * n2 + 1)
+            for d in range(1, len(rows)):
+                rows[d][2 * n2 - 1 :] = map(sub, rows[d][2 * n2 - 1 :], rows[d - 1])
+            for row in rows:
+                _div_one_minus(row, 2 * n2)
+        term = [row[:] for row in rows]
+        n1 = n2
+        while True:
             base = 2 * (n1 * n1 + n2 * n2)
-            budget = qmax - base
-            c: list[dict] = [{n1 + n2: 1}] + [{} for _ in range(budget)]
-            e = 1 + 2 * n2
-            while e <= budget:
-                _bmul_one_plus_xq(c, e)
-                e += 2
-            for d in (n1 - n2, n2):
-                for jj in range(1, d + 1):
-                    if 2 * jj <= budget:
-                        _bdiv_one_minus(c, 2 * jj)
-            for n, poly in enumerate(c):
-                _badd_into(total[base + n], poly)
-            n2 += 1
-        n1 += 1
-    return BivariateSeries(total, qmax)
+            for d, row in enumerate(term, start=n1 + n2):
+                while len(totals) <= d:
+                    totals.append([0] * (qmax + 1))
+                totals[d][base:] = map(add, totals[d][base:], row)
+            n1 += 1
+            if 2 * (n1 * n1 + n2 * n2) > qmax:
+                break
+            term = trim(term, qmax - 2 * (n1 * n1 + n2 * n2) + 1)
+            for row in term:
+                _div_one_minus(row, 2 * (n1 - n2))
+        n2 += 1
+    coeffs: list[dict] = [{} for _ in range(qmax + 1)]
+    for d, row in enumerate(totals):
+        for n, v in enumerate(row):
+            if v:
+                coeffs[n][d] = v
+    return BivariateSeries(coeffs, qmax)
 
 
 def kursungoz_cell(counts: Sequence[int], r: int, qmax: int, track_x: bool = False):

@@ -23,3 +23,108 @@ def pt_grid(mp, t_max: int):
     """All (p, t) pairs worth probing for one partition: p bounded by the
     second row, t by the point where every membership clause has stabilized."""
     return [(p, t) for p in range(0, mp.N(2) + 1) for t in range(0, t_max + 1)]
+
+
+# -- reference forms of the series kernels and builders ------------------
+# The plain-loop kernels and the per-term builders that `ggpart.series`
+# replaced with slice kernels and incremental walks, kept as test oracles.
+
+
+def loop_mul_one_plus(c, e, sign=1):
+    """c *= (1 + sign*q^e) for e >= 1, one coefficient at a time, descending."""
+    for n in range(len(c) - 1, e - 1, -1):
+        c[n] += sign * c[n - e]
+
+
+def loop_div_one_minus(c, e):
+    """c *= 1/(1 - q^e), one coefficient at a time, ascending."""
+    for n in range(e, len(c)):
+        c[n] += c[n - e]
+
+
+def _min_exponent(params, values):
+    eta = params.eta
+    base = eta * sum(v * v for v in values) + eta * sum(values[params.r - 1 :])
+    neg = 0
+    for s, a in enumerate(params.alphas, start=1):
+        ns = values[s - 1]
+        neg += a * ns + eta * (ns * (ns - 1)) // 2
+    return base - neg
+
+
+def reference_multisum(params, qmax):
+    """The multi-sum as a list of coefficients, each term rebuilt from 1."""
+    eta, k = params.eta, params.k
+    total = [0] * (qmax + 1)
+    values = [0] * (k - 1)
+
+    def term():
+        base = _min_exponent(params, values)
+        budget = qmax - base
+        c = [1] + [0] * budget
+        for s, a in enumerate(params.alphas, start=1):
+            for jj in range(values[s - 1]):
+                if a + eta * jj <= budget:
+                    loop_mul_one_plus(c, a + eta * jj)
+        for s in range(2, params.lam + 1):
+            e = eta - params.alphas[s - 1] + eta * values[s - 2]
+            while e <= budget:
+                loop_mul_one_plus(c, e)
+                e += eta
+        diffs = [values[i] - values[i + 1] for i in range(k - 2)] + [values[k - 2]]
+        for d in diffs:
+            for jj in range(1, d + 1):
+                if eta * jj <= budget:
+                    loop_div_one_minus(c, eta * jj)
+        for n, v in enumerate(c):
+            total[base + n] += v
+
+    def rec(i):
+        if i == k - 1:
+            term()
+            return
+        v = 0
+        while i == 0 or v <= values[i - 1]:
+            values[i] = v
+            if _min_exponent(params, values) > qmax:
+                break
+            rec(i + 1)
+            v += 1
+        values[i] = 0
+
+    rec(0)
+    return total
+
+
+def _dict_add(dst, src):
+    for d, v in src.items():
+        nv = dst.get(d, 0) + v
+        if nv:
+            dst[d] = nv
+        else:
+            dst.pop(d, None)
+
+
+def reference_companion(qmax):
+    """The length-refined companion as {x-degree: coefficient} per q^n, each
+    (N1, N2) term rebuilt from 1 over dict coefficients."""
+    total = [{} for _ in range(qmax + 1)]
+    n1 = 0
+    while 2 * n1 * n1 <= qmax:
+        n2 = 0
+        while n2 <= n1 and 2 * (n1 * n1 + n2 * n2) <= qmax:
+            base = 2 * (n1 * n1 + n2 * n2)
+            budget = qmax - base
+            c = [{n1 + n2: 1}] + [{} for _ in range(budget)]
+            for e in range(1 + 2 * n2, budget + 1, 2):  # c *= (1 + x q^e)
+                for n in range(budget, e - 1, -1):
+                    _dict_add(c[n], {d + 1: v for d, v in c[n - e].items()})
+            for d in (n1 - n2, n2):
+                for jj in range(1, d + 1):
+                    for n in range(2 * jj, budget + 1):
+                        _dict_add(c[n], c[n - 2 * jj])
+            for n, poly in enumerate(c):
+                _dict_add(total[base + n], poly)
+            n2 += 1
+        n1 += 1
+    return total

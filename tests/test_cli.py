@@ -106,7 +106,15 @@ def test_count_bad_params_prints_no_header(capsys):
     code, out, err = run(capsys, "count", "--set", "B", "--alphas", "1", "--eta", "2",
                          "-k", "1", "-r", "3", "--max-n", "3")
     assert code == 2 and out == ""
-    assert err == "error: need k >= r >= lambda >= 0, got k=1 r=3 lambda=1\n"
+    assert err == "error: need k >= r >= max(lambda, 1), got k=1 r=3 lambda=1\n"
+
+
+@pytest.mark.parametrize("identity", ["sum-product", "product"])
+def test_verify_rejects_r_zero(capsys, identity):
+    code, out, err = run(capsys, "verify", "--identity", identity, "--eta", "2",
+                         "-k", "3", "-r", "0", "--qmax", "10")
+    assert code == 2 and out == ""
+    assert err == "error: need k >= r >= max(lambda, 1), got k=3 r=0 lambda=0\n"
 
 
 def test_enumerate_json_lines(capsys):

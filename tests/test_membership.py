@@ -38,6 +38,12 @@ def test_bad_params_rejected(alphas, eta, k, r):
         BressoudParams(alphas, eta, k, r)
 
 
+def test_r_zero_rejected():
+    # "at most r-1 parts <= eta" admits nothing at r = 0, not even ()
+    with pytest.raises(ValueError, match=r"need k >= r >= max\(lambda, 1\), got k=3 r=0 lambda=0"):
+        BressoudParams((), 2, 3, 0)
+
+
 def test_pi1_membership():
     pi1 = (38, 38, 36, 34, 32, 30, 26, 26, 22, 22, 22, 18, 16, 16, 14, 12, 12, 10, 9, 6, 6, 6, 2, 1)
     assert is_in_C(pi1, 4, 3)

@@ -1,6 +1,9 @@
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ggpart import (
     BivariateSeries,
@@ -17,8 +20,45 @@ from ggpart import (
     verify,
 )
 from ggpart.membership import all_partitions, enumerate_E
+from ggpart.series import _div_one_minus, _div_one_plus, _mul_one_plus
 
-from helpers import e_cell
+from helpers import (
+    e_cell,
+    loop_div_one_minus,
+    loop_mul_one_plus,
+    reference_companion,
+    reference_multisum,
+)
+
+
+@given(st.lists(st.integers(-10**6, 10**6), max_size=70), st.sampled_from([1, -1]))
+@example([3, -1, 4, 1, -5, 9, 2, -6, 5, 3] * 5, 1)  # len 50: e=7 steps by residue, e=8 by block
+@example([2, 7, -1, 8, 2, -8, 1, 8, 2] * 7 + [1, 8, 4, 5, 9, -4], -1)  # len 69: 8*8 = len - 5, 9*9 = len + 12
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_plain_loops(c, sign):
+    for e in range(1, len(c) + 3):
+        for fast, slow, args in (
+            (_mul_one_plus, loop_mul_one_plus, (e, sign)),
+            (_div_one_minus, loop_div_one_minus, (e,)),
+        ):
+            got, want = c[:], c[:]
+            fast(got, *args)
+            slow(want, *args)
+            assert got == want, (fast.__name__, e)
+        back = c[:]
+        _mul_one_plus(back, e, -1)
+        _div_one_minus(back, e)
+        assert back == c
+        back = c[:]
+        _mul_one_plus(back, e)
+        _div_one_plus(back, e)
+        assert back == c
+
+
+def test_kernels_reject_a_nonpositive_divisor():
+    for e in (0, -2):
+        with pytest.raises(ValueError):
+            _div_one_minus([1, 2, 3], e)
 
 
 def test_pochhammer_examples():
@@ -79,6 +119,47 @@ PARAM_SETS = [
 @pytest.mark.parametrize("params", PARAM_SETS, ids=str)
 def test_multisum_equals_product(params):
     assert bressoud_multisum(params, 28) == bressoud_product(params, 28)
+
+
+def _grid():
+    """Every symmetric alpha set for eta in 1..4 (lambda 0 to 3), k in 2..6
+    and r from max(lambda, 1) to k: 157 parameter sets."""
+    for eta in range(1, 5):
+        for lam in range(4):
+            for alphas in combinations(range(1, eta), lam):
+                if any(a != eta - alphas[lam - 1 - i] for i, a in enumerate(alphas)):
+                    continue
+                for k in range(max(2, lam + 1), 7):
+                    for r in range(max(lam, 1), k + 1):
+                        yield BressoudParams(alphas, eta, k, r)
+
+
+GRID = list(_grid())
+
+
+def test_grid_reaches_every_step():
+    assert len(GRID) == 157
+    assert {p.lam for p in GRID} == {0, 1, 2, 3}  # lambda >= 2 divides by (1 + q^e)
+    for params in (
+        BressoudParams((1, 2), 3, 4, 2),
+        BressoudParams((1, 3), 4, 5, 4),
+        BressoudParams((1, 2, 3), 4, 5, 3),
+    ):
+        assert params in GRID
+
+
+def test_multisum_walk_matches_per_term_reference():
+    for params in GRID:
+        assert list(bressoud_multisum(params, 120).coeffs) == reference_multisum(params, 120), params
+
+
+def test_multisum_equals_product_deep():
+    for params in GRID:
+        assert bressoud_multisum(params, 200) == bressoud_product(params, 200), params
+
+
+def test_companion_walk_matches_per_term_reference():
+    assert list(gg_companion_bivariate(150).coeffs) == reference_companion(150)
 
 
 def test_multisum_degenerate_single_index():
