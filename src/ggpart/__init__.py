@@ -19,14 +19,12 @@ from .classify import (
 )
 from .errors import (
     ClassificationError,
-    DivergentProductError,
     GGError,
     InvalidSpecialPartition,
     MembershipError,
     MissingEntryError,
     UniquenessError,
 )
-from .extint import NEG_INF, POS_INF
 from .maps import (
     DilationTrace,
     dilate,
@@ -66,7 +64,6 @@ from .series import (
     bressoud_product,
     gg_companion_bivariate,
     kursungoz_cell,
-    pochhammer,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -35,6 +35,14 @@ from .membership import (
 )
 
 
+def nonnegative(text: str) -> int:
+    """argparse type of every size bound: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_parts(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text or text == "[]":
@@ -283,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=nonnegative, required=True)
     p.set_defaults(fn=cmd_count)
 
     p = sub.add_parser("enumerate", help="JSON lines of members")
@@ -292,9 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-r", type=int, default=3)
-    p.add_argument("-n", type=int, default=0)
-    p.add_argument("--floor", type=int, default=0, help="odd parts >= 2*floor+1 (I)")
-    p.add_argument("--max-weight", type=int, default=0)
+    p.add_argument("-n", type=nonnegative, default=0)
+    p.add_argument("--floor", type=nonnegative, default=0, help="odd parts >= 2*floor+1 (I)")
+    p.add_argument("--max-weight", type=nonnegative, default=0)
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="check one identity coefficient-by-coefficient")
@@ -307,14 +315,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=int, default=2)
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-r", type=int, default=3)
-    p.add_argument("--qmax", type=int, required=True)
-    p.add_argument("--max-n1", type=int, default=4, help="largest leading row count (cell)")
+    p.add_argument("--qmax", type=nonnegative, required=True)
+    p.add_argument("--max-n1", type=nonnegative, default=4, help="largest leading row count (cell)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("roundtrip", help="exhaustive inverse-map sweeps")
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-r", type=int, default=3)
-    p.add_argument("--max-weight", type=int, required=True)
+    p.add_argument("--max-weight", type=nonnegative, required=True)
     p.set_defaults(fn=cmd_roundtrip)
     return ap
 

@@ -33,7 +33,3 @@ class ClassificationError(GGError):
 
 class UniquenessError(GGError):
     """A scan that must produce at most one decomposition produced two."""
-
-
-class DivergentProductError(GGError):
-    """An infinite product whose exponents never leave the truncation window."""

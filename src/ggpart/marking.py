@@ -11,6 +11,8 @@ value; the overlined copy is forbidden mark 1 and otherwise marked by the
 same greedy rule.  Special partitions only arise as intermediates of the
 weight-shifting maps, but they are first-class values here.
 
+A `MarkedPartition` is built from (value, overlined) pairs and always runs
+the greedy assignment itself, so a non-canonical marking cannot be built.
 All values are immutable; every mutation returns a fresh, canonically
 re-marked partition.  Marks asserted by the surgery callers are looked up in
 the re-marked result, never patched in place, so a wrong assertion surfaces
@@ -23,7 +25,6 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidSpecialPartition, MissingEntryError
-from .extint import NEG_INF, POS_INF
 
 _EMPTY: frozenset = frozenset()
 
@@ -58,7 +59,8 @@ def _assign(entries: Sequence[tuple[int, bool]]) -> list[tuple[int, int, bool]]:
 
 
 class MarkedPartition:
-    """A partition together with its canonical marking.
+    """A partition together with its canonical marking, built from
+    (value, overlined) pairs by the greedy assignment.
 
     `entries` holds (value, mark, overlined) triples sorted by decreasing
     value; `rows[i-1]` is the decreasing tuple of i-marked values; `overline`
@@ -68,8 +70,8 @@ class MarkedPartition:
 
     __slots__ = ("parts", "entries", "rows", "overline", "largest_odd", "_marks_at", "_counts", "_memo")
 
-    def __init__(self, assigned: Iterable[tuple[int, int, bool]]):
-        entries = tuple(sorted(assigned, key=lambda e: (-e[0], e[1])))
+    def __init__(self, pairs: Sequence[tuple[int, bool]]):
+        entries = tuple(sorted(_assign(pairs), key=lambda e: (-e[0], e[1])))
         self.entries = entries
         self.parts = tuple(v for v, _, _ in entries)
         nrows = max((m for _, m, _ in entries), default=0)
@@ -114,17 +116,6 @@ class MarkedPartition:
         if i < 1:
             raise ValueError(f"row index must be >= 1, got {i}")
         return self.rows[i - 1] if i <= len(self.rows) else ()
-
-    def row(self, i: int, j: int):
-        """j-th entry of row i, with sentinels at j = 0 and j = N_i + 1."""
-        n = self.N(i)
-        if not 0 <= j <= n + 1:
-            raise IndexError(f"row {i} has {n} entries; j={j} out of [0, {n + 1}]")
-        if j == 0:
-            return POS_INF
-        if j == n + 1:
-            return NEG_INF
-        return self.rows[i - 1][j - 1]
 
     def marks_of(self, value) -> frozenset:
         return self._marks_at.get(value, _EMPTY)
@@ -182,7 +173,7 @@ class MarkedPartition:
         values = [(v, over) for v, _, over in work]
         values += [(int(value), bool(over)) for value, over in additions]
         _check_overlines(values)
-        return MarkedPartition(_assign(values))
+        return MarkedPartition(values)
 
 
 def _check_overlines(values: Sequence[tuple[int, bool]]) -> None:
@@ -208,7 +199,7 @@ def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1 << 14)
 def _gg_mark_cached(parts: tuple[int, ...]) -> MarkedPartition:
-    return MarkedPartition(_assign([(v, False) for v in parts]))
+    return MarkedPartition([(v, False) for v in parts])
 
 
 def gg_mark(parts: Iterable[int]) -> MarkedPartition:
@@ -233,7 +224,7 @@ def gg_mark_special(parts: Iterable[int], overline: Optional[int] = None) -> Mar
     entries.remove((overline, False))
     entries.append((overline, True))
     _check_overlines(entries)
-    return MarkedPartition(_assign(entries))
+    return MarkedPartition(entries)
 
 
 # -- presentation ------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Exact truncated power series over the integers, and the generating
-functions the enumeration oracles are checked against.
+"""The generating functions the enumeration oracles are checked against,
+built exactly over the integers and truncated at q^qmax.
 
 Coefficients are plain Python ints, so nothing overflows no matter the
 truncation order.  The kernels multiply by (1 +- q^e) and divide by
@@ -25,7 +25,6 @@ from math import isqrt
 from operator import add, sub
 from typing import Optional, Sequence
 
-from .errors import DivergentProductError
 from .membership import BressoudParams
 
 # -- list kernels (coefficients c[0..qmax]) -----------------------------
@@ -58,19 +57,6 @@ def _div_one_plus(c: list[int], e: int) -> None:
     _div_one_minus(c, 2 * e)
 
 
-def _mul(a: Sequence[int], b: Sequence[int], qmax: int) -> list[int]:
-    out = [0] * (qmax + 1)
-    for i, ai in enumerate(a):
-        if ai == 0 or i > qmax:
-            continue
-        hi = min(len(b), qmax + 1 - i)
-        for jj in range(hi):
-            bj = b[jj]
-            if bj:
-                out[i + jj] += ai * bj
-    return out
-
-
 class TruncatedSeries:
     """Power series known exactly through q^qmax."""
 
@@ -82,14 +68,6 @@ class TruncatedSeries:
         c = list(coeffs[: qmax + 1]) + [0] * max(0, qmax + 1 - len(coeffs))
         self.qmax = qmax
         self.coeffs = tuple(int(x) for x in c)
-
-    @classmethod
-    def one(cls, qmax: int) -> "TruncatedSeries":
-        return cls([1], qmax)
-
-    @classmethod
-    def zero(cls, qmax: int) -> "TruncatedSeries":
-        return cls([], qmax)
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.qmax:
@@ -110,82 +88,8 @@ class TruncatedSeries:
         tail = ", ..." if self.qmax >= 8 else ""
         return f"TruncatedSeries(qmax={self.qmax}, [{head}{tail}])"
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        q = min(self.qmax, other.qmax)
-        return TruncatedSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(q + 1)], q
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        q = min(self.qmax, other.qmax)
-        return TruncatedSeries(
-            [self.coeffs[n] - other.coeffs[n] for n in range(q + 1)], q
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return TruncatedSeries([c * other for c in self.coeffs], self.qmax)
-        q = min(self.qmax, other.qmax)
-        return TruncatedSeries(_mul(self.coeffs, other.coeffs, q), q)
-
-    __rmul__ = __mul__
-
-    def reciprocal(self) -> "TruncatedSeries":
-        """Inverse series; the constant term must be +-1 to stay integral."""
-        c0 = self.coeffs[0]
-        if c0 not in (1, -1):
-            raise ValueError(f"reciprocal needs a unit constant term, got {c0}")
-        out = [0] * (self.qmax + 1)
-        out[0] = c0
-        for n in range(1, self.qmax + 1):
-            acc = sum(self.coeffs[i] * out[n - i] for i in range(1, n + 1))
-            out[n] = -acc * c0
-        return TruncatedSeries(out, self.qmax)
-
-
-def pochhammer(sign: int, c: int, step: int, n: Optional[int], qmax: int) -> TruncatedSeries:
-    """Truncated product of (1 + sign*q^(c + i*step)) for i < n (n=None: infinite).
-
-    Factors whose exponent exceeds qmax are skipped; a (1 - q^0) factor
-    collapses the series to zero.  Infinite products demand exponents that
-    eventually leave the window, i.e. step >= 1 and c >= 0.
-    """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +-1, got {sign}")
-    coeffs = [1] + [0] * qmax
-    if n is None:
-        if step < 1:
-            raise DivergentProductError(
-                f"infinite product with step {step} never leaves [0, {qmax}]"
-            )
-        if c < 0:
-            raise DivergentProductError(f"infinite product starting at exponent {c} < 0")
-        e = c
-        while e <= qmax:
-            _mul_one_plus(coeffs, e, sign)
-            e += step
-        return TruncatedSeries(coeffs, qmax)
-    if n < 0:
-        raise ValueError(f"factor count must be >= 0, got {n}")
-    for i in range(n):
-        e = c + i * step
-        if e < 0:
-            raise ValueError(f"negative exponent {e} in finite product")
-        if e <= qmax:
-            _mul_one_plus(coeffs, e, sign)
-    return TruncatedSeries(coeffs, qmax)
-
 
 # -- bivariate ----------------------------------------------------------
-
-
-def _badd_into(dst: dict, src: dict, scale: int = 1) -> None:
-    for d, v in src.items():
-        nv = dst.get(d, 0) + scale * v
-        if nv:
-            dst[d] = nv
-        else:
-            dst.pop(d, None)
 
 
 class BivariateSeries:
@@ -202,42 +106,10 @@ class BivariateSeries:
             {d: v for d, v in c.items() if v} for c in cs
         )
 
-    def coefficient(self, n: int, xdeg: int) -> int:
-        return self.coeffs[n].get(xdeg, 0)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, BivariateSeries):
             return NotImplemented
         return self.qmax == other.qmax and self.coeffs == other.coeffs
-
-    def __add__(self, other: "BivariateSeries") -> "BivariateSeries":
-        q = min(self.qmax, other.qmax)
-        out = [dict(self.coeffs[n]) for n in range(q + 1)]
-        for n in range(q + 1):
-            _badd_into(out[n], other.coeffs[n])
-        return BivariateSeries(out, q)
-
-    def __mul__(self, other: "BivariateSeries") -> "BivariateSeries":
-        q = min(self.qmax, other.qmax)
-        out: list[dict] = [{} for _ in range(q + 1)]
-        for i in range(q + 1):
-            ci = self.coeffs[i]
-            if not ci:
-                continue
-            for jj in range(q + 1 - i):
-                cj = other.coeffs[jj]
-                if not cj:
-                    continue
-                dst = out[i + jj]
-                for da, va in ci.items():
-                    for db, vb in cj.items():
-                        nd = da + db
-                        nv = dst.get(nd, 0) + va * vb
-                        if nv:
-                            dst[nd] = nv
-                        else:
-                            dst.pop(nd, None)
-        return BivariateSeries(out, q)
 
     def at_x1(self) -> TruncatedSeries:
         return TruncatedSeries([sum(c.values()) for c in self.coeffs], self.qmax)
@@ -395,9 +267,10 @@ def gg_companion_bivariate(qmax: int) -> BivariateSeries:
     return BivariateSeries(coeffs, qmax)
 
 
-def kursungoz_cell(counts: Sequence[int], r: int, qmax: int, track_x: bool = False):
+def kursungoz_cell(counts: Sequence[int], r: int, qmax: int) -> TruncatedSeries:
     """Generating function of one marking cell (fixed row counts):
-    x^(sum N_i) q^(2(sum N_i^2 + N_r + ... + N_(k-1))) / prod (q^2;q^2)-factors."""
+    q^(2(sum N_i^2 + N_r + ... + N_(k-1))) / prod (q^2;q^2)-factors.
+    Every member of the cell has sum N_i parts."""
     counts = tuple(int(v) for v in counts)
     if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)) or any(
         v < 0 for v in counts
@@ -407,10 +280,8 @@ def kursungoz_cell(counts: Sequence[int], r: int, qmax: int, track_x: bool = Fal
     if not (k >= r >= 1):
         raise ValueError(f"need k >= r >= 1, got k={k}, r={r}")
     base = 2 * (sum(v * v for v in counts) + sum(counts[r - 1 :]))
-    xdeg = sum(counts)
     if base > qmax:
-        c = [0] * (qmax + 1)
-        return BivariateSeries([{}] * (qmax + 1), qmax) if track_x else TruncatedSeries(c, qmax)
+        return TruncatedSeries([0] * (qmax + 1), qmax)
     budget = qmax - base
     c = [1] + [0] * budget
     diffs = [counts[i] - counts[i + 1] for i in range(k - 2)] + [counts[k - 2]]
@@ -418,7 +289,4 @@ def kursungoz_cell(counts: Sequence[int], r: int, qmax: int, track_x: bool = Fal
         for jj in range(1, d + 1):
             if 2 * jj <= budget:
                 _div_one_minus(c, 2 * jj)
-    shifted = [0] * base + c
-    if track_x:
-        return BivariateSeries([{xdeg: v} if v else {} for v in shifted], qmax)
-    return TruncatedSeries(shifted, qmax)
+    return TruncatedSeries([0] * base + c, qmax)

@@ -1,5 +1,6 @@
 """Shared enumeration caches for the sweep-style tests."""
 
+import math
 from functools import cache
 
 from ggpart import enumerate_E, gg_mark, row_counts, verify
@@ -17,6 +18,17 @@ def e_cell(counts, r: int, n: int):
     """Members of the even family whose marking has exactly the given row sizes."""
     k = len(counts) + 1
     return [p for p in enumerate_E(k, r, n) if row_counts(gg_mark(p), k - 1) == tuple(counts)]
+
+
+def row_at(mp, i: int, j: int):
+    """Entry j of row i as the paper's definitions read it: +inf at j = 0 and
+    -inf anywhere past the last entry (plain floats, which compare with ints)."""
+    if j < 0:
+        raise IndexError(f"row position must be >= 0, got {j}")
+    row = mp.row_values(i)
+    if j == 0:
+        return math.inf
+    return row[j - 1] if j <= len(row) else -math.inf
 
 
 def pt_grid(mp, t_max: int):

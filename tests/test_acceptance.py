@@ -27,7 +27,7 @@ from ggpart import (
 from ggpart.fixtures import FIXTURES, fixture_marked, fixture_overline, fixture_parts
 from ggpart.marking import gg_mark_special
 
-from helpers import c_members, e_members, pt_grid
+from helpers import c_members, e_members, pt_grid, row_at
 
 KR_SETS = ((3, 3), (4, 3), (4, 4))
 
@@ -168,11 +168,11 @@ def test_criterion_09_property_suite():
                             p,
                             t,
                         )
-                        if mp.row(2, p) >= 2 * t + 6:
+                        if row_at(mp, 2, p) >= 2 * t + 6:
                             assert mp.max_mark(2 * t + 2) <= 1
                             assert mp.max_mark(2 * t + 4) <= 1
-                        if p >= 1 and mp.row(2, p) == 2 * t + 2 and prof.type_at(p) == "s3":
-                            lead = mp.row(2, cluster_indexes(mp, p)[0])
+                        if p >= 1 and row_at(mp, 2, p) == 2 * t + 2 and prof.type_at(p) == "s3":
+                            lead = row_at(mp, 2, cluster_indexes(mp, p)[0])
                             assert mp.count(lead + 4) <= 1, (mp.parts, p, t)
                     sim = classify_sim(mp, k, r, p, t)
                     if sim is not None and mp.has(2 * t, 1):
@@ -217,20 +217,20 @@ def test_criterion_09_property_suite():
 def _check_two_sided_chain_property(mp, prof, p, t):
     """When the part after p sits at 2t+2, the first chain index typed s0/s1
     has no neighbour above, and everything before it in the chain is s3."""
-    if mp.row(2, p + 1) != 2 * t + 2:
+    if row_at(mp, 2, p + 1) != 2 * t + 2:
         return
-    base = mp.row(2, p + 1)
+    base = row_at(mp, 2, p + 1)
     s = None
     for i in range(1, p + 2):
-        if mp.row(2, i) == base + 4 * (p - i + 1) and prof.type_at(i) in ("s0", "s1"):
+        if row_at(mp, 2, i) == base + 4 * (p - i + 1) and prof.type_at(i) in ("s0", "s1"):
             s = i
             break
     if s is None:
         return
-    vs = mp.row(2, s)
+    vs = row_at(mp, 2, s)
     assert not mp.has_part(vs + 2), (mp.parts, p, t, s)
     for i in range(1, s):
-        if mp.row(2, i) == base + 4 * (p - i + 1):
+        if row_at(mp, 2, i) == base + 4 * (p - i + 1):
             assert prof.type_at(i) == "s3", (mp.parts, p, t, i)
 
 

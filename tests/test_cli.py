@@ -158,10 +158,10 @@ def test_verify_fail_names_expected_and_got(monkeypatch, capsys):
 def test_cell_check_covers_empty_cells(monkeypatch, capsys):
     real = series.kursungoz_cell
 
-    def wrong_on_222(counts, r, qmax, track_x=False):
+    def wrong_on_222(counts, r, qmax):
         if tuple(counts) == (2, 2, 2):
-            return series.TruncatedSeries.one(qmax)
-        return real(counts, r, qmax, track_x)
+            return series.TruncatedSeries([1], qmax)
+        return real(counts, r, qmax)
 
     monkeypatch.setattr(series, "kursungoz_cell", wrong_on_222)
     res = verify.cell(4, 3, 20, 4)
@@ -186,6 +186,30 @@ def test_usage_error_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mark", "--nonsense"])
     assert exc.value.code == 2
+
+
+NEGATIVE_BOUNDS = [
+    ("verify", "--identity", "product", "--qmax", "-1"),
+    ("verify", "--identity", "sum-product", "--qmax", "-1"),
+    ("verify", "--identity", "conjecture", "--qmax", "-1"),
+    ("verify", "--identity", "companion", "--qmax", "-1"),
+    ("verify", "--identity", "cell", "--qmax", "-1"),
+    ("verify", "--identity", "cell", "--qmax", "8", "--max-n1", "-1"),
+    ("roundtrip", "--max-weight", "-1"),
+    ("count", "-k", "3", "-r", "3", "--max-n", "-1"),
+    ("enumerate", "-n", "-1"),
+    ("enumerate", "--set", "I", "--floor", "-1"),
+    ("enumerate", "--set", "I", "--max-weight", "-1"),
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_BOUNDS, ids=" ".join)
+def test_negative_bounds_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "must be >= 0, got -1" in err
 
 
 def test_mark_without_input_says_why(capsys):

@@ -5,9 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggpart import (
-    NEG_INF,
-    POS_INF,
     InvalidSpecialPartition,
+    MarkedPartition,
     MissingEntryError,
     gg_mark,
     gg_mark_special,
@@ -82,6 +81,13 @@ def test_canonicality_idempotent_exhaustive():
             assert gg_mark(mp.parts).rows == mp.rows
 
 
+def test_construction_runs_the_greedy_marking():
+    # MarkedPartition takes (value, overlined) pairs, so every marking is greedy
+    for n in range(0, 15):
+        for p in all_partitions(n):
+            assert MarkedPartition([(v, False) for v in p]).entries == gg_mark(p).entries, p
+
+
 def test_row_sizes_monotone_exhaustive():
     for n in range(0, 21):
         for p in all_partitions(n):
@@ -139,21 +145,6 @@ def test_special_trace_fixtures():
 def test_invalid_overlines(parts, overline):
     with pytest.raises((InvalidSpecialPartition, ValueError)):
         gg_mark_special(parts, overline)
-
-
-# -- row access ----------------------------------------------------------
-
-
-def test_row_sentinels_and_values():
-    mp = gg_mark(PI1_PARTS)
-    assert mp.row(2, 5) == 18
-    assert mp.row(1, 0) is POS_INF
-    assert mp.row(3, 6) is NEG_INF
-    assert mp.row(7, 0) is POS_INF and mp.row(7, 1) is NEG_INF
-    with pytest.raises(IndexError):
-        mp.row(3, 7)
-    with pytest.raises(ValueError):
-        mp.row(0, 0)
 
 
 # -- surgery ---------------------------------------------------------------
