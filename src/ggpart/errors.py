@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types, and the bound check, shared across the package."""
+
+
+def require_nonnegative(**bounds: int) -> None:
+    """Raise ValueError naming the first of the given size bounds below 0."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 class GGError(Exception):

@@ -2,21 +2,36 @@
 
 `is_bressoud_B` evaluates the four difference/congruence conditions directly
 on a partition; `is_in_C` is the marking-based characterization of the eta=2,
-alpha=(1) family.  The enumerators backtrack over parts in decreasing order,
-checking the window condition with a (k-1)-lookback.  `enumerate_B` also
-stops at the first part v too small to finish the weight: a member has
-parts[i] >= parts[i+k-1] + eta, so with largest part <= v its j-th part is
-at most v - eta*(j // (k-1)) and its weight at most
-cap[v] = (k-1)*v + cap[v-eta], where cap[v] = (k-1)*v for v <= eta.
+alpha=(1) family.  `enumerate_B` builds members part by part in decreasing
+order and turns each condition into a bound on the next part, so its loop
+runs only over values that keep all four conditions and can still finish
+the weight:
+
+- capacity: a member has parts[i] >= parts[i+k-1] + eta, so with largest
+  part <= v its j-th part is at most v - eta*(j // (k-1)) and its weight at
+  most cap[v] = (k-1)*v + cap[v-eta], where cap[v] = (k-1)*v for v <= eta.
+  cap increases, so the next part is at least low[w], the smallest v with
+  cap[v] >= w, when the weight left is w;
+- residue: only values v with v % eta in {0} | {alpha_i % eta} are tried;
+- repeat: after a part v the next part is at most v if eta divides v, and
+  at most v - 1 otherwise;
+- window: the part k-1 places after a part w is at most w - eta, and at
+  most w - eta - 1 if eta divides w;
+- small parts: once r-1 parts are <= eta, the next part is at least eta + 1.
+
+A part equal to the weight left finishes a member without a further call,
+and any other part is followed by a call only when the next level's largest
+candidate, the smaller of its ceiling and the weight left, has capacity.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from . import debug
-from .errors import GGError
+from .errors import GGError, require_nonnegative
 from .marking import MarkedPartition, gg_mark
 
 
@@ -140,42 +155,59 @@ def all_partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int
 
 
 def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
-    """Complete duplicate-free list of family members of weight n."""
+    """Complete duplicate-free list of family members of weight n, in
+    descending-lex order."""
+    require_nonnegative(n=n)
     eta, k, r = params.eta, params.k, params.r
-    residues = {0} | {a % eta for a in params.alphas}
-    out: list[tuple[int, ...]] = []
     if n == 0:
         return [()]
     if k == 1:
         return []
+    residues = {0} | {a % eta for a in params.alphas}
     # cap[v]: the largest weight of a member with every part <= v
     cap = [0] * (n + 1)
     for v in range(1, n + 1):
         cap[v] = (k - 1) * v + (cap[v - eta] if v > eta else 0)
+    low = [bisect_left(cap, w) for w in range(n + 1)]
+    allowed = [v for v in range(n, 0, -1) if v % eta in residues]
+    # allowed[at[v]:at[u]] holds the allowed values in (u, v]; at[eta] is the
+    # end of the values above the small-part floor, which may exceed n
+    at = [len(allowed)]
+    for v in range(1, max(n, eta) + 1):
+        at.append(at[-1] - (v <= n and v % eta in residues))
+    # nxt[v]: the repeat bound on the part after v; for k == 2 the window
+    # rule applies to the same pair, and it is the tighter of the two
+    if k == 2:
+        nxt = [v - eta - (v % eta == 0) for v in range(n + 1)]
+    else:
+        nxt = [v if v % eta == 0 else v - 1 for v in range(n + 1)]
+    out: list[tuple[int, ...]] = []
     stack: list[int] = []
 
-    def rec(remaining: int, max_part: int, small: int) -> None:
-        if remaining == 0:
-            out.append(tuple(stack))
-            return
-        for v in range(min(max_part, remaining), 0, -1):
-            if cap[v] < remaining:
-                break
-            if v % eta not in residues:
+    def rec(remaining: int, hi: int, small: int) -> None:
+        floor = low[remaining]
+        if small == r - 1 and floor <= eta:
+            floor = eta + 1
+        # wb: the window ceiling of the next level, set by the stacked part
+        # k-1 places above it
+        depth = len(stack)
+        wb = n
+        if 2 < k <= depth + 2:
+            w = stack[depth - k + 2]
+            wb = w - eta - (w % eta == 0)
+        # a conditional, not min(): the builtin call cost a fifth of the run time
+        for v in allowed[at[hi if hi < remaining else remaining] : at[floor - 1]]:
+            if v == remaining:
+                out.append((*stack, v))
                 continue
-            if stack and v == stack[-1] and v % eta != 0:
-                continue
-            if len(stack) >= k - 1:
-                w = stack[-(k - 1)]
-                lo = v + eta
-                if w < lo or (w == lo and w % eta == 0):
-                    continue
-            ns = small + (1 if v <= eta else 0)
-            if ns > r - 1:
-                continue
-            stack.append(v)
-            rec(remaining - v, v, ns)
-            stack.pop()
+            rest = remaining - v
+            nh = nxt[v]
+            if nh > wb:
+                nh = wb
+            if low[rest] <= nh:  # the next level's largest candidate has capacity
+                stack.append(v)
+                rec(rest, nh, small + 1 if v <= eta else small)
+                stack.pop()
 
     rec(n, n, 0)
     return out
@@ -193,6 +225,7 @@ def enumerate_E(k: int, r: int, n: int) -> list[tuple[int, ...]]:
 def enumerate_I(floor: int, max_weight: int) -> list[tuple[int, ...]]:
     """Partitions into distinct odd parts >= 2*floor+1, of weight <= max_weight,
     ordered by (weight, parts)."""
+    require_nonnegative(floor=floor, max_weight=max_weight)
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], next_min: int, budget: int) -> None:
@@ -216,6 +249,7 @@ def enumerate_I_exact(floor: int, weight: int) -> list[tuple[int, ...]]:
 def enumerate_F33(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Pairs (even-family member, distinct-odd partition) of total weight n,
     with the odd floor given by the member's second row count."""
+    require_nonnegative(n=n)
     pairs = []
     for w in range(0, n + 1):
         for p in enumerate_E(3, 3, w):

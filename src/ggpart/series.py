@@ -25,6 +25,7 @@ from math import isqrt
 from operator import add, sub
 from typing import Optional, Sequence
 
+from .errors import require_nonnegative
 from .membership import BressoudParams
 
 # -- list kernels (coefficients c[0..qmax]) -----------------------------
@@ -138,6 +139,7 @@ def bressoud_multisum(params: BressoudParams, qmax: int) -> TruncatedSeries:
     with values[:i+1] fixed and the rest zero, over its valuation, and
     stepping values[i] from v-1 to v changes at most four of its factors.
     """
+    require_nonnegative(qmax=qmax)
     eta, k, alphas, lam = params.eta, params.k, params.alphas, params.lam
     if k < 2:
         raise ValueError(f"multi-sum needs k >= 2, got k={k}")
@@ -185,6 +187,7 @@ def bressoud_product(params: BressoudParams, qmax: int) -> TruncatedSeries:
     whole computation runs on a doubled exponent grid and is halved at the
     end; a coefficient landing on an odd doubled exponent is an error.
     """
+    require_nonnegative(qmax=qmax)
     eta, k, r, lam = params.eta, params.k, params.r, params.lam
     Q = 2 * qmax
     c = [1] + [0] * Q
@@ -224,6 +227,7 @@ def gg_companion_bivariate(qmax: int) -> BivariateSeries:
     Series in x are held as rows, rows[d] the q-list of x^d; the x^d part
     of the product starts at q^(d^2), so only rows with d^2 < len are kept.
     """
+    require_nonnegative(qmax=qmax)
 
     def trim(rows: list[list[int]], length: int) -> list[list[int]]:
         rows = rows[: isqrt(length - 1) + 1]
@@ -232,7 +236,7 @@ def gg_companion_bivariate(qmax: int) -> BivariateSeries:
         return rows
 
     totals: list[list[int]] = []
-    rows = [[1] + [0] * qmax] + [[0] * (qmax + 1) for _ in range(isqrt(max(qmax, 0)))]
+    rows = [[1] + [0] * qmax] + [[0] * (qmax + 1) for _ in range(isqrt(qmax))]
     for e in range(1, qmax + 1, 2):
         for d in range(len(rows) - 1, 0, -1):
             rows[d][e:] = map(add, rows[d][e:], rows[d - 1])
@@ -271,6 +275,7 @@ def kursungoz_cell(counts: Sequence[int], r: int, qmax: int) -> TruncatedSeries:
     """Generating function of one marking cell (fixed row counts):
     q^(2(sum N_i^2 + N_r + ... + N_(k-1))) / prod (q^2;q^2)-factors.
     Every member of the cell has sum N_i parts."""
+    require_nonnegative(qmax=qmax)
     counts = tuple(int(v) for v in counts)
     if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)) or any(
         v < 0 for v in counts

@@ -3,7 +3,8 @@ acceptance suite.
 
 Every check compares each coefficient or member in its range, tolerance
 zero.  A map that raises `GGError` counts as a failure, with the error as
-the value got.
+the value got.  A negative bound raises ValueError, here or in the series
+builder a check calls.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Any, Optional
 
 from . import maps, series
 from .classify import classify_eq, classify_lt
-from .errors import GGError
+from .errors import GGError, require_nonnegative
 from .marking import gg_mark
 from .membership import enumerate_B, enumerate_C, enumerate_E, enumerate_F33, row_counts
 
@@ -90,6 +91,7 @@ def cell(k: int, r: int, qmax: int, max_n1: int) -> Result:
     (N_1..N_(k-1)), one item per cell with N_1 <= max_n1: every
     non-increasing key, empty or not, and any key the enumeration produced.
     `where` is (key, n)."""
+    require_nonnegative(qmax=qmax, max_n1=max_n1)
     tallies: dict[tuple, list[int]] = {}
     for n in range(qmax + 1):
         for p in enumerate_E(k, r, n):
@@ -109,6 +111,7 @@ def cell(k: int, r: int, qmax: int, max_n1: int) -> Result:
 
 def members_by_weight(k: int, r: int, wmax: int) -> dict[int, list]:
     """{weight: [marked members of C(k, r)]} for every weight up to wmax."""
+    require_nonnegative(wmax=wmax)
     return {n: [gg_mark(p) for p in enumerate_C(k, r, n)] for n in range(wmax + 1)}
 
 

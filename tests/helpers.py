@@ -1,4 +1,5 @@
-"""Shared enumeration caches for the sweep-style tests."""
+"""Shared enumeration caches for the sweep-style tests, and the reference
+forms of the enumerator and the series that the library replaced."""
 
 import math
 from functools import cache
@@ -140,3 +141,49 @@ def reference_companion(qmax):
             n2 += 1
         n1 += 1
     return total
+
+
+# -- reference form of the enumerator ------------------------------------
+
+
+def reference_enumerate_B(params, n):
+    """Members of weight n in descending-lex order: each level tries the
+    values downward, checks the four conditions in the loop body, and stops
+    at the first part whose capacity cap[v] is below the weight left."""
+    eta, k, r = params.eta, params.k, params.r
+    residues = {0} | {a % eta for a in params.alphas}
+    out = []
+    if n == 0:
+        return [()]
+    if k == 1:
+        return []
+    cap = [0] * (n + 1)
+    for v in range(1, n + 1):
+        cap[v] = (k - 1) * v + (cap[v - eta] if v > eta else 0)
+    stack = []
+
+    def rec(remaining, max_part, small):
+        if remaining == 0:
+            out.append(tuple(stack))
+            return
+        for v in range(min(max_part, remaining), 0, -1):
+            if cap[v] < remaining:
+                break
+            if v % eta not in residues:
+                continue
+            if stack and v == stack[-1] and v % eta != 0:
+                continue
+            if len(stack) >= k - 1:
+                w = stack[-(k - 1)]
+                lo = v + eta
+                if w < lo or (w == lo and w % eta == 0):
+                    continue
+            ns = small + (1 if v <= eta else 0)
+            if ns > r - 1:
+                continue
+            stack.append(v)
+            rec(remaining - v, v, ns)
+            stack.pop()
+
+    rec(n, n, 0)
+    return out

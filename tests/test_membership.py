@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from ggpart import (
@@ -16,7 +18,7 @@ from ggpart import (
 )
 from ggpart.membership import all_partitions, enumerate_I_exact
 
-from helpers import e_cell, loop_mul_one_plus
+from helpers import e_cell, loop_mul_one_plus, reference_enumerate_B
 
 GG33 = BressoudParams((1,), 2, 3, 3)
 
@@ -104,6 +106,62 @@ def test_enumerate_B_equals_definition():
         every = list(all_partitions(n))
         for params in grid:
             assert enumerate_B(params, n) == [p for p in every if is_bressoud_B(p, params)], (params, n)
+
+
+def _every_params():
+    """Every valid BressoudParams with eta 1..5 and k 1..5."""
+    for eta in range(1, 6):
+        for size in range(eta):
+            for alphas in combinations(range(1, eta), size):
+                if all(eta - a in alphas for a in alphas):
+                    for k in range(1, 6):
+                        for r in range(max(size, 1), k + 1):
+                            yield BressoudParams(alphas, eta, k, r)
+
+
+def test_enumerate_B_equals_reference():
+    # same list in the same order as the check-every-value enumerator
+    grid = list(_every_params())
+    assert len(grid) == 154
+    for params in grid:
+        for n in range(0, 26 if params.eta == 1 else 31):
+            assert enumerate_B(params, n) == reference_enumerate_B(params, n), (params, n)
+
+
+@pytest.mark.parametrize(
+    "params, n, want",
+    [
+        (GG33, 0, [()]),  # the empty partition, with no call at all
+        (BressoudParams((), 2, 1, 1), 0, [()]),
+        (BressoudParams((), 2, 1, 1), 6, []),  # k = 1 admits no part
+        (BressoudParams((), 2, 3, 1), 12, [(12,), (8, 4), (6, 6)]),  # r = 1: no part <= eta
+        (BressoudParams((1, 6), 7, 3, 3), 6, [(6,)]),  # eta > n
+        (BressoudParams((), 7, 3, 1), 5, []),  # eta > n with the floor eta+1 past n at the top
+        (BressoudParams((1,), 2, 3, 1), 5, [(5,)]),  # r = 1 with odd parts
+        # after r-1 = 1 small part the floor eta+1 = 5 is above what is left
+        (BressoudParams((1, 3), 4, 3, 2), 4, [(4,)]),
+        (BressoudParams((1, 3), 4, 3, 2), 8, [(8,), (7, 1), (5, 3)]),  # not (4, 4)
+    ],
+)
+def test_enumerate_B_edge_bounds(params, n, want):
+    assert enumerate_B(params, n) == want == reference_enumerate_B(params, n)
+    assert all(is_bressoud_B(p, params) for p in want)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_B(GG33, -1),
+        lambda: enumerate_C(3, 3, -2),
+        lambda: enumerate_I(-1, 1),
+        lambda: enumerate_I(0, -1),
+        lambda: enumerate_F33(-1),
+    ],
+    ids=["enumerate_B", "enumerate_C", "enumerate_I floor", "enumerate_I max_weight", "enumerate_F33"],
+)
+def test_negative_bounds_rejected(call):
+    with pytest.raises(ValueError, match="must be >= 0, got -"):
+        call()
 
 
 def test_e_is_even_sublist():

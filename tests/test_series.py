@@ -126,6 +126,35 @@ def test_product_truncation_trivial():
     assert bressoud_product(BressoudParams((1,), 2, 3, 3), 0).coeffs == (1,)
 
 
+GG33 = BressoudParams((1,), 2, 3, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: bressoud_product(GG33, -1),
+        lambda: bressoud_multisum(GG33, -1),
+        lambda: gg_companion_bivariate(-1),
+        lambda: kursungoz_cell((1, 0), 3, -1),
+        lambda: verify.conjecture(GG33, -1),
+        lambda: verify.product(GG33, -1),
+        lambda: verify.sum_product(GG33, -1),
+        lambda: verify.companion(-1),
+        lambda: verify.cell(4, 3, -1, 2),
+        lambda: verify.cell(4, 3, 8, -1),
+        lambda: verify.members_by_weight(3, 3, -1),
+    ],
+    ids=[
+        "bressoud_product", "bressoud_multisum", "gg_companion_bivariate", "kursungoz_cell",
+        "verify.conjecture", "verify.product", "verify.sum_product", "verify.companion",
+        "verify.cell qmax", "verify.cell max_n1", "verify.members_by_weight",
+    ],
+)
+def test_negative_bounds_rejected(call):
+    with pytest.raises(ValueError, match="must be >= 0, got -1"):
+        call()
+
+
 def test_companion_bivariate_small():
     assert gg_companion_bivariate(18).coeffs[0] == {0: 1}
     res = verify.companion(18)
