@@ -49,6 +49,8 @@ def _parse_parts(text: str) -> tuple[int, ...]:
         return ()
     if text.startswith("["):
         vals = json.loads(text)
+        if not all(type(v) is int for v in vals):
+            raise ValueError(f"partition entries must be integers, got {text}")
     else:
         vals = [int(tok) for tok in text.split(",") if tok.strip()]
     parts = tuple(int(v) for v in vals)

@@ -50,6 +50,27 @@ def _ledger(name: str, before: MarkedPartition, after: MarkedPartition, dw: int,
         )
 
 
+def _label(classify, family: str, mp: MarkedPartition, k: int, r: int, p: int, t: int):
+    """The label of `mp` in the given family at (p, t); a non-member raises."""
+    label = classify(mp, k, r, p, t)
+    if label is None:
+        raise MembershipError(f"{mp.parts} is not in the {family} family at (p,t)=({p},{t})")
+    return label
+
+
+def _transported(name: str, verb: str, classify, mp, out, label, k: int, r: int):
+    """Classify the output `out` of map `name` on `mp` itself, check that it
+    kept the subset and the index of `label`, and return its label."""
+    p, t, j = label.p, label.t, label.j
+    label_out = classify(out, k, r, p, t)
+    if label_out is None or label_out.j != j:
+        got = label_out.j if label_out else None
+        raise GGError(f"{name} moved {mp.parts} from subset {j} to {got} at ({p},{t})")
+    if label_out.index != label.index:
+        raise GGError(f"index transport broke {verb} {mp.parts} at ({p},{t})")
+    return label_out
+
+
 # -- dilation / reduction ----------------------------------------------
 
 
@@ -78,10 +99,7 @@ def _basic_dilation(cur: MarkedPartition, value: int, label: str):
 
 def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Map an lt-family member to its tilde-family image (weight +2l)."""
-    label = classify_lt(mp, k, r, p, t)
-    if label is None:
-        raise MembershipError(f"{mp.parts} is not in the lt family at (p,t)=({p},{t})")
-    l = label.l
+    l = _label(classify_lt, "lt", mp, k, r, p, t).l
     if l == 0:
         return mp, DilationTrace((), ())
     groups = insertion_types(mp, l)
@@ -136,9 +154,11 @@ def _basic_reduction(cur: MarkedPartition, value: int, label: str):
 
 def reduce(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Map a tilde-family member back to the lt family (weight -2l)."""
-    label = classify_sim(mp, k, r, p, t)
-    if label is None:
-        raise MembershipError(f"{mp.parts} is not in the tilde family at (p,t)=({p},{t})")
+    return _reduce(mp, _label(classify_sim, "tilde", mp, k, r, p, t))
+
+
+def _reduce(mp: MarkedPartition, label):
+    """`reduce` of a member whose tilde label is `label`."""
     l = label.l
     if l == 0:
         return mp, DilationTrace((), ())
@@ -167,9 +187,7 @@ def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     Returns (result, intermediates); the two re-marking kinds expose their
     midpoint partition as the single intermediate.
     """
-    label = classify_sim(mp, k, r, p, t)
-    if label is None:
-        raise MembershipError(f"{mp.parts} is not in the tilde family at (p,t)=({p},{t})")
+    label = _label(classify_sim, "tilde", mp, k, r, p, t)
     j, l = label.j, label.l
     odd = 2 * t + 1
     row = mp.row_values(2)
@@ -226,12 +244,7 @@ def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
             [(row[i - 1] + 2, False) for i in range(p2, p1)],
         )
     _ledger("insert_odd", mp, out, 2 * (p - l) + 2 * t + 1, 1)
-    label_out = classify_eq(out, k, r, p, t)
-    if label_out is None or label_out.j != j:
-        got = label_out.j if label_out else None
-        raise GGError(f"insert_odd moved {mp.parts} from subset {j} to {got} at ({p},{t})")
-    if label_out.index != label.index:
-        raise GGError(f"index transport broke inserting into {mp.parts} at ({p},{t})")
+    _transported("insert_odd", "inserting into", classify_eq, mp, out, label, k, r)
     return out, mid
 
 
@@ -260,10 +273,13 @@ def insert_odd(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedPar
 
 def separate_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Remove the odd part 2t+1 from an eq-family member (inverse insertion)."""
-    label = classify_eq(mp, k, r, p, t)
-    if label is None:
-        raise MembershipError(f"{mp.parts} is not in the eq family at (p,t)=({p},{t})")
-    j, l = label.j, label.l
+    return _separate_odd(mp, k, r, _label(classify_eq, "eq", mp, k, r, p, t))[:2]
+
+
+def _separate_odd(mp: MarkedPartition, k: int, r: int, label):
+    """`separate_odd_trace` of a member whose eq label is `label`; returns
+    (out, intermediates, the tilde label of out)."""
+    j, p, t, l = label.j, label.p, label.t, label.l
     odd = 2 * t + 1
     row = mp.row_values(2)
     mid: tuple[MarkedPartition, ...] = ()
@@ -323,15 +339,7 @@ def separate_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
             [(row[i - 1], False) for i in range(s + 1, p + 2)],
         )
     _ledger("separate_odd", mp, out, -(2 * (p - l) + 2 * t + 1), -1)
-    label_out = classify_sim(out, k, r, p, t)
-    if label_out is None or label_out.j != j:
-        got = label_out.j if label_out else None
-        raise GGError(
-            f"separate_odd moved {mp.parts} from subset {j} to {got} at ({p},{t})"
-        )
-    if label_out.index != label.index:
-        raise GGError(f"index transport broke separating {mp.parts} at ({p},{t})")
-    return out, mid
+    return out, mid, _transported("separate_odd", "separating", classify_sim, mp, out, label, k, r)
 
 
 def _small_mark_not_2(mp: MarkedPartition, value: int) -> int:
@@ -367,8 +375,8 @@ def phi_pt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedPartiti
 
 def psi_pt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedPartition:
     """Reduction composed with separation: eq family -> lt family."""
-    mu = separate_odd(mp, k, r, p, t)
-    out, _ = reduce(mu, k, r, p, t)
+    mu, _, sim = _separate_odd(mp, k, r, _label(classify_eq, "eq", mp, k, r, p, t))
+    out, _ = _reduce(mu, sim)
     _ledger("psi_pt", mp, out, -(2 * p + 2 * t + 1), -1)
     return out
 

@@ -29,33 +29,28 @@ from .errors import InvalidSpecialPartition, MissingEntryError
 _EMPTY: frozenset = frozenset()
 
 
-def _conflict_marks(marks_at: dict, value: int) -> set:
-    """Marks forbidden for `value` given the parts marked so far."""
-    used = set(marks_at.get(value, _EMPTY))
-    used |= marks_at.get(value - 1, _EMPTY)
-    if value % 2 == 0:
-        used |= marks_at.get(value - 2, _EMPTY)
-    return used
-
-
-def _assign(entries: Sequence[tuple[int, bool]]) -> list[tuple[int, int, bool]]:
+def _assign(pairs: Sequence[tuple[int, bool]]) -> tuple[dict, Optional[tuple[int, int]]]:
     """Run the greedy assignment over (value, overlined) pairs.
 
-    Parts are processed by ascending value, plain before overlined and equal
-    entries in input order; the overlined copy starts its mark search at 2.
-    Returns (value, mark, overlined) triples in input order.
+    Parts are processed by ascending value, plain copies before the
+    overlined one, which starts its mark search at 2.  Returns the
+    {value: frozenset(marks)} map and the (value, mark) of the overlined
+    copy, or None.
     """
-    marks_at: dict[int, set] = {}
-    out: list = [None] * len(entries)
-    for i in sorted(range(len(entries)), key=entries.__getitem__):
-        value, over = entries[i]
-        used = _conflict_marks(marks_at, value)
+    marks_at: dict[int, frozenset] = {}
+    overline = None
+    for value, over in sorted(pairs):
+        taken = marks_at.get(value, _EMPTY)
+        used = taken | marks_at.get(value - 1, _EMPTY)
+        if value % 2 == 0:
+            used |= marks_at.get(value - 2, _EMPTY)
         mark = 2 if over else 1
         while mark in used:
             mark += 1
-        marks_at.setdefault(value, set()).add(mark)
-        out[i] = (value, mark, over)
-    return out
+        marks_at[value] = taken | {mark}
+        if over:
+            overline = (value, mark)
+    return marks_at, overline
 
 
 class MarkedPartition:
@@ -68,28 +63,20 @@ class MarkedPartition:
     largest odd part, or 0 when there is none.
     """
 
-    __slots__ = ("parts", "entries", "rows", "overline", "largest_odd", "_marks_at", "_counts", "_memo")
+    __slots__ = ("parts", "entries", "rows", "overline", "largest_odd", "_marks_at", "_memo")
 
     def __init__(self, pairs: Sequence[tuple[int, bool]]):
-        entries = tuple(sorted(_assign(pairs), key=lambda e: (-e[0], e[1])))
-        self.entries = entries
-        self.parts = tuple(v for v, _, _ in entries)
-        nrows = max((m for _, m, _ in entries), default=0)
-        rows: list[list[int]] = [[] for _ in range(nrows)]
-        marks_at: dict[int, set] = {}
-        counts: dict[int, int] = {}
-        overline = None
-        for value, mark, over in entries:
+        marks_at, overline = _assign(pairs)
+        values = sorted(marks_at, reverse=True)
+        self.entries = tuple((v, m, (v, m) == overline) for v in values for m in sorted(marks_at[v]))
+        self.parts = tuple(v for v, _, _ in self.entries)
+        rows: list[list[int]] = [[] for _ in range(max(map(max, marks_at.values()), default=0))]
+        for value, mark, _ in self.entries:
             rows[mark - 1].append(value)
-            marks_at.setdefault(value, set()).add(mark)
-            counts[value] = counts.get(value, 0) + 1
-            if over:
-                overline = (value, mark)
-        self.rows = tuple(tuple(row) for row in rows)
+        self.rows = tuple(map(tuple, rows))
         self.overline = overline
-        self.largest_odd = next((v for v in self.parts if v % 2), 0)
-        self._marks_at = {v: frozenset(s) for v, s in marks_at.items()}
-        self._counts = counts
+        self.largest_odd = next((v for v in values if v % 2), 0)
+        self._marks_at = marks_at
         self._memo: dict = {}
 
     # -- basic views ---------------------------------------------------
@@ -125,10 +112,10 @@ class MarkedPartition:
         return max(self._marks_at.get(value, _EMPTY), default=0)
 
     def count(self, value) -> int:
-        return self._counts.get(value, 0)
+        return len(self._marks_at.get(value, _EMPTY))
 
     def has_part(self, value) -> bool:
-        return value in self._counts
+        return value in self._marks_at
 
     def has(self, value, mark) -> bool:
         return mark in self._marks_at.get(value, _EMPTY)

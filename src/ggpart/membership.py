@@ -133,6 +133,7 @@ def row_counts(mp: MarkedPartition, upto: int) -> tuple[int, ...]:
 
 def all_partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Every partition of n, parts non-increasing, in descending-lex order."""
+    require_nonnegative(n=n)
     if n == 0:
         yield ()
         return

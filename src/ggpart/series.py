@@ -66,6 +66,7 @@ class TruncatedSeries:
     def __init__(self, coeffs: Sequence[int], qmax: Optional[int] = None):
         if qmax is None:
             qmax = len(coeffs) - 1
+        require_nonnegative(qmax=qmax)
         c = list(coeffs[: qmax + 1]) + [0] * max(0, qmax + 1 - len(coeffs))
         self.qmax = qmax
         self.coeffs = tuple(int(x) for x in c)
@@ -101,6 +102,7 @@ class BivariateSeries:
     def __init__(self, coeffs: Sequence[dict], qmax: Optional[int] = None):
         if qmax is None:
             qmax = len(coeffs) - 1
+        require_nonnegative(qmax=qmax)
         cs = [dict(coeffs[n]) if n < len(coeffs) else {} for n in range(qmax + 1)]
         self.qmax = qmax
         self.coeffs = tuple(

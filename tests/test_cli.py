@@ -212,6 +212,13 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     assert "usage:" in err and "must be >= 0, got -1" in err
 
 
+@pytest.mark.parametrize("text", ["[[1]]", "[1.5]", "[true]", '["3"]', "[4, null]"])
+def test_mark_rejects_non_integer_parts(capsys, text):
+    code, out, err = run(capsys, "mark", "--parts", text)
+    assert code == 2 and out == ""
+    assert err == f"error: partition entries must be integers, got {text}\n"
+
+
 def test_mark_without_input_says_why(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mark"])

@@ -107,10 +107,14 @@ def test_phi_on_empty():
 
 @pytest.mark.parametrize(
     "fn, src, want",
-    [(dilate, "pi1", (1, 0)), (insert_odd, "mu", (1, 1)), (separate_odd, "pi2", (1, 1)), (reduce, "mu", (1, 0))],
+    [
+        (dilate, "pi1", (1, 0)), (insert_odd, "mu", (1, 1)), (separate_odd, "pi2", (1, 1)), (reduce, "mu", (1, 0)),
+        (psi_pt, "pi2", (1, 1)), (phi_pt, "pi1", (2, 1)),
+    ],
 )
 def test_each_map_classifies_once(monkeypatch, fn, src, want):
-    # one membership pass for the input, plus one for the output a map checks
+    # one membership pass for the input, plus one for the output a map checks;
+    # psi_pt's reduction reads the label of separation's output check
     calls = {"_member_lt": 0, "_member_eq": 0}
     for name in calls:
         real = getattr(classify, name)

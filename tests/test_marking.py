@@ -66,6 +66,16 @@ def _assert_canonical(mp):
         for lower in range(floor, mark):
             assert lower in used, (mp.parts, value, mark, lower)
         marks_at.setdefault(value, set()).add(mark)
+    # the views read off the one value -> marks map
+    assert list(mp.entries) == sorted(mp.entries, key=lambda e: (-e[0], e[1]))
+    assert mp.parts == tuple(v for v, _, _ in mp.entries)
+    for i, row in enumerate(mp.rows, 1):
+        assert row == tuple(v for v, m, _ in mp.entries if m == i)
+    for v in range(0, (mp.parts[0] if mp.parts else 0) + 3):
+        assert mp.marks_of(v) == marks_at.get(v, set())
+        assert mp.count(v) == len(mp.marks_of(v)) == mp.parts.count(v)
+        assert mp.has_part(v) == (v in mp.parts)
+    assert [(v, m) for v, m, over in mp.entries if over] == ([mp.overline] if mp.overline else [])
 
 
 def test_greedy_rule_exhaustive():

@@ -156,8 +156,12 @@ def test_enumerate_B_edge_bounds(params, n, want):
         lambda: enumerate_I(-1, 1),
         lambda: enumerate_I(0, -1),
         lambda: enumerate_F33(-1),
+        lambda: list(all_partitions(-1)),
     ],
-    ids=["enumerate_B", "enumerate_C", "enumerate_I floor", "enumerate_I max_weight", "enumerate_F33"],
+    ids=[
+        "enumerate_B", "enumerate_C", "enumerate_I floor", "enumerate_I max_weight", "enumerate_F33",
+        "all_partitions",
+    ],
 )
 def test_negative_bounds_rejected(call):
     with pytest.raises(ValueError, match="must be >= 0, got -"):

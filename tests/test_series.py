@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ggpart import (
+    BivariateSeries,
     BressoudParams,
     TruncatedSeries,
     bressoud_multisum,
@@ -143,11 +144,14 @@ GG33 = BressoudParams((1,), 2, 3, 3)
         lambda: verify.cell(4, 3, -1, 2),
         lambda: verify.cell(4, 3, 8, -1),
         lambda: verify.members_by_weight(3, 3, -1),
+        lambda: TruncatedSeries([1, 2, 3], -1),
+        lambda: BivariateSeries([{0: 1}], -1),
     ],
     ids=[
         "bressoud_product", "bressoud_multisum", "gg_companion_bivariate", "kursungoz_cell",
         "verify.conjecture", "verify.product", "verify.sum_product", "verify.companion",
         "verify.cell qmax", "verify.cell max_n1", "verify.members_by_weight",
+        "TruncatedSeries", "BivariateSeries",
     ],
 )
 def test_negative_bounds_rejected(call):
