@@ -7,8 +7,13 @@ clause; stronger structural facts that follow from the definitions live in
 the test suite, never in the implementation, so each one stays falsifiable.
 Row 2 is read as plain ints: where the paper reads r2(0) = +inf or
 r2(N2 + 1) = -inf, a clause tests the index instead (`p == 0 or ...`).
-The only caches are the per-partition starting profile and cluster runs,
-which several procedures share.
+The only caches are per partition: the starting profile and cluster runs,
+which several procedures share, and one label slot per family ("lt",
+"sim", "eq") holding the last label derived and its (k, r, p, t).  The slot
+skips only the clause pass, never the membership test: every call tests
+membership, and a member asked again at the slot's key gets the stored
+label.  So a map's output check and the next map's input label, or
+`classify_lt` and then `classify_sim`, derive the label once.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
 "s3" (plus "untyped", which is propagated, never guessed over); group types
@@ -46,7 +51,7 @@ class StartingProfile:
         return self.types[i - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubsetLabel:
     """One classification of a family member at (p, t).
 
@@ -190,11 +195,25 @@ def _member_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     return True
 
 
+def _derived(mp: MarkedPartition, family: str, k: int, r: int, p: int, t: int):
+    """The label of a member in `family` at (p, t): the family's slot on `mp`
+    if it holds this (k, r, p, t), else a fresh clause pass, which replaces it."""
+    key = (k, r, p, t)
+    slot = mp._memo.get(family)
+    if slot is not None and slot[0] == key:
+        return slot[1]
+    label = _CLAUSES[family](mp, k, r, p, t)
+    mp._memo[family] = (key, label)
+    return label
+
+
 def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the below-threshold family, or None if not a member."""
     _check_kr(k, r)
-    if not _member_lt(mp, k, r, p, t):
-        return None
+    return _derived(mp, "lt", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
+
+
+def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
     prof = starting_profile(mp)
     row = mp.row_values(2)
     v = row[p - 1] if p else None
@@ -273,15 +292,14 @@ def _insertion_index(mp: MarkedPartition, p: int, t: int, j: int) -> int:
 
 
 def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
-    if p < 0 or t < 0:
+    # The largest odd part fixes t, so most probes stop here; then the bracket.
+    if p < 0 or t < 0 or mp.largest_odd != 2 * t + 1:
         return False
-    row = mp.row_values(2)  # bracket first, as in _member_lt
+    row = mp.row_values(2)
     n2 = len(row)
     if p > n2:
         return False
     if (p < n2 and row[p] > 2 * t + 2) or (p > 0 and row[p - 1] < 2 * t + 2):
-        return False
-    if mp.largest_odd != 2 * t + 1:
         return False
     if not is_in_C(mp, k, r):
         return False
@@ -318,8 +336,10 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
 def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the equality family, or None if not a member."""
     _check_kr(k, r)
-    if not _member_eq(mp, k, r, p, t):
-        return None
+    return _derived(mp, "eq", k, r, p, t) if _member_eq(mp, k, r, p, t) else None
+
+
+def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
     prof = starting_profile(mp)
     row = mp.row_values(2)
     n2 = len(row)
@@ -518,8 +538,12 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
     The first five subsets key on the reduction type of the part at index p;
     the rest refine the lt subsets by the reduction type at the threshold.
     """
-    base = classify_lt(mp, k, r, p, t)
-    return None if base is None else _refine_sim(mp, k, r, p, t, base)
+    _check_kr(k, r)
+    return _derived(mp, "sim", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
+
+
+def _sim_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
+    return _refine_sim(mp, k, r, p, t, _derived(mp, "lt", k, r, p, t))
 
 
 def _refine_sim(
@@ -557,6 +581,9 @@ def _refine_sim(
     if not hits:
         return None
     return SubsetLabel("sim", hits[0], p, t, base.index, l)
+
+
+_CLAUSES = {"lt": _lt_clauses, "sim": _sim_clauses, "eq": _eq_clauses}
 
 
 # -- decompositions ----------------------------------------------------

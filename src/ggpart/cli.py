@@ -43,17 +43,21 @@ def nonnegative(text: str) -> int:
     return value
 
 
-def _parse_parts(text: str) -> tuple[int, ...]:
+def _parse_parts(text: str, option: str) -> tuple[int, ...]:
+    """A partition from a comma list or a JSON array given to `option`."""
     text = text.strip()
     if not text or text == "[]":
         return ()
-    if text.startswith("["):
-        vals = json.loads(text)
-        if not all(type(v) is int for v in vals):
-            raise ValueError(f"partition entries must be integers, got {text}")
-    else:
-        vals = [int(tok) for tok in text.split(",") if tok.strip()]
-    parts = tuple(int(v) for v in vals)
+    try:
+        if text.startswith("["):
+            vals = json.loads(text)
+        else:
+            vals = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
+        raise ValueError(f"{option}: cannot read {text!r} as a partition ({exc})") from None
+    if not all(type(v) is int for v in vals):
+        raise ValueError(f"partition entries must be integers, got {text}")
+    parts = tuple(vals)
     if list(parts) != sorted(parts, reverse=True):
         print("note: parts were not non-increasing; sorting", file=sys.stderr)
     return tuple(sorted(parts, reverse=True))
@@ -65,7 +69,7 @@ def _input_partition(args) -> tuple[tuple[int, ...], int | None]:
     if args.parts is None:
         print("error: give --parts or --fixture", file=sys.stderr)
         raise SystemExit(2)
-    return _parse_parts(args.parts), getattr(args, "overline", None)
+    return _parse_parts(args.parts, "--parts"), getattr(args, "overline", None)
 
 
 def _emit(obj, fmt: str) -> None:
@@ -143,7 +147,7 @@ def cmd_map(args) -> int:
         print(f"error: --op {args.op} needs -m", file=sys.stderr)
         return 2
     if args.op == "phi":
-        zeta = _parse_parts(args.zeta or "")
+        zeta = _parse_parts(args.zeta or "", "--zeta")
         out = maps.phi_global(parts, zeta)
         result: dict = {"partition": list(out.parts)}
     elif args.op == "psi":

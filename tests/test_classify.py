@@ -1,4 +1,5 @@
 import importlib
+import random
 
 import pytest
 
@@ -336,6 +337,26 @@ def test_classifier_never_touches_a_sentinel():
                 if (k, r) == (3, 3):
                     find_m_eq33(mp)
     assert at_zero == {"lt", "sim", "eq"}
+
+
+@pytest.mark.parametrize("checks", [True, False], ids=["debug", "nodebug"])
+def test_label_slots_never_return_a_stale_label(monkeypatch, checks):
+    # one object takes every probe in a seeded shuffled order, each probe under
+    # the three (k, r) back to back; a new object answers each call afresh
+    monkeypatch.setattr(debug, "_enabled", checks)
+    krs = [(3, 3), (4, 3), (4, 4)]
+    families = (classify_lt, classify_sim, classify_eq)
+    rng = random.Random(20260)
+    members = {mp.parts for kr in krs for ms in c_members(*kr, 16).values() for mp in ms}
+    for parts in sorted(members):
+        pairs = [(v, False) for v in parts]
+        mp = MarkedPartition(pairs)
+        probes = [(f, p, t) for f in families for p, t in _probe_grid(mp)]
+        rng.shuffle(probes)
+        for family, p, t in probes:
+            for k, r in krs if rng.random() < 0.5 else krs[::-1]:
+                want = family(MarkedPartition(pairs), k, r, p, t)
+                assert family(mp, k, r, p, t) == want, (parts, family.__name__, k, r, p, t)
 
 
 def _fresh(parts):

@@ -219,6 +219,27 @@ def test_mark_rejects_non_integer_parts(capsys, text):
     assert err == f"error: partition entries must be integers, got {text}\n"
 
 
+@pytest.mark.parametrize(
+    "option, text, why",
+    [
+        ("--parts", "[1,", "Expecting value"),
+        ("--parts", "[1,2", "Expecting ',' delimiter"),
+        ("--parts", "1.5,2", "invalid literal for int()"),
+        ("--parts", "a,b", "invalid literal for int()"),
+        ("--zeta", "[1,", "Expecting value"),
+    ],
+)
+def test_malformed_partition_names_the_option_and_input(capsys, option, text, why):
+    if option == "--parts":
+        argv = ("mark", "--parts", text)
+    else:
+        argv = ("map", "--op", "phi", "--parts", "[]", "--zeta", text)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option}: cannot read '{text}' as a partition (")
+    assert why in err and err.endswith(")\n")
+
+
 def test_mark_without_input_says_why(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["mark"])

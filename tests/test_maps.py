@@ -19,8 +19,8 @@ from ggpart import (
     separate_odd,
     verify,
 )
-from ggpart import classify
-from ggpart.fixtures import FIXTURES, fixture_marked
+from ggpart import MarkedPartition, classify
+from ggpart.fixtures import FIXTURES, fixture_marked, fixture_parts
 from ggpart.maps import insert_odd_trace, separate_odd_trace
 
 from helpers import c_members, e_members, pt_grid
@@ -126,6 +126,51 @@ def test_each_map_classifies_once(monkeypatch, fn, src, want):
         monkeypatch.setattr(classify, name, counted)
     fn(fixture_marked(src), 4, 3, 6, 5)
     assert (calls["_member_lt"], calls["_member_eq"]) == want
+
+
+def _count_clause_passes(monkeypatch):
+    """Patch the three clause-pass markers; returns {name: [partition, ...]}."""
+    calls = {"_insertion_index": [], "_division_index": [], "_refine_sim": []}
+    for name in calls:
+        real = getattr(classify, name)
+
+        def counted(mp, *args, _real=real, _name=name):
+            calls[_name].append(mp)
+            return _real(mp, *args)
+
+        monkeypatch.setattr(classify, name, counted)
+    return calls
+
+
+def _unshared(name):
+    # built here, not through the cached gg_mark, so no earlier label slot is set
+    return MarkedPartition([(v, False) for v in fixture_parts(name)])
+
+
+def test_dilate_reuses_the_probe_label(monkeypatch):
+    pi1 = _unshared("pi1")
+    calls = _count_clause_passes(monkeypatch)
+    assert classify_lt(pi1, 4, 3, 6, 5).j == 6
+    assert dilate(pi1, 4, 3, 6, 5)[0] == MU
+    assert calls == {"_insertion_index": [pi1], "_division_index": [], "_refine_sim": []}
+
+
+def test_sim_after_lt_is_one_refinement(monkeypatch):
+    mu = _unshared("mu")
+    calls = _count_clause_passes(monkeypatch)
+    for _ in range(2):
+        assert classify_lt(mu, 4, 3, 6, 5).j == 6
+        assert classify_sim(mu, 4, 3, 6, 5).j == 6
+    assert calls == {"_insertion_index": [mu], "_division_index": [], "_refine_sim": [mu]}
+
+
+def test_reduce_reuses_the_separation_check(monkeypatch):
+    pi2 = _unshared("pi2")
+    calls = _count_clause_passes(monkeypatch)
+    mu = separate_odd(pi2, 4, 3, 6, 5)
+    assert reduce(mu, 4, 3, 6, 5)[0] == PI1
+    # pi2's eq pass, then separation's output check on mu, which reduce reads
+    assert calls == {"_insertion_index": [mu], "_division_index": [pi2], "_refine_sim": [mu]}
 
 
 def test_round_trips_small_sweep():
