@@ -56,7 +56,7 @@ def _parse_parts(text: str, option: str) -> tuple[int, ...]:
     except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ValueError(f"{option}: cannot read {text!r} as a partition ({exc})") from None
     if not all(type(v) is int for v in vals):
-        raise ValueError(f"partition entries must be integers, got {text}")
+        raise ValueError(f"{option}: partition entries must be integers, got {text}")
     parts = tuple(vals)
     if list(parts) != sorted(parts, reverse=True):
         print("note: parts were not non-increasing; sorting", file=sys.stderr)
@@ -259,15 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seedless", action="store_true", help="deterministic ordering (always on)")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add_partition_opts(p, with_overline=True):
+    def add_partition_opts(p):
         p.add_argument("--parts", "--partition", dest="parts", help="comma list or JSON array")
         p.add_argument("--fixture", choices=fixture_names())
-        if with_overline:
-            p.add_argument("--overline", type=int, help="value carrying the overline")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--overline", type=int, help="value carrying the overline")
 
     p = sub.add_parser("mark", help="print the marking grid")
     add_partition_opts(p)
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(fn=cmd_mark)
 
     p = sub.add_parser("classify", help="family memberships and indexes")
@@ -277,11 +276,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-p", type=int)
     p.add_argument("-t", type=int)
     p.add_argument("-m", type=int)
-    p.set_defaults(fn=cmd_classify, format="json")
+    p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("map", help="apply one of the bijections")
     add_partition_opts(p)
     p.add_argument("--op", required=True, choices=list(_OPS) + ["phi", "psi"])
+    p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-r", type=int, default=3)
     p.add_argument("-p", type=int)
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int)
     p.add_argument("--zeta", help="odd parts to absorb (phi)")
     p.add_argument("--trace", action="store_true", help="print intermediate grids to stderr")
-    p.set_defaults(fn=cmd_map, format="json")
+    p.set_defaults(fn=cmd_map)
 
     p = sub.add_parser("count", help="CSV of member counts by weight")
     p.add_argument("--set", choices=("B", "C", "E"), default="C")

@@ -2,7 +2,7 @@
 
 Each fixture records the expected marking rows (mark -> decreasing values)
 and, where relevant, the overlined value and the family parameters the
-example is classified under.  `fixture_partition` rebuilds the partition
+example is classified under.  `fixture_marked` rebuilds the partition
 from the rows; tests then assert that re-marking reproduces the rows
 exactly.
 """

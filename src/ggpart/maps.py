@@ -5,7 +5,9 @@ insertion index) without touching the length; `insert_odd`/`separate_odd`
 add/remove the odd part 2t+1 and shuffle a cluster of even parts by 2.  Their
 composites `phi_pt`/`psi_pt` realize the one-piece bijection, `phi_m`/`psi_m`
 resolve the unique (p, t) split of m, and `phi_global`/`psi_global` chain the
-m-level maps to absorb a whole partition of distinct odd parts.
+m-level maps to absorb a whole partition of distinct odd parts.  Each
+insertion or separation kind is one or two batches of row-2 move spans
+(`_moves`): a run of row-2 parts shifts by 2 as the odd part goes in or out.
 
 Every step addresses parts by (value, mark) in the current canonical marking
 and re-marks after each batch of replacements; a missing target aborts with
@@ -195,60 +197,52 @@ def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
 
     if j <= 5:
         out = mp.replace([], [(odd, False)])
-    elif j == 6:
-        p1 = cluster_indexes(mp, p)[0]
-        out = mp.replace(
-            [(row[i - 1] - 2, 1, False) for i in range(p1, p + 1)],
-            [(row[i - 1], False) for i in range(p1, p + 1)] + [(odd, False)],
-        )
     elif j == 7:
         p1 = cluster_indexes(mp, p)[0]
         nu = mp.replace([], [(odd, False)])
         mid = (nu,)
-        marks = _descending_marks(nu, [row[i - 1] for i in range(p1, p + 1)])
-        out = nu.replace(
-            [(row[i - 1], marks[i - p1], False) for i in range(p1, p + 1)],
-            [(row[i - 1] + 2, False) for i in range(p1, p + 1)],
-        )
-    elif j == 8:
-        p1 = cluster_indexes(mp, p)[0]
-        out = mp.replace(
-            [(row[i - 1], 2, False) for i in range(p1, p + 1)],
-            [(row[i - 1] + 2, False) for i in range(p1, p + 1)] + [(odd, False)],
-        )
-    elif j in (9, 10):
-        p1 = cluster_indexes(mp, p)[0]
-        out = mp.replace(
-            [(row[i - 1], 1, False) for i in range(p1, p + 1)],
-            [(row[i - 1] + 2, False) for i in range(p1, p + 1)] + [(odd, False)],
-        )
-    elif j == 11:
-        p1, p2 = cluster_indexes(mp, p)[:2]
-        out = mp.replace(
-            [(row[i - 1], 1, False) for i in range(p1, p + 1)]
-            + [(row[i - 1] - 2, 1, False) for i in range(p2, p1)],
-            [(row[i - 1] + 2, False) for i in range(p1, p + 1)]
-            + [(row[i - 1], False) for i in range(p2, p1)]
-            + [(odd, False)],
-        )
-    else:  # j == 12
-        p1, p2 = cluster_indexes(mp, p)[:2]
-        nu = mp.replace(
-            [(row[i - 1], 1, False) for i in range(p1, p + 1)],
-            [(row[i - 1] + 2, False) for i in range(p1, p + 1)] + [(odd, False)],
-        )
-        mid = (nu,)
-        marks = _descending_marks(nu, [row[i - 1] for i in range(p2, p1)])
-        out = nu.replace(
-            [(row[i - 1], marks[i - p2], False) for i in range(p2, p1)],
-            [(row[i - 1] + 2, False) for i in range(p2, p1)],
-        )
+        marks = _descending_marks(nu, row[p1 - 1 : p])
+        out = nu.replace(*_moves(row, (p1, p, 0, 2, marks)))
+    else:
+        clusters = cluster_indexes(mp, p)
+        p1 = clusters[0]
+        if j == 6:
+            spans = [(p1, p, -2, 2, 1)]
+        elif j == 8:
+            spans = [(p1, p, 0, 2, 2)]
+        else:  # 9 to 12 lift the 1-marked parts p1..p first
+            spans = [(p1, p, 0, 2, 1)]
+        if j == 11:
+            spans.append((clusters[1], p1 - 1, -2, 2, 1))
+        removals, additions = _moves(row, *spans)
+        out = mp.replace(removals, additions + [(odd, False)])
+        if j == 12:
+            p2, nu = clusters[1], out
+            mid = (nu,)
+            marks = _descending_marks(nu, row[p2 - 1 : p1 - 1])
+            out = nu.replace(*_moves(row, (p2, p1 - 1, 0, 2, marks)))
     _ledger("insert_odd", mp, out, 2 * (p - l) + 2 * t + 1, 1)
     _transported("insert_odd", "inserting into", classify_eq, mp, out, label, k, r)
     return out, mid
 
 
-def _descending_marks(nu: MarkedPartition, values: list[int]) -> list[int]:
+def _moves(row: tuple[int, ...], *spans) -> tuple[list, list]:
+    """The (removals, additions) of a batch of row-2 move spans.
+
+    A span (lo, hi, frm, by, marks) takes out the copy of row[i-1] + frm
+    that carries `marks` (one mark, or a list with one mark per index from
+    lo) and puts in row[i-1] + frm + by, for i = lo..hi.
+    """
+    removals, additions = [], []
+    for lo, hi, frm, by, marks in spans:
+        for i in range(lo, hi + 1):
+            value = row[i - 1] + frm
+            removals.append((value, marks if isinstance(marks, int) else marks[i - lo], False))
+            additions.append((value + by, False))
+    return removals, additions
+
+
+def _descending_marks(nu: MarkedPartition, values: tuple[int, ...]) -> list[int]:
     """Thread the non-increasing mark chain r_i through `values` (ascending
     index order = descending values): the first pick is the largest mark of
     the last value, each next pick the largest mark <= its successor's."""
@@ -286,58 +280,32 @@ def _separate_odd(mp: MarkedPartition, k: int, r: int, label):
 
     if j <= 5:
         out = mp.replace([(odd, None, False)], [])
-    elif j == 6:
-        out = mp.replace(
-            [(odd, None, False)] + [(row[i - 1], 1, False) for i in range(l + 1, p + 1)],
-            [(row[i - 1] - 2, False) for i in range(l + 1, p + 1)],
-        )
     elif j == 7:
-        marks = {i: _small_mark_not_2(mp, row[i - 1]) for i in range(l + 1, p + 1)}
-        nu = mp.replace(
-            [(row[i - 1], marks[i], False) for i in range(l + 1, p + 1)],
-            [(row[i - 1] - 2, False) for i in range(l + 1, p + 1)],
-        )
+        marks = [_small_mark_not_2(mp, v) for v in row[l:p]]
+        nu = mp.replace(*_moves(row, (l + 1, p, 0, -2, marks)))
         mid = (nu,)
         out = nu.replace([(odd, None, False)], [])
-    elif j == 8:
-        out = mp.replace(
-            [(odd, None, False)] + [(row[i - 1], 2, False) for i in range(l + 1, p + 1)],
-            [(row[i - 1] - 2, False) for i in range(l + 1, p + 1)],
-        )
-    elif j == 9:
-        out = mp.replace(
-            [(odd, None, False)]
-            + [(row[i - 1] + 2, 1, False) for i in range(l + 1, p + 1)],
-            [(row[i - 1], False) for i in range(l + 1, p + 1)],
-        )
-    elif j == 10:
-        out = mp.replace(
-            [(odd, None, False)]
-            + [(row[i - 1] + 2, 1, False) for i in range(l + 2, p + 2)],
-            [(row[i - 1], False) for i in range(l + 2, p + 2)],
-        )
-    elif j == 11:
-        s = _smallest_chain_index(mp, row, p)
-        out = mp.replace(
-            [(odd, None, False)]
-            + [(row[i - 1] + 2, 1, False) for i in range(s, p + 1)]
-            + [(row[i - 1], 1, False) for i in range(l + 1, s)],
-            [(row[i - 1], False) for i in range(s, p + 1)]
-            + [(row[i - 1] - 2, False) for i in range(l + 1, s)],
-        )
-    else:  # j == 12
+    elif j == 12:
         s = _smallest_chain_index(mp, row, p, once=True)
-        marks = {i: _small_mark_not_2(mp, row[i - 1]) for i in range(l + 1, s)}
-        nu = mp.replace(
-            [(row[i - 1], marks[i], False) for i in range(l + 1, s)],
-            [(row[i - 1] - 2, False) for i in range(l + 1, s)],
-        )
+        marks = [_small_mark_not_2(mp, v) for v in row[l : s - 1]]
+        nu = mp.replace(*_moves(row, (l + 1, s - 1, 0, -2, marks)))
         mid = (nu,)
-        out = nu.replace(
-            [(odd, None, False)]
-            + [(row[i - 1] + 2, 1, False) for i in range(s + 1, p + 2)],
-            [(row[i - 1], False) for i in range(s + 1, p + 2)],
-        )
+        removals, additions = _moves(row, (s + 1, p + 1, 2, -2, 1))
+        out = nu.replace([(odd, None, False)] + removals, additions)
+    else:
+        if j == 6:
+            spans = [(l + 1, p, 0, -2, 1)]
+        elif j == 8:
+            spans = [(l + 1, p, 0, -2, 2)]
+        elif j == 9:
+            spans = [(l + 1, p, 2, -2, 1)]
+        elif j == 10:
+            spans = [(l + 2, p + 1, 2, -2, 1)]
+        else:  # j == 11
+            s = _smallest_chain_index(mp, row, p)
+            spans = [(s, p, 2, -2, 1), (l + 1, s - 1, 0, -2, 1)]
+        removals, additions = _moves(row, *spans)
+        out = mp.replace([(odd, None, False)] + removals, additions)
     _ledger("separate_odd", mp, out, -(2 * (p - l) + 2 * t + 1), -1)
     return out, mid, _transported("separate_odd", "separating", classify_sim, mp, out, label, k, r)
 

@@ -212,11 +212,27 @@ def test_negative_bounds_are_usage_errors(capsys, argv):
     assert "usage:" in err and "must be >= 0, got -1" in err
 
 
-@pytest.mark.parametrize("text", ["[[1]]", "[1.5]", "[true]", '["3"]', "[4, null]"])
-def test_mark_rejects_non_integer_parts(capsys, text):
-    code, out, err = run(capsys, "mark", "--parts", text)
+@pytest.mark.parametrize(
+    "option, text",
+    [pytest.param("--parts", t, id=t) for t in ("[[1]]", "[1.5]", "[true]", '["3"]', "[4, null]")]
+    + [pytest.param("--zeta", "[2.5]", id="--zeta [2.5]")],
+)
+def test_mark_rejects_non_integer_parts(capsys, option, text):
+    if option == "--parts":
+        argv = ("mark", "--parts", text)
+    else:
+        argv = ("map", "--op", "phi", "--parts", "[]", "--zeta", text)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err == f"error: partition entries must be integers, got {text}\n"
+    assert err == f"error: {option}: partition entries must be integers, got {text}\n"
+
+
+def test_classify_has_no_format_option(capsys):
+    # classify always prints JSON, so it takes no --format to ignore
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--fixture", "pi1", "-k", "4", "-r", "3", "-p", "6", "-t", "5", "--format", "text"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format text" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from ggpart import (
@@ -195,6 +197,41 @@ def test_round_trips_small_sweep():
                     assert classify_eq(omega, k, r, p, t).index == sim.index
                     assert separate_odd(omega, k, r, p, t) == mu
                     assert psi_pt(omega, k, r, p, t) == mp
+
+
+def test_round_trips_near_the_fixtures():
+    # The sweeps above rarely reach kinds 11 and 12 (never 12 at (4,3)), so
+    # walk out from the worked examples: two rounds of phi_pt/psi_pt over
+    # every (p, t) of every member not yet visited, queueing each image.
+    k, r = 4, 3
+    frontier = [fixture_marked(n) for n in sorted(FIXTURES) if "overline" not in FIXTURES[n]]
+    assert len(frontier) == 22
+    visited, weights, kinds, bwd = set(), [], Counter(), 0
+    for _ in range(2):
+        queue = []
+        for x in frontier:
+            if x in visited:
+                continue
+            visited.add(x)
+            weights.append(x.weight)
+            for p in range(x.N(2) + 1):
+                for t in range(x.parts[0] // 2 + 3):
+                    label = classify_lt(x, k, r, p, t)
+                    if label is not None:
+                        y = phi_pt(x, k, r, p, t)
+                        assert psi_pt(y, k, r, p, t) == x
+                        kinds[label.j] += 1
+                        queue.append(y)
+                    if classify_eq(x, k, r, p, t) is not None:
+                        w = psi_pt(x, k, r, p, t)
+                        assert phi_pt(w, k, r, p, t) == x
+                        bwd += 1
+                        queue.append(w)
+        frontier = queue
+    assert (len(visited), min(weights), max(weights)) == (188, 38, 621)
+    assert (sum(kinds.values()), bwd) == (924, 178)
+    assert sorted(kinds) == list(range(1, 13))
+    assert (kinds[11], kinds[12]) == (47, 23)
 
 
 def test_m_level_maps():
