@@ -3,7 +3,6 @@ parameterized families, with exact q-series checks for the associated
 generating-function identities."""
 
 from .classify import (
-    GroupTypes,
     StartingProfile,
     SubsetLabel,
     classify_eq,

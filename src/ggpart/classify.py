@@ -16,9 +16,9 @@ label.  So a map's output check and the next map's input label, or
 `classify_lt` and then `classify_sim`, derive the label once.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
-"s3" (plus "untyped", which is propagated, never guessed over); group types
-for the reduction and insertion procedures use the labels "A1", "A2", "A3",
-"B", "C".
+"s3" (plus "untyped", which is propagated, never guessed over).  The
+reduction and insertion typings cut the row-2 indexes 1..l into typed runs,
+tuples (lo, hi, label) with a label "A1", "A2", "A3", "B" or "C".
 """
 
 from __future__ import annotations
@@ -67,23 +67,6 @@ class SubsetLabel:
     l: int
 
 
-@dataclass(frozen=True)
-class GroupTypes:
-    """Partition of row-2 indexes 1..l into typed contiguous groups."""
-
-    kind: str  # "reduction" | "insertion"
-    groups: tuple[tuple[int, int, str], ...]  # (lo, hi, label), lo <= hi
-
-    def group_of(self, i: int) -> tuple[int, int, str]:
-        for g in self.groups:
-            if g[0] <= i <= g[1]:
-                return g
-        raise KeyError(f"index {i} not covered by {self.kind} groups {self.groups}")
-
-    def label_of(self, i: int) -> str:
-        return self.group_of(i)[2]
-
-
 def _has1(mp: MarkedPartition, value: int) -> bool:
     return 1 in mp.marks_of(value)
 
@@ -99,14 +82,9 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
     if cached is not None:
         return cached
     row = mp.row_values(2)
-    n2 = len(row)
-    threshold = 0
-    for i in range(1, n2 + 1):
-        if mp.largest_odd >= row[i - 1]:
-            break
-        threshold = i
-    types: list[str] = [S_MINUS1] * n2
-    anchors: list[Optional[int]] = [None] * n2
+    threshold = _threshold(mp, mp.largest_odd)
+    types: list[str] = [S_MINUS1] * len(row)
+    anchors: list[Optional[int]] = [None] * len(row)
     prev_anchor: Optional[int] = None
     for b in range(1, threshold + 1):
         v = row[b - 1]
@@ -173,7 +151,8 @@ def _check_kr(k: int, r: int) -> None:
 
 
 def _member_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
-    # Bracket first: at most two t pass it per p.  Row-2 index 0 is +inf, N2 + 1 is -inf.
+    # Bracket first: max(row[p], largest_odd) < 2t+1 < row[p-1].  Row-2 index 0
+    # is +inf, N2 + 1 is -inf.
     if p < 0 or t < 0:
         return False
     row = mp.row_values(2)
@@ -447,7 +426,7 @@ def _division_index(mp: MarkedPartition, p: int, t: int, j: int, chain: list[int
     )
 
 
-# -- group typings -----------------------------------------------------
+# -- typed runs --------------------------------------------------------
 
 
 def _reduction_label(mp, prof, row, s, e) -> Optional[str]:
@@ -466,11 +445,12 @@ def _reduction_label(mp, prof, row, s, e) -> Optional[str]:
     return None
 
 
-def reduction_types(mp: MarkedPartition, l: int) -> GroupTypes:
-    """Group the indexes 1..l above the insertion threshold, smallest index first."""
+def reduction_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], ...]:
+    """Typed runs (lo, hi, label) of the indexes 1..l above the insertion
+    threshold, smallest index first."""
     prof = starting_profile(mp)
     row = mp.row_values(2)
-    groups: list[tuple[int, int, str]] = []
+    runs: list[tuple[int, int, str]] = []
     s = 1
     while s <= l:
         e_max = s
@@ -479,14 +459,14 @@ def reduction_types(mp: MarkedPartition, l: int) -> GroupTypes:
         for e in range(e_max, s - 1, -1):
             lab = _reduction_label(mp, prof, row, s, e)
             if lab is not None:
-                groups.append((s, e, lab))
+                runs.append((s, e, lab))
                 s = e + 1
                 break
         else:
             raise ClassificationError(
                 f"untyped reduction group starting at index {s} of {mp.parts}"
             )
-    return GroupTypes("reduction", tuple(groups))
+    return tuple(runs)
 
 
 def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
@@ -509,11 +489,12 @@ def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
     return None
 
 
-def insertion_types(mp: MarkedPartition, l: int) -> GroupTypes:
-    """Group the indexes 1..l above the insertion threshold, largest index first."""
+def insertion_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], ...]:
+    """Typed runs (lo, hi, label) of the indexes 1..l above the insertion
+    threshold, largest index first."""
     prof = starting_profile(mp)
     row = mp.row_values(2)
-    groups: list[tuple[int, int, str]] = []
+    runs: list[tuple[int, int, str]] = []
     e = l
     while e >= 1:
         s_min = e
@@ -522,14 +503,14 @@ def insertion_types(mp: MarkedPartition, l: int) -> GroupTypes:
         for s in range(s_min, e + 1):
             lab = _insertion_label(mp, prof, row, s, e)
             if lab is not None:
-                groups.append((s, e, lab))
+                runs.append((s, e, lab))
                 e = s - 1
                 break
         else:
             raise ClassificationError(
                 f"untyped insertion group ending at index {e} of {mp.parts}"
             )
-    return GroupTypes("insertion", tuple(groups))
+    return tuple(runs)
 
 
 def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
@@ -553,26 +534,20 @@ def _refine_sim(
     row = mp.row_values(2)
     v = row[p - 1] if p else None
     l = base.l
-    red = reduction_types(mp, l)
-
-    def red_label(i: int) -> Optional[str]:
-        if 1 <= i <= l:
-            return red.label_of(i)
-        return None
-
+    red = {i: lab for lo, hi, lab in reduction_types(mp, l) for i in range(lo, hi + 1)}
     hits = []
     if p == 0 or v >= 2 * t + 8:
         hits.append(1)
-    if v == 2 * t + 6 and red_label(p) in ("A1", "A2", "B") and not mp.has_part(2 * t + 2):
+    if v == 2 * t + 6 and red.get(p) in ("A1", "A2", "B") and not mp.has_part(2 * t + 2):
         hits.append(2)
-    if v == 2 * t + 6 and red_label(p) == "A1" and mp.has_part(2 * t + 2):
+    if v == 2 * t + 6 and red.get(p) == "A1" and mp.has_part(2 * t + 2):
         hits.append(3)
-    if v == 2 * t + 6 and red_label(p) == "C" and not mp.has_part(2 * t + 2):
+    if v == 2 * t + 6 and red.get(p) == "C" and not mp.has_part(2 * t + 2):
         hits.append(4)
-    if v == 2 * t + 4 and red_label(p) == "A1":
+    if v == 2 * t + 4 and red.get(p) == "A1":
         hits.append(5)
     if base.j >= 6:
-        if l == 0 or row[l - 1] != base.index + 4 or red_label(l) == "A1":
+        if l == 0 or row[l - 1] != base.index + 4 or red.get(l) == "A1":
             hits.append(base.j)
     if len(hits) > 1:
         raise ClassificationError(
@@ -589,41 +564,36 @@ _CLAUSES = {"lt": _lt_clauses, "sim": _sim_clauses, "eq": _eq_clauses}
 # -- decompositions ----------------------------------------------------
 
 
+def _find_pt(member, family: str, mp: MarkedPartition, k: int, r: int, m: int):
+    """Unique (p, t) with p + t = m at which `member` places mp in `family`, if any."""
+    _check_kr(k, r)
+    hits = [(p, m - p) for p in range(0, min(m, mp.N(2)) + 1) if member(mp, k, r, p, m - p)]
+    if len(hits) > 1:
+        raise UniquenessError(f"{mp.parts} sits in the {family} family at {hits} for m={m}")
+    return hits[0] if hits else None
+
+
 def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
     """Unique (p, t) with p + t = m placing mp in the lt family, if any."""
-    _check_kr(k, r)
-    hits = [(p, m - p) for p in range(0, min(m, mp.N(2)) + 1) if _member_lt(mp, k, r, p, m - p)]
-    if len(hits) > 1:
-        raise UniquenessError(f"{mp.parts} sits in the lt family at {hits} for m={m}")
-    return hits[0] if hits else None
+    return _find_pt(_member_lt, "lt", mp, k, r, m)
 
 
 def find_pt_eq(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
     """Unique (p, t) with p + t = m placing mp in the eq family, if any."""
-    _check_kr(k, r)
-    hits = [(p, m - p) for p in range(0, min(m, mp.N(2)) + 1) if _member_eq(mp, k, r, p, m - p)]
-    if len(hits) > 1:
-        raise UniquenessError(f"{mp.parts} sits in the eq family at {hits} for m={m}")
-    return hits[0] if hits else None
+    return _find_pt(_member_eq, "eq", mp, k, r, m)
 
 
 def find_m_eq33(mp: MarkedPartition) -> Optional[int]:
     """The unique m placing a k=r=3 member with odd parts in the eq family.
 
-    Constructive: t comes from the largest odd part, l from the row-2 walk,
-    and the boundary case (part 2t+2 at the walk's end, starting type s0)
-    shifts p down by one.  Returns None when no odd part exists.
+    The largest odd part fixes t, and m = p + t for the one p at which mp is
+    an eq-family member; no such p, or two, raises.  Returns None when no
+    odd part exists.
     """
     if not mp.largest_odd:
         return None
     t = (mp.largest_odd - 1) // 2
-    l = _threshold(mp, 2 * t + 1)
-    prof = starting_profile(mp)
-    if l >= 1 and mp.row_values(2)[l - 1] == 2 * t + 2 and prof.type_at(l) == S0:
-        p = l - 1
-    else:
-        p = l
-    m = p + t
-    if debug.enabled() and not _member_eq(mp, 3, 3, p, t):
-        raise ClassificationError(f"constructed (p,t)=({p},{t}) rejected for {mp.parts}")
-    return m
+    hits = [p for p in range(mp.N(2) + 1) if _member_eq(mp, 3, 3, p, t)]
+    if len(hits) != 1:
+        raise ClassificationError(f"{mp.parts} is an eq member at t={t} for p in {hits}")
+    return hits[0] + t

@@ -72,18 +72,15 @@ def _input_partition(args) -> tuple[tuple[int, ...], int | None]:
     return _parse_parts(args.parts, "--parts"), getattr(args, "overline", None)
 
 
-def _emit(obj, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(obj, sort_keys=True))
-    else:
-        print(obj)
+def _print_json(obj) -> None:
+    print(json.dumps(obj, sort_keys=True))
 
 
 def cmd_mark(args) -> int:
     parts, over = _input_partition(args)
     mp = gg_mark_special(parts, over)
     if args.format == "json":
-        _emit(marked_to_dict(mp), "json")
+        _print_json(marked_to_dict(mp))
     else:
         print(render_grid(mp))
     return 0
@@ -101,7 +98,7 @@ def cmd_classify(args) -> int:
         out["m"] = args.m
         out["lt"] = find_pt_lt(mp, k, r, args.m)
         out["eq"] = find_pt_eq(mp, k, r, args.m)
-        _emit(out, "json")
+        _print_json(out)
         return 0
     if args.p is None or args.t is None:
         print("error: classify needs -p and -t, or -m", file=sys.stderr)
@@ -121,7 +118,7 @@ def cmd_classify(args) -> int:
     if eq:
         fams["eq"] = {"j": eq.j, "index": eq.index}
     out["families"] = fams
-    _emit(out, "json")
+    _print_json(out)
     return 0
 
 
@@ -135,14 +132,14 @@ _OPS = {
     "phi-m": lambda mp, a: (maps.phi_m(mp, a.k, a.r, a.m), None),
     "psi-m": lambda mp, a: (maps.psi_m(mp, a.k, a.r, a.m), None),
 }
+_PT_OPS = ("dilate", "reduce", "insert", "separate", "phi-pt", "psi-pt")  # the ops at one (p, t)
 
 
 def cmd_map(args) -> int:
     parts, over = _input_partition(args)
-    if args.op in ("dilate", "reduce", "insert", "separate", "phi-pt", "psi-pt"):
-        if args.p is None or args.t is None:
-            print(f"error: --op {args.op} needs -p and -t", file=sys.stderr)
-            return 2
+    if args.op in _PT_OPS and (args.p is None or args.t is None):
+        print(f"error: --op {args.op} needs -p and -t", file=sys.stderr)
+        return 2
     if args.op in ("phi-m", "psi-m") and args.m is None:
         print(f"error: --op {args.op} needs -m", file=sys.stderr)
         return 2
@@ -163,19 +160,22 @@ def cmd_map(args) -> int:
             for step in trace.steps:
                 print(render_grid(step), file=sys.stderr)
                 print("--", file=sys.stderr)
-    if args.op in ("dilate", "reduce", "insert", "separate", "phi-pt", "psi-pt"):
+    if args.op in _PT_OPS:
         result["p"], result["t"] = args.p, args.t
     if args.format == "text":
         print(render_grid(out))
         if "zeta" in result:
             print("zeta:", ",".join(str(z) for z in result["zeta"]))
     else:
-        _emit(result, "json")
+        _print_json(result)
     return 0
 
 
 def _params_from(args) -> BressoudParams:
-    alphas = tuple(int(a) for a in args.alphas.split(",") if a.strip()) if args.alphas else ()
+    try:
+        alphas = tuple(int(a) for a in (args.alphas or "").split(",") if a.strip())
+    except ValueError as exc:
+        raise ValueError(f"--alphas: cannot read {args.alphas!r} as a comma list ({exc})") from None
     return BressoudParams(alphas, args.eta, args.k, args.r)
 
 

@@ -102,16 +102,13 @@ def _basic_dilation(cur: MarkedPartition, value: int, label: str):
 def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Map an lt-family member to its tilde-family image (weight +2l)."""
     l = _label(classify_lt, "lt", mp, k, r, p, t).l
-    if l == 0:
-        return mp, DilationTrace((), ())
-    groups = insertion_types(mp, l)
     row = mp.row_values(2)
-    steps, book = [], []
-    cur, tb, rb, over = _basic_dilation(mp, row[l - 1], groups.label_of(l))
-    steps.append(cur)
-    book.append((tb, rb))
-    for b in range(l, 1, -1):
-        if groups.group_of(b) == groups.group_of(b - 1):
+    cur, steps, book = mp, [], []
+    for lo, hi, lab in insertion_types(mp, l):  # no runs when l == 0: the identity
+        cur, tb, rb, over = _basic_dilation(cur, row[hi - 1], lab)
+        steps.append(cur)
+        book.append((tb, rb))
+        for _ in range(lo, hi):  # carry the odd part up the run
             target = 2 * tb + 4
             marks = [m for m in cur.marks_of(target) if m <= rb]
             if not marks:
@@ -124,14 +121,11 @@ def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
                 [(2 * tb + 2, False), (2 * tb + 5, over)],
             )
             tb, rb = tb + 2, rb1
-        else:
-            cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb + 2, False)])
-            cur, tb, rb, over = _basic_dilation(cur, row[b - 2], groups.label_of(b - 1))
-        steps.append(cur)
-        book.append((tb, rb))
-    out = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb + 2, False)])
-    _ledger("dilate", mp, out, 2 * l, 0)
-    return out, DilationTrace(tuple(steps), tuple(book))
+            steps.append(cur)
+            book.append((tb, rb))
+        cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb + 2, False)])
+    _ledger("dilate", mp, cur, 2 * l, 0)
+    return cur, DilationTrace(tuple(steps), tuple(book))
 
 
 def _basic_reduction(cur: MarkedPartition, value: int, label: str):
@@ -162,22 +156,16 @@ def reduce(mp: MarkedPartition, k: int, r: int, p: int, t: int):
 def _reduce(mp: MarkedPartition, label):
     """`reduce` of a member whose tilde label is `label`."""
     l = label.l
-    if l == 0:
-        return mp, DilationTrace((), ())
-    groups = reduction_types(mp, l)
     row = mp.row_values(2)
-    steps, book = [], []
-    cur, tb, rb, over = _basic_reduction(mp, row[0], groups.label_of(1))
-    steps.append(cur)
-    book.append((tb, rb))
-    for b in range(1, l):
-        cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb, False)])
-        cur, tb, rb, over = _basic_reduction(cur, row[b], groups.label_of(b + 1))
-        steps.append(cur)
-        book.append((tb, rb))
-    out = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb, False)])
-    _ledger("reduce", mp, out, -2 * l, 0)
-    return out, DilationTrace(tuple(steps), tuple(book))
+    cur, steps, book = mp, [], []
+    for lo, hi, lab in reduction_types(mp, l):  # no runs when l == 0: the identity
+        for i in range(lo, hi + 1):
+            cur, tb, rb, over = _basic_reduction(cur, row[i - 1], lab)
+            steps.append(cur)
+            book.append((tb, rb))
+            cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb, False)])
+    _ledger("reduce", mp, cur, -2 * l, 0)
+    return cur, DilationTrace(tuple(steps), tuple(book))
 
 
 # -- insertion / separation --------------------------------------------

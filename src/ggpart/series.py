@@ -284,8 +284,8 @@ def kursungoz_cell(counts: Sequence[int], r: int, qmax: int) -> TruncatedSeries:
     ):
         raise ValueError(f"row counts must be non-increasing and >= 0, got {counts}")
     k = len(counts) + 1
-    if not (k >= r >= 1):
-        raise ValueError(f"need k >= r >= 1, got k={k}, r={r}")
+    if not (k >= 2 and k >= r >= 1):
+        raise ValueError(f"cell needs k >= 2 and k >= r >= 1, got k={k}, r={r}")
     base = 2 * (sum(v * v for v in counts) + sum(counts[r - 1 :]))
     if base > qmax:
         return TruncatedSeries([0] * (qmax + 1), qmax)

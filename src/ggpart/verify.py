@@ -92,6 +92,8 @@ def cell(k: int, r: int, qmax: int, max_n1: int) -> Result:
     non-increasing key, empty or not, and any key the enumeration produced.
     `where` is (key, n)."""
     require_nonnegative(qmax=qmax, max_n1=max_n1)
+    if k < 2:
+        raise ValueError(f"cell needs k >= 2, got k={k}")
     tallies: dict[tuple, list[int]] = {}
     for n in range(qmax + 1):
         for p in enumerate_E(k, r, n):

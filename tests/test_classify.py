@@ -4,6 +4,7 @@ import random
 import pytest
 
 from ggpart import (
+    ClassificationError,
     GGError,
     MarkedPartition,
     classify_eq,
@@ -101,14 +102,14 @@ def test_eq_classification_examples():
 
 
 def test_reduction_groups_worked_example():
-    groups = reduction_types(PI3, classify_lt(PI3, 4, 3, 9, 0).l)
-    assert groups.groups == ((1, 2, "A2"), (3, 3, "A1"), (4, 5, "A3"), (6, 6, "B"), (7, 9, "C"))
-    assert groups.label_of(8) == "C"
+    runs = reduction_types(PI3, classify_lt(PI3, 4, 3, 9, 0).l)
+    assert runs == ((1, 2, "A2"), (3, 3, "A1"), (4, 5, "A3"), (6, 6, "B"), (7, 9, "C"))
+    assert [lab for lo, hi, lab in runs if lo <= 8 <= hi] == ["C"]
 
 
 def test_insertion_groups_worked_example():
-    groups = insertion_types(PI1, classify_lt(PI1, 4, 3, 6, 5).l)
-    assert groups.groups == ((4, 4, "A1"), (3, 3, "C"), (1, 2, "A3"))
+    runs = insertion_types(PI1, classify_lt(PI1, 4, 3, 6, 5).l)
+    assert runs == ((4, 4, "A1"), (3, 3, "C"), (1, 2, "A3"))
 
 
 def test_group_steps_of_four():
@@ -119,7 +120,7 @@ def test_group_steps_of_four():
                 if label is None or label.l == 0:
                     continue
                 for kinds in (reduction_types, insertion_types):
-                    for lo, hi, _ in kinds(mp, label.l).groups:
+                    for lo, hi, _ in kinds(mp, label.l):
                         vals = [row_at(mp, 2, i) for i in range(lo, hi + 1)]
                         assert all(a - b == 4 for a, b in zip(vals, vals[1:]))
 
@@ -159,7 +160,7 @@ def test_threshold_part_type_table():
                 l, idx = label.l, label.index
                 if l == 0:
                     continue
-                got = insertion_types(mp, l).label_of(l)
+                got = insertion_types(mp, l)[0][2]  # the first run ends at l
                 if label.j <= 5 and row_at(mp, 2, l) in (idx + 2, idx + 4):
                     assert got in table[label.j], (mp.parts, p, t, label.j, got)
                 elif label.j >= 6 and row_at(mp, 2, l) == idx + 4:
@@ -191,6 +192,13 @@ def test_find_m_examples():
                 assert all(v % 2 == 0 for v in mp.parts)
             else:
                 assert find_pt_eq(mp, 3, 3, m) is not None
+
+
+def test_find_m_rejects_a_non_member_with_checks_off(monkeypatch):
+    # (3, 3) is not in C(3, 3), so no p places it in the eq family at t = 1
+    monkeypatch.setattr(debug, "_enabled", False)
+    with pytest.raises(ClassificationError):
+        find_m_eq33(gg_mark((3, 3)))
 
 
 # -- reference membership predicates -------------------------------------

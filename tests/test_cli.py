@@ -109,6 +109,20 @@ def test_count_bad_params_prints_no_header(capsys):
     assert err == "error: need k >= r >= max(lambda, 1), got k=1 r=3 lambda=1\n"
 
 
+def test_unreadable_alphas_names_the_option_and_input(capsys):
+    code, out, err = run(capsys, "count", "--set", "B", "--alphas", "1,x", "-k", "3", "-r", "3",
+                         "--max-n", "3")
+    assert code == 2 and out == ""
+    assert err == ("error: --alphas: cannot read '1,x' as a comma list "
+                   "(invalid literal for int() with base 10: 'x')\n")
+
+
+def test_cell_check_with_k_1_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--identity", "cell", "-k", "1", "-r", "1", "--qmax", "5")
+    assert code == 2 and out == ""
+    assert err == "error: cell needs k >= 2, got k=1\n"
+
+
 @pytest.mark.parametrize("identity", ["sum-product", "product"])
 def test_verify_rejects_r_zero(capsys, identity):
     code, out, err = run(capsys, "verify", "--identity", identity, "--eta", "2",

@@ -159,6 +159,16 @@ def test_negative_bounds_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: kursungoz_cell((), 1, 5), lambda: verify.cell(1, 1, 5, 4)],
+    ids=["kursungoz_cell", "verify.cell"],
+)
+def test_cell_needs_k_at_least_2(call):
+    with pytest.raises(ValueError, match="needs k >= 2"):
+        call()
+
+
 def test_companion_bivariate_small():
     assert gg_companion_bivariate(18).coeffs[0] == {0: 1}
     res = verify.companion(18)
