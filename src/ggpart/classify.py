@@ -7,6 +7,10 @@ clause; stronger structural facts that follow from the definitions live in
 the test suite, never in the implementation, so each one stays falsifiable.
 Row 2 is read as plain ints: where the paper reads r2(0) = +inf or
 r2(N2 + 1) = -inf, a clause tests the index instead (`p == 0 or ...`).
+Each lt or eq clause states its subset's insertion or division index where
+it reads the condition, as a (j, index) hit.  The chains r2(i) = r2(q) +
+4(q - i) (+ 2 for the side chain) have one reader, `_chain`, shared by the
+eq membership test, the eq clauses and the separation maps.
 The only caches are per partition: the starting profile and cluster runs,
 which several procedures share, and one label slot per family ("lt",
 "sim", "eq") holding the last label derived and its (k, r, p, t).  The slot
@@ -26,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from . import debug
 from .errors import ClassificationError, UniquenessError
 from .marking import MarkedPartition
 from .membership import is_in_C
@@ -75,8 +78,7 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
     """Assign starting types to the 2-marked parts, largest first.
 
     Indexes past the threshold get "s-1"; each remaining index is matched
-    against the four cases in order (first match wins; debug mode checks
-    the match is unique).
+    against the four cases in order; two matching cases raise.
     """
     cached = mp._memo.get("profile")
     if cached is not None:
@@ -99,7 +101,7 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
             (_has1(mp, v), S3, v),
         )
         hits = [(ty, a) for ok, ty, a in cases if ok]
-        if debug.enabled() and len(hits) > 1:
+        if len(hits) > 1:
             raise ClassificationError(f"starting-type cases overlap at index {b} of {mp.parts}")
         if hits:
             types[b - 1], anchors[b - 1] = hits[0]
@@ -197,6 +199,7 @@ def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLa
     row = mp.row_values(2)
     v = row[p - 1] if p else None
     ty = prof.type_at(p) if p else None
+    at = 2 * t + 2  # the insertion index of subsets 1 to 5
     hits = []
 
     if (
@@ -204,42 +207,48 @@ def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLa
         or v > 2 * t + 6
         or (v == 2 * t + 6 and ty in (S2, S3) and mp.max_mark(2 * t + 6) == 2)
     ):
-        hits.append(1)
+        hits.append((1, at))
     if v == 2 * t + 6 and not mp.has_part(2 * t + 2) and (
         ty not in (S2, S3) or mp.max_mark(2 * t + 6) > 2
     ):
-        hits.append(2)
+        hits.append((2, at))
     if v == 2 * t + 6 and ty == S3 and mp.has_part(2 * t + 2) and mp.max_mark(2 * t + 6) > 2:
-        hits.append(3)
-    if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) == 2:
-        hits.append(4)
-    if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) > 2:
-        hits.append(5)
-    if v == 2 * t + 4 and ty == S1:
-        hits.append(6)
-    if v == 2 * t + 4 and ty == S2:
-        hits.append(7)
-    if v == 2 * t + 2 and ty == S2:
-        hits.append(8)
-    if v == 2 * t + 2 and ty == S3:
-        p1 = cluster_indexes(mp, p)[0]
-        w = row[p1 - 1]
-        if not mp.has_part(w + 4):
-            hits.append(9)
-        if mp.has_part(w + 4) and not mp.has_part(w + 6):
-            hits.append(10)
-        if p1 > 1 and row[p1 - 2] == w + 6:
-            ty1 = prof.type_at(p1 - 1)
-            if ty1 == S1:
-                hits.append(11)
-            if ty1 == S2:
-                hits.append(12)
+        hits.append((3, at))
+    if p and v <= 2 * t + 4:  # w: the part at the first cluster index p_1
+        ps = cluster_indexes(mp, p)
+        w = row[ps[0] - 1]
+        if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) == 2:
+            hits.append((4, at))
+        if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) > 2:
+            hits.append((5, at))
+        if v == 2 * t + 4 and ty == S1:
+            hits.append((6, w))
+        if v == 2 * t + 4 and ty == S2:
+            hits.append((7, w + 2))
+        if v == 2 * t + 2 and ty == S2:
+            hits.append((8, w + 2))
+        if v == 2 * t + 2 and ty == S3:
+            if not mp.has_part(w + 4):
+                hits.append((9, w + 2))
+            if mp.has_part(w + 4) and not mp.has_part(w + 6):
+                hits.append((10, w + 4))
+            if ps[0] > 1 and row[ps[0] - 2] == w + 6:
+                ty1, w2 = prof.type_at(ps[0] - 1), row[ps[1] - 1]  # w2: the part at p_2
+                if ty1 == S1:
+                    hits.append((11, w2))
+                if ty1 == S2:
+                    hits.append((12, w2 + 2))
+    return _one_label("lt", mp, p, t, hits)
+
+
+def _one_label(family: str, mp: MarkedPartition, p: int, t: int, hits) -> SubsetLabel:
+    """The label of the one (j, index) clause hit; no hit or two raise."""
     if len(hits) != 1:
         raise ClassificationError(
-            f"lt member {mp.parts} at (p,t)=({p},{t}) matched subsets {hits}"
+            f"{family} member {mp.parts} at (p,t)=({p},{t}) matched subsets {[j for j, _ in hits]}"
         )
-    index = _insertion_index(mp, p, t, hits[0])
-    return SubsetLabel("lt", hits[0], p, t, index, _threshold(mp, index))
+    j, index = hits[0]
+    return SubsetLabel(family, j, p, t, index, _threshold(mp, index))
 
 
 def _threshold(mp: MarkedPartition, bound: int) -> int:
@@ -251,23 +260,14 @@ def _threshold(mp: MarkedPartition, bound: int) -> int:
     return l
 
 
-def _insertion_index(mp: MarkedPartition, p: int, t: int, j: int) -> int:
-    """Even value at which the new odd part threads in, for lt subset j."""
-    if j <= 5:
-        return 2 * t + 2
-    row = mp.row_values(2)
-    ps = cluster_indexes(mp, p)
-    w = row[ps[0] - 1]
-    if j == 6:
-        return w
-    if 7 <= j <= 9:
-        return w + 2
-    if j == 10:
-        return w + 4
-    w2 = row[ps[1] - 1]
-    if j == 11:
-        return w2
-    return w2 + 2
+def _chain(row: tuple[int, ...], q: int, lift: int = 0) -> list[int]:
+    """The ascending row-2 indexes i <= q with r2(i) = r2(q) + 4(q - i) + lift."""
+    return [i for i in range(1, q + 1) if row[i - 1] == row[q - 1] + 4 * (q - i) + lift]
+
+
+def _first_gap(mp: MarkedPartition, row: tuple[int, ...], idxs) -> Optional[int]:
+    """The first of the row-2 indexes `idxs` with no part two above it, or None."""
+    return next((i for i in idxs if not mp.has_part(row[i - 1] + 2)), None)
 
 
 def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
@@ -293,10 +293,7 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
         if ty == S0:
             if vp1 != 2 * t + 2:
                 return False
-            if not any(
-                row[i - 1] == vp1 + 4 * (p - i + 1) and mp.count(row[i - 1]) == 1
-                for i in range(1, p + 2)
-            ):
+            if not any(mp.count(row[i - 1]) == 1 for i in _chain(row, p + 1)):
                 return False
         elif ty == S2:
             if v != 2 * t + 2:
@@ -304,10 +301,7 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     if mp.has_part(2 * t + 2) and not two_marked:
         if v != 2 * t + 4 or prof.type_at(p) != S3:
             return False
-        if not any(
-            row[i - 1] == v + 4 * (p - i) and not mp.has_part(row[i - 1] + 2)
-            for i in range(1, p + 1)
-        ):
+        if _first_gap(mp, row, _chain(row, p)) is None:
             return False
     return True
 
@@ -326,104 +320,56 @@ def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLa
     vp1 = row[p] if p < n2 else None
     ty = prof.type_at(p) if p else None
     odd_marks = mp.marks_of(2 * t + 1)
-    chain = [i for i in range(1, p + 1) if row[i - 1] == v + 4 * (p - i)]
+    chain = _chain(row, p)
+    gap = _first_gap(mp, row, chain)
+    at = 2 * t + 2  # the division index of subsets 1 to 5
     hits = []
 
     if p == 0 or v >= 2 * t + 8:
-        hits.append(1)
+        hits.append((1, at))
     if (
         v == 2 * t + 6
         and ty in (S2, S3)
         and (p == n2 or vp1 < 2 * t + 2)
         and (ty != S2 or all(mp.count(row[i - 1] + 2) >= 2 for i in chain))
     ):
-        hits.append(2)
-    if (
-        v == 2 * t + 6
-        and ty == S3
-        and vp1 == 2 * t + 2
-        and all(mp.has_part(row[i - 1] + 2) for i in chain)
-    ):
-        hits.append(3)
+        hits.append((2, at))
+    if v == 2 * t + 6 and ty == S3 and vp1 == 2 * t + 2 and gap is None:
+        hits.append((3, at))
     if (
         v == 2 * t + 6
         and ty in (S1, S2)
         and (p == n2 or vp1 < 2 * t + 2)
         and (ty != S2 or any(mp.count(row[i - 1] + 2) == 1 for i in chain))
     ):
-        hits.append(4)
-    if v == 2 * t + 4 and ty == S3 and all(mp.has_part(row[i - 1] + 2) for i in chain):
-        hits.append(5)
-    if (
-        v == 2 * t + 4
-        and ty == S3
-        and odd_marks == frozenset({1})
-        and any(not mp.has_part(row[i - 1] + 2) for i in chain)
-    ):
-        hits.append(6)
+        hits.append((4, at))
+    if v == 2 * t + 4 and ty == S3:
+        if gap is None:
+            hits.append((5, at))
+        elif odd_marks == frozenset({1}):
+            hits.append((6, row[gap - 1]))
+        elif odd_marks == frozenset({2}):
+            hits.append((8, row[gap - 1]))
     if v == 2 * t + 6 and vp1 == 2 * t + 2:
-        once = [i for i in chain if mp.count(row[i - 1]) == 1]
-        s10 = min(once) if once else None
+        s10 = next((i for i in chain if mp.count(row[i - 1]) == 1), None)
         # the index-(p+1) chain extends the index-p chain by one step
-        if (
-            s10 is None
-            and mp.count(2 * t + 2) == 1
-            and any(not mp.has_part(row[i - 1] + 2) for i in chain)
-        ):
-            hits.append(7)
+        if s10 is None and mp.count(2 * t + 2) == 1 and gap is not None:
+            hits.append((7, row[gap - 1]))
         if s10 is not None and all(
             prof.type_at(i) == S3 and mp.has_part(row[i - 1] + 2)
             for i in chain
             if i < s10
         ):
-            hits.append(10)
-        if s10 is not None and any(not mp.has_part(row[i - 1] + 2) for i in chain if i < s10):
-            hits.append(12)
-    if (
-        v == 2 * t + 4
-        and ty == S3
-        and odd_marks == frozenset({2})
-        and any(not mp.has_part(row[i - 1] + 2) for i in chain)
-    ):
-        hits.append(8)
+            hits.append((10, row[s10 - 1]))
+        if s10 is not None and gap is not None and gap < s10:
+            hits.append((12, row[gap - 1]))
     if v == 2 * t + 2:
-        s9 = min(chain)  # i = p always qualifies
-        side = [i for i in range(1, s9) if row[i - 1] == v + 4 * (p - i) + 2]
+        side = _chain(row, p, 2)  # two above the chain through p
         if all(prof.type_at(i) == S3 and mp.has_part(row[i - 1] + 2) for i in side):
-            hits.append(9)
-        if any(
-            prof.type_at(i) == S3 and not mp.has_part(row[i - 1] + 2) for i in side
-        ):
-            hits.append(11)
-    if len(hits) != 1:
-        raise ClassificationError(
-            f"eq member {mp.parts} at (p,t)=({p},{t}) matched subsets {hits}"
-        )
-    index = _division_index(mp, p, t, hits[0], chain)
-    return SubsetLabel("eq", hits[0], p, t, index, _threshold(mp, index))
-
-
-def _division_index(mp: MarkedPartition, p: int, t: int, j: int, chain: list[int]) -> int:
-    """Even value at which the largest odd part threads out, for eq subset j.
-
-    chain: the row-2 indexes i <= p with r2(i) = r2(p) + 4(p - i), ascending.
-    """
-    if j <= 5:
-        return 2 * t + 2
-    row = mp.row_values(2)
-    if j == 9:
-        return row[chain[0] - 1] + 2
-    if j == 10:
-        found = [i for i in chain if mp.count(row[i - 1]) == 1]
-    else:
-        if j == 11:  # the side chain, two above the one through p
-            chain = [i for i in range(1, p + 1) if row[i - 1] == row[p - 1] + 4 * (p - i) + 2]
-        found = [i for i in chain if not mp.has_part(row[i - 1] + 2)]
-    if found:
-        return row[found[0] - 1]
-    raise ClassificationError(
-        f"division index scan found no anchor for subset {j} of {mp.parts} at ({p},{t})"
-    )
+            hits.append((9, row[chain[0] - 1] + 2))
+        if any(prof.type_at(i) == S3 and not mp.has_part(row[i - 1] + 2) for i in side):
+            hits.append((11, row[_first_gap(mp, row, side) - 1]))
+    return _one_label("eq", mp, p, t, hits)
 
 
 # -- typed runs --------------------------------------------------------

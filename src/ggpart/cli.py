@@ -25,14 +25,7 @@ from .classify import (
 from .errors import GGError
 from .fixtures import fixture_names, fixture_overline, fixture_parts
 from .marking import gg_mark, gg_mark_special, marked_to_dict, render_grid
-from .membership import (
-    BressoudParams,
-    enumerate_B,
-    enumerate_C,
-    enumerate_E,
-    enumerate_F33,
-    enumerate_I,
-)
+from .membership import BressoudParams, enumerate_B, enumerate_F33, enumerate_I
 
 
 def nonnegative(text: str) -> int:
@@ -179,17 +172,19 @@ def _params_from(args) -> BressoudParams:
     return BressoudParams(alphas, args.eta, args.k, args.r)
 
 
+def _set_params(args) -> BressoudParams:
+    """The family --set names: C is ((1,), 2, k, r), E is ((), 2, k, r), and B
+    reads --alphas and --eta."""
+    if args.set == "B":
+        return _params_from(args)
+    return BressoudParams((1,) if args.set == "C" else (), 2, args.k, args.r)
+
+
 def cmd_count(args) -> int:
-    params = _params_from(args) if args.set == "B" else None
+    params = _set_params(args)
     print("n,count")
     for n in range(args.max_n + 1):
-        if args.set == "B":
-            cnt = len(enumerate_B(params, n))
-        elif args.set == "C":
-            cnt = len(enumerate_C(args.k, args.r, n))
-        else:
-            cnt = len(enumerate_E(args.k, args.r, n))
-        print(f"{n},{cnt}")
+        print(f"{n},{len(enumerate_B(params, n))}")
     return 0
 
 
@@ -202,13 +197,7 @@ def cmd_enumerate(args) -> int:
         for p, z in enumerate_F33(args.n):
             print(json.dumps([list(p), list(z)]))
         return 0
-    if args.set == "B":
-        items = enumerate_B(_params_from(args), args.n)
-    elif args.set == "C":
-        items = enumerate_C(args.k, args.r, args.n)
-    else:
-        items = enumerate_E(args.k, args.r, args.n)
-    for p in items:
+    for p in enumerate_B(_set_params(args), args.n):
         print(json.dumps(list(p)))
     return 0
 

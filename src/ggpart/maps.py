@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from .classify import (
+    _chain,
     classify_eq,
     classify_lt,
     classify_sim,
@@ -306,11 +307,9 @@ def _small_mark_not_2(mp: MarkedPartition, value: int) -> int:
 
 
 def _smallest_chain_index(mp: MarkedPartition, row, p: int, once: bool = False) -> int:
-    base = row[p - 1]
-    for s in range(1, p + 1):
-        if s <= len(row) and row[s - 1] == base + 4 * (p - s):
-            if not once or mp.count(row[s - 1]) == 1:
-                return s
+    for s in _chain(row, p):
+        if not once or mp.count(row[s - 1]) == 1:
+            return s
     raise GGError(f"no chain anchor below index {p} in {mp.parts}")
 
 

@@ -9,7 +9,9 @@ marking is the decreasing list of ``i``-marked parts.
 A *special* partition may additionally overline one copy of its largest odd
 value; the overlined copy is forbidden mark 1 and otherwise marked by the
 same greedy rule.  Special partitions only arise as intermediates of the
-weight-shifting maps, but they are first-class values here.
+weight-shifting maps, but they are first-class values here.  The
+constructor rejects an overline on an even part, on an odd part that is
+not the largest, or on two copies, with `InvalidSpecialPartition`.
 
 A `MarkedPartition` is built from (value, overlined) pairs and always runs
 the greedy assignment itself, so a non-canonical marking cannot be built.
@@ -35,7 +37,7 @@ def _assign(pairs: Sequence[tuple[int, bool]]) -> tuple[dict, Optional[tuple[int
     Parts are processed by ascending value, plain copies before the
     overlined one, which starts its mark search at 2.  Returns the
     {value: frozenset(marks)} map and the (value, mark) of the overlined
-    copy, or None.
+    copy, or None; a second overlined copy raises.
     """
     marks_at: dict[int, frozenset] = {}
     overline = None
@@ -49,6 +51,8 @@ def _assign(pairs: Sequence[tuple[int, bool]]) -> tuple[dict, Optional[tuple[int
             mark += 1
         marks_at[value] = taken | {mark}
         if over:
+            if overline is not None:
+                raise InvalidSpecialPartition(f"more than one overlined part: {overline[0]}, {value}")
             overline = (value, mark)
     return marks_at, overline
 
@@ -60,7 +64,8 @@ class MarkedPartition:
     `entries` holds (value, mark, overlined) triples sorted by decreasing
     value; `rows[i-1]` is the decreasing tuple of i-marked values; `overline`
     is the (value, mark) of the overlined copy, or None; `largest_odd` is the
-    largest odd part, or 0 when there is none.
+    largest odd part, or 0 when there is none.  An overline on any other
+    value than `largest_odd`, or on two copies, raises.
     """
 
     __slots__ = ("parts", "entries", "rows", "overline", "largest_odd", "_marks_at", "_memo")
@@ -76,6 +81,10 @@ class MarkedPartition:
         self.rows = tuple(map(tuple, rows))
         self.overline = overline
         self.largest_odd = next((v for v in values if v % 2), 0)
+        if overline is not None and overline[0] != self.largest_odd:
+            raise InvalidSpecialPartition(
+                f"overlined part {overline[0]} is not the largest odd part of {self.parts}"
+            )
         self._marks_at = marks_at
         self._memo: dict = {}
 
@@ -159,22 +168,7 @@ class MarkedPartition:
                 raise MissingEntryError(f"no {who} in {self!r}", partition=self)
         values = [(v, over) for v, _, over in work]
         values += [(int(value), bool(over)) for value, over in additions]
-        _check_overlines(values)
         return MarkedPartition(values)
-
-
-def _check_overlines(values: Sequence[tuple[int, bool]]) -> None:
-    overlined = [v for v, over in values if over]
-    if not overlined:
-        return
-    if len(overlined) > 1:
-        raise InvalidSpecialPartition(f"more than one overlined part: {sorted(overlined)}")
-    v = overlined[0]
-    odds = [u for u, _ in values if u % 2 == 1]
-    if v % 2 == 0:
-        raise InvalidSpecialPartition(f"overlined part {v} is even")
-    if v != max(odds):
-        raise InvalidSpecialPartition(f"overlined part {v} is not the largest odd part {max(odds)}")
 
 
 def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
@@ -210,7 +204,6 @@ def gg_mark_special(parts: Iterable[int], overline: Optional[int] = None) -> Mar
     entries = [(v, False) for v in norm]
     entries.remove((overline, False))
     entries.append((overline, True))
-    _check_overlines(entries)
     return MarkedPartition(entries)
 
 

@@ -372,6 +372,13 @@ def _fresh(parts):
     return MarkedPartition([(v, False) for v in parts])
 
 
+def test_starting_type_overlap_raises_with_checks_off(monkeypatch):
+    monkeypatch.setattr(debug, "_enabled", False)
+    monkeypatch.setattr(classify, "_has1", lambda mp, value: True)
+    with pytest.raises(ClassificationError):
+        starting_profile(_fresh((4, 4)))
+
+
 def test_debug_cross_checks_raise_not_assert(monkeypatch):
     # `python -O` strips asserts; these checks must raise a GGError instead
     monkeypatch.setattr(debug, "_enabled", True)

@@ -103,10 +103,15 @@ def test_count_csv(capsys):
 
 
 def test_count_bad_params_prints_no_header(capsys):
-    code, out, err = run(capsys, "count", "--set", "B", "--alphas", "1", "--eta", "2",
-                         "-k", "1", "-r", "3", "--max-n", "3")
-    assert code == 2 and out == ""
-    assert err == "error: need k >= r >= max(lambda, 1), got k=1 r=3 lambda=1\n"
+    cases = [
+        (["--set", "B", "--alphas", "1", "--eta", "2", "-k", "1", "-r", "3"], "k=1 r=3 lambda=1"),
+        (["--set", "C", "-k", "0", "-r", "0"], "k=0 r=0 lambda=1"),
+        (["--set", "E", "-k", "2", "-r", "3"], "k=2 r=3 lambda=0"),
+    ]
+    for opts, got in cases:
+        code, out, err = run(capsys, "count", *opts, "--max-n", "3")
+        assert code == 2 and out == ""
+        assert err == f"error: need k >= r >= max(lambda, 1), got {got}\n"
 
 
 def test_unreadable_alphas_names_the_option_and_input(capsys):

@@ -131,16 +131,20 @@ def test_each_map_classifies_once(monkeypatch, fn, src, want):
 
 
 def _count_clause_passes(monkeypatch):
-    """Patch the three clause-pass markers; returns {name: [partition, ...]}."""
-    calls = {"_insertion_index": [], "_division_index": [], "_refine_sim": []}
-    for name in calls:
-        real = getattr(classify, name)
+    """Patch the lt and eq clause passes and `_refine_sim`; returns
+    {name: [partition, ...]}."""
+    calls = {"lt": [], "eq": [], "_refine_sim": []}
 
-        def counted(mp, *args, _real=real, _name=name):
-            calls[_name].append(mp)
-            return _real(mp, *args)
+    def counted(name, real):
+        def pass_(mp, *args):
+            calls[name].append(mp)
+            return real(mp, *args)
 
-        monkeypatch.setattr(classify, name, counted)
+        return pass_
+
+    for family in ("lt", "eq"):
+        monkeypatch.setitem(classify._CLAUSES, family, counted(family, classify._CLAUSES[family]))
+    monkeypatch.setattr(classify, "_refine_sim", counted("_refine_sim", classify._refine_sim))
     return calls
 
 
@@ -154,7 +158,7 @@ def test_dilate_reuses_the_probe_label(monkeypatch):
     calls = _count_clause_passes(monkeypatch)
     assert classify_lt(pi1, 4, 3, 6, 5).j == 6
     assert dilate(pi1, 4, 3, 6, 5)[0] == MU
-    assert calls == {"_insertion_index": [pi1], "_division_index": [], "_refine_sim": []}
+    assert calls == {"lt": [pi1], "eq": [], "_refine_sim": []}
 
 
 def test_sim_after_lt_is_one_refinement(monkeypatch):
@@ -163,7 +167,7 @@ def test_sim_after_lt_is_one_refinement(monkeypatch):
     for _ in range(2):
         assert classify_lt(mu, 4, 3, 6, 5).j == 6
         assert classify_sim(mu, 4, 3, 6, 5).j == 6
-    assert calls == {"_insertion_index": [mu], "_division_index": [], "_refine_sim": [mu]}
+    assert calls == {"lt": [mu], "eq": [], "_refine_sim": [mu]}
 
 
 def test_reduce_reuses_the_separation_check(monkeypatch):
@@ -172,7 +176,7 @@ def test_reduce_reuses_the_separation_check(monkeypatch):
     mu = separate_odd(pi2, 4, 3, 6, 5)
     assert reduce(mu, 4, 3, 6, 5)[0] == PI1
     # pi2's eq pass, then separation's output check on mu, which reduce reads
-    assert calls == {"_insertion_index": [mu], "_division_index": [pi2], "_refine_sim": [mu]}
+    assert calls == {"lt": [mu], "eq": [pi2], "_refine_sim": [mu]}
 
 
 def test_round_trips_small_sweep():

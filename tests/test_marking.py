@@ -151,10 +151,24 @@ def test_special_trace_fixtures():
         assert mp.overline[1] == 2
 
 
-@pytest.mark.parametrize("parts, overline", [((6, 4), 6), ((5, 3), 3), ((4, 2), 5)])
+@pytest.mark.parametrize(
+    "parts, overline",
+    [
+        ((6, 4), 6),
+        ((5, 3), 3),
+        ((4, 2), 5),
+        # (value, overlined) pairs given to the constructor itself
+        ([(4, True)], None),
+        ([(3, True), (5, False)], None),
+        ([(5, True), (3, True)], None),
+    ],
+)
 def test_invalid_overlines(parts, overline):
     with pytest.raises((InvalidSpecialPartition, ValueError)):
-        gg_mark_special(parts, overline)
+        if overline is None:
+            MarkedPartition(parts)
+        else:
+            gg_mark_special(parts, overline)
 
 
 # -- surgery ---------------------------------------------------------------
