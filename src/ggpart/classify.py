@@ -11,18 +11,20 @@ Each lt or eq clause states its subset's insertion or division index where
 it reads the condition, as a (j, index) hit.  The chains r2(i) = r2(q) +
 4(q - i) (+ 2 for the side chain) have one reader, `_chain`, shared by the
 eq membership test, the eq clauses and the separation maps.
-The only caches are per partition: the starting profile and cluster runs,
-which several procedures share, and one label slot per family ("lt",
-"sim", "eq") holding the last label derived and its (k, r, p, t).  The slot
-skips only the clause pass, never the membership test: every call tests
-membership, and a member asked again at the slot's key gets the stored
-label.  So a map's output check and the next map's input label, or
-`classify_lt` and then `classify_sim`, derive the label once.
+The only caches are per partition: the starting profile, which several
+procedures share and the starting clusters are read off, and one label slot
+per family ("lt", "sim", "eq") holding the last label derived and its
+(k, r, p, t).  The slot skips only the clause pass, never the membership
+test: every call tests membership, and a member asked again at the slot's
+key gets the stored label.  So a map's output check and the next map's
+input label, or `classify_lt` and then `classify_sim`, derive the label
+once.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
-"s3" (plus "untyped", which is propagated, never guessed over).  The
-reduction and insertion typings cut the row-2 indexes 1..l into typed runs,
-tuples (lo, hi, label) with a label "A1", "A2", "A3", "B" or "C".
+"s3"; each 2-marked part up to the threshold matches exactly one of the
+cases s0-s3, and the parts past it are "s-1".  The reduction and insertion
+typings cut the row-2 indexes 1..l into typed runs, tuples (lo, hi, label)
+with a label "A1", "A2", "A3", "B" or "C".
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .errors import ClassificationError, UniquenessError
 from .marking import MarkedPartition
 from .membership import is_in_C
 
-S_MINUS1, S0, S1, S2, S3, UNTYPED = "s-1", "s0", "s1", "s2", "s3", "untyped"
+S_MINUS1, S0, S1, S2, S3 = "s-1", "s0", "s1", "s2", "s3"
 
 
 @dataclass(frozen=True)
@@ -42,8 +44,9 @@ class StartingProfile:
     """Per-2-marked-part starting data.
 
     threshold: largest row-2 index with no odd part at or above it.
-    types[i-1] / anchors[i-1] describe the i-th 2-marked part; anchors hold
-    the 1-marked companion value each typed case records.
+    types[i-1] / anchors[i-1] describe the i-th 2-marked part: up to the
+    threshold, its one case s0-s3 and the 1-marked value that case reads;
+    past it, "s-1" and None.
     """
 
     threshold: int
@@ -77,8 +80,10 @@ def _has1(mp: MarkedPartition, value: int) -> bool:
 def starting_profile(mp: MarkedPartition) -> StartingProfile:
     """Assign starting types to the 2-marked parts, largest first.
 
-    Indexes past the threshold get "s-1"; each remaining index is matched
-    against the four cases in order; two matching cases raise.
+    Indexes past the threshold get "s-1"; each remaining index must match
+    exactly one of the four cases, or the pass raises.  None cannot match: a
+    2-marked part v above every odd part has a 1-mark at v, v-1 or v-2, and
+    where the s0/s1 low test fails, v+2 carries a 1-mark, so s2 matches.
     """
     cached = mp._memo.get("profile")
     if cached is not None:
@@ -101,12 +106,11 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
             (_has1(mp, v), S3, v),
         )
         hits = [(ty, a) for ok, ty, a in cases if ok]
-        if len(hits) > 1:
-            raise ClassificationError(f"starting-type cases overlap at index {b} of {mp.parts}")
-        if hits:
-            types[b - 1], anchors[b - 1] = hits[0]
-        else:
-            types[b - 1], anchors[b - 1] = UNTYPED, None
+        if len(hits) != 1:
+            raise ClassificationError(
+                f"index {b} of {mp.parts} matched starting types {[ty for ty, _ in hits]}"
+            )
+        types[b - 1], anchors[b - 1] = hits[0]
         prev_anchor = anchors[b - 1]
     prof = StartingProfile(threshold, tuple(types), tuple(anchors))
     mp._memo["profile"] = prof
@@ -114,34 +118,18 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
 
 
 def cluster_indexes(mp: MarkedPartition, p: int) -> tuple[int, ...]:
-    """Starting cluster indexes p_1 > p_2 > ... > 1 below p.
-
-    Each cluster is a maximal run of 2-marked parts stepping by 4 with a
-    constant starting type.
-    """
-    if p < 1:
-        raise ValueError(f"cluster indexes need p >= 1, got {p}")
-    cached = mp._memo.setdefault("clusters", {})
-    if p in cached:
-        return cached[p]
-    prof = starting_profile(mp)
+    """Starting cluster indexes p_1 > p_2 > ... > 1 at or below p, for
+    1 <= p <= N2: the first index of each starting cluster, a maximal run of
+    2-marked parts stepping by 4 with one starting type."""
     row = mp.row_values(2)
-    out: list[int] = []
-    b = p + 1
-    while b > 1:
-        i = b - 1
-        while (
-            i - 1 >= 1
-            and row[i - 2] == row[i - 1] + 4
-            and prof.type_at(i - 1) == prof.type_at(i)
-            and prof.type_at(i) != UNTYPED
-        ):
-            i -= 1
-        out.append(i)
-        b = i
-    result = tuple(out)
-    cached[p] = result
-    return result
+    if not 1 <= p <= len(row):
+        raise ValueError(f"cluster indexes need 1 <= p <= N2 = {len(row)}, got {p}")
+    types = starting_profile(mp).types
+    return tuple(
+        i
+        for i in range(p, 0, -1)
+        if i == 1 or row[i - 2] != row[i - 1] + 4 or types[i - 2] != types[i - 1]
+    )
 
 
 # -- family membership -------------------------------------------------
@@ -410,7 +398,7 @@ def reduction_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], 
                 break
         else:
             raise ClassificationError(
-                f"untyped reduction group starting at index {s} of {mp.parts}"
+                f"no reduction run starts at index {s} of {mp.parts}"
             )
     return tuple(runs)
 
@@ -454,7 +442,7 @@ def insertion_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], 
                 break
         else:
             raise ClassificationError(
-                f"untyped insertion group ending at index {e} of {mp.parts}"
+                f"no insertion run ends at index {e} of {mp.parts}"
             )
     return tuple(runs)
 
@@ -510,23 +498,21 @@ _CLAUSES = {"lt": _lt_clauses, "sim": _sim_clauses, "eq": _eq_clauses}
 # -- decompositions ----------------------------------------------------
 
 
-def _find_pt(member, family: str, mp: MarkedPartition, k: int, r: int, m: int):
-    """Unique (p, t) with p + t = m at which `member` places mp in `family`, if any."""
+def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
+    """Unique (p, t) with p + t = m placing mp in the lt family, if any."""
     _check_kr(k, r)
-    hits = [(p, m - p) for p in range(0, min(m, mp.N(2)) + 1) if member(mp, k, r, p, m - p)]
+    hits = [(p, m - p) for p in range(0, min(m, mp.N(2)) + 1) if _member_lt(mp, k, r, p, m - p)]
     if len(hits) > 1:
-        raise UniquenessError(f"{mp.parts} sits in the {family} family at {hits} for m={m}")
+        raise UniquenessError(f"{mp.parts} sits in the lt family at {hits} for m={m}")
     return hits[0] if hits else None
 
 
-def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
-    """Unique (p, t) with p + t = m placing mp in the lt family, if any."""
-    return _find_pt(_member_lt, "lt", mp, k, r, m)
-
-
 def find_pt_eq(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
-    """Unique (p, t) with p + t = m placing mp in the eq family, if any."""
-    return _find_pt(_member_eq, "eq", mp, k, r, m)
+    """The (p, t) with p + t = m placing mp in the eq family, if any.  The
+    largest odd part is 2t+1, so p = m - t is the one candidate."""
+    _check_kr(k, r)
+    t = (mp.largest_odd - 1) // 2
+    return (m - t, t) if _member_eq(mp, k, r, m - t, t) else None
 
 
 def find_m_eq33(mp: MarkedPartition) -> Optional[int]:

@@ -105,7 +105,7 @@ def cmd_classify(args) -> int:
     if lt:
         fams["lt"] = {"j": lt.j, "index": lt.index}
         if p >= 1:
-            fams["lt"]["clusters"] = list(cluster_indexes(mp, p))
+            fams["lt"].update(clusters=list(cluster_indexes(mp, p)))
     if sim:
         fams["sim"] = {"j": sim.j}
     if eq:

@@ -2,11 +2,11 @@
 
 When enabled (GGPART_DEBUG=1 or set_debug(True)), one cross-check runs:
 `is_in_C` also asks `is_bressoud_B` and raises on disagreement.  The other
-checks run on every call, debug or not: the starting-type pass raises when
-two of its cases overlap, the classification clause passes (`_lt_clauses`,
-`_eq_clauses`, `_refine_sim`) raise when more than one clause fires, and
-the lt and eq passes also when none does, and `find_m_eq33` raises unless
-exactly one p makes the member an eq member.
+checks run on every call, debug or not: the starting-type pass raises
+unless exactly one of its cases matches, the classification clause passes
+(`_lt_clauses`, `_eq_clauses`, `_refine_sim`) raise when more than one
+clause fires, and the lt and eq passes also when none does, and
+`find_m_eq33` raises unless exactly one p makes the member an eq member.
 The test suite switches debug on unless GGPART_DEBUG=0.
 """
 

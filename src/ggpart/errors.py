@@ -34,8 +34,9 @@ class MembershipError(GGError):
 
 
 class ClassificationError(GGError):
-    """Zero or multiple subset clauses matched a confirmed family member,
-    or a group-typing pass left an index untyped."""
+    """A pass that must find exactly one match found none or several: the
+    starting-type cases of a 2-marked part, the subset clauses of a
+    confirmed family member, or the typed runs of a group-typing pass."""
 
 
 class UniquenessError(GGError):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import isqrt
 from operator import add, sub
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import require_nonnegative
 from .membership import BressoudParams
@@ -63,9 +63,7 @@ class TruncatedSeries:
 
     __slots__ = ("qmax", "coeffs")
 
-    def __init__(self, coeffs: Sequence[int], qmax: Optional[int] = None):
-        if qmax is None:
-            qmax = len(coeffs) - 1
+    def __init__(self, coeffs: Sequence[int], qmax: int):
         require_nonnegative(qmax=qmax)
         c = list(coeffs[: qmax + 1]) + [0] * max(0, qmax + 1 - len(coeffs))
         self.qmax = qmax
@@ -79,11 +77,7 @@ class TruncatedSeries:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        q = min(self.qmax, other.qmax)
-        return self.coeffs[: q + 1] == other.coeffs[: q + 1] and self.qmax == other.qmax
-
-    def __hash__(self):
-        return hash((self.qmax, self.coeffs))
+        return self.qmax == other.qmax and self.coeffs == other.coeffs
 
     def __repr__(self) -> str:
         head = ", ".join(str(c) for c in self.coeffs[:8])
@@ -99,20 +93,13 @@ class BivariateSeries:
 
     __slots__ = ("qmax", "coeffs")
 
-    def __init__(self, coeffs: Sequence[dict], qmax: Optional[int] = None):
-        if qmax is None:
-            qmax = len(coeffs) - 1
+    def __init__(self, coeffs: Sequence[dict], qmax: int):
         require_nonnegative(qmax=qmax)
         cs = [dict(coeffs[n]) if n < len(coeffs) else {} for n in range(qmax + 1)]
         self.qmax = qmax
         self.coeffs = tuple(
             {d: v for d, v in c.items() if v} for c in cs
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        return self.qmax == other.qmax and self.coeffs == other.coeffs
 
     def at_x1(self) -> TruncatedSeries:
         return TruncatedSeries([sum(c.values()) for c in self.coeffs], self.qmax)

@@ -46,10 +46,22 @@ def test_starting_profile_trivial():
 
 
 @pytest.mark.parametrize(
-    "p, want", [(6, (5, 3, 1)), (5, (5, 3, 1)), (3, (3, 1)), (1, (1,))]
+    "mp, p, want",
+    [
+        pytest.param(PI1, 6, (5, 3, 1), id="6-want0"),
+        pytest.param(PI1, 5, (5, 3, 1), id="5-want1"),
+        pytest.param(PI1, 3, (3, 1), id="3-want2"),
+        pytest.param(PI1, 1, (1,), id="1-want3"),
+        pytest.param(gg_mark((10, 6, 4, 2)), 2, ValueError, id="p-past-N2"),
+        pytest.param(gg_mark((4,)), 1, ValueError, id="N2-zero"),
+    ],
 )
-def test_cluster_indexes(p, want):
-    assert cluster_indexes(PI1, p) == want
+def test_cluster_indexes(mp, p, want):
+    if want is ValueError:
+        with pytest.raises(ValueError, match="1 <= p <= N2"):
+            cluster_indexes(mp, p)
+    else:
+        assert cluster_indexes(mp, p) == want
 
 
 LT_MEMBERSHIPS = {
@@ -376,6 +388,13 @@ def test_starting_type_overlap_raises_with_checks_off(monkeypatch):
     monkeypatch.setattr(debug, "_enabled", False)
     monkeypatch.setattr(classify, "_has1", lambda mp, value: True)
     with pytest.raises(ClassificationError):
+        starting_profile(_fresh((4, 4)))
+
+
+def test_starting_type_with_no_case_raises_with_checks_off(monkeypatch):
+    monkeypatch.setattr(debug, "_enabled", False)
+    monkeypatch.setattr(classify, "_has1", lambda mp, value: False)
+    with pytest.raises(ClassificationError, match=r"matched starting types \[\]"):
         starting_profile(_fresh((4, 4)))
 
 

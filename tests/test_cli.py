@@ -49,6 +49,26 @@ def test_classify_runs_one_membership_pass(monkeypatch, capsys):
     )
 
 
+def test_classify_eq_member(capsys):
+    code, out, _ = run(capsys, "classify", "--fixture", "pi2", "-k", "4", "-r", "3", "-p", "6", "-t", "5")
+    assert code == 0 and json.loads(out)["families"] == {"eq": {"index": 18, "j": 6}}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "--fixture", "pi1", "-k", "4", "-r", "3"), "classify needs -p and -t, or -m"),
+        (("map", "--op", "dilate", "--fixture", "pi1", "-p", "6"), "--op dilate needs -p and -t"),
+        (("map", "--op", "phi-m", "--fixture", "pi1"), "--op phi-m needs -m"),
+    ],
+    ids=["classify", "dilate", "phi-m"],
+)
+def test_missing_level_options_say_why(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_classify_by_m(capsys):
     code, out, _ = run(capsys, "classify", "--fixture", "pi1", "-k", "4", "-r", "3", "-m", "11")
     data = json.loads(out)
@@ -59,6 +79,13 @@ def test_map_phi_global(capsys):
     code, out, _ = run(capsys, "map", "--op", "phi", "--partition", "[]", "--zeta", "[1]")
     assert code == 0
     assert json.loads(out)["partition"] == [1]
+
+
+def test_map_psi_global(capsys):
+    code, out, _ = run(capsys, "map", "--op", "psi", "--parts", "7,4,1")
+    assert code == 0 and out == '{"partition": [4], "zeta": [7, 1]}\n'
+    code, out, _ = run(capsys, "map", "--op", "psi", "--parts", "7,4,1", "--format", "text")
+    assert code == 0 and out == "4\nzeta: 7,1\n"
 
 
 def test_map_with_trace(capsys):
@@ -141,6 +168,12 @@ def test_enumerate_json_lines(capsys):
     rows = [json.loads(line) for line in out.strip().splitlines()]
     assert code == 0
     assert sorted(map(tuple, rows)) == [(2, 2), (3, 1), (4,)]
+
+
+def test_enumerate_odd_distinct_parts(capsys):
+    code, out, _ = run(capsys, "enumerate", "--set", "I", "--floor", "1", "--max-weight", "9")
+    assert code == 0
+    assert out.splitlines() == ["[]", "[3]", "[5]", "[7]", "[5, 3]", "[9]"]
 
 
 VERIFY_PASSING = {
