@@ -136,6 +136,10 @@ def cmd_map(args) -> int:
     if args.op in ("phi-m", "psi-m") and args.m is None:
         print(f"error: --op {args.op} needs -m", file=sys.stderr)
         return 2
+    if args.op in ("phi", "psi") and (args.k, args.r) != (3, 3):
+        got = f"-k {args.k} -r {args.r}"
+        print(f"error: --op {args.op} is for -k 3 -r 3 only, got {got}", file=sys.stderr)
+        return 2
     if args.op == "phi":
         zeta = _parse_parts(args.zeta or "", "--zeta")
         out = maps.phi_global(parts, zeta)
@@ -217,6 +221,10 @@ def _mismatch(res: verify.Result) -> str:
 
 
 def cmd_verify(args) -> int:
+    if args.identity == "companion" and (args.k, args.r) != (3, 3):
+        got = f"-k {args.k} -r {args.r}"
+        print(f"error: --identity companion is for -k 3 -r 3 only, got {got}", file=sys.stderr)
+        return 2
     res = _IDENTITIES[args.identity](args)
     if res.ok:
         print(f"PASS {args.identity} qmax={args.qmax}")

@@ -5,17 +5,18 @@ Coefficients are plain Python ints, so nothing overflows no matter the
 truncation order.  The kernels multiply by (1 +- q^e) and divide by
 (1 - q^e) or (1 + q^e) in place, with slice operations that run in C.
 
-The multi-sum and the companion are built as incremental walks over their
-index tuples: neighbouring terms differ by a few q-factors, so each index
-step costs O(1) kernel calls on a running series instead of rebuilding the
-term from 1.  The running series is kept over its valuation and cut to the
-budget that is left under qmax.  Truncation to q^L is a ring map onto
-Z[q]/(q^L) and every divisor has constant term 1, so cutting a series
-shorter before the next factor keeps every step exact.  The companion
-tracks the length-counting variable x as rows, rows[d] the q-series of
-x^d; the x^d part starts at q^(d^2), so only rows with d^2 under the
-budget are kept.  `BivariateSeries` stores the result with the coefficient
-of q^n as a sparse integer polynomial in x.
+Both sum sides come from one incremental walk over the multi-sum's index
+tuples (`_terms`): neighbouring terms differ by a few q-factors, so each
+index step costs O(1) kernel calls on a running series instead of
+rebuilding the term from 1.  The running series is kept over its valuation
+and cut to the budget that is left under qmax.  Truncation to q^L is a ring
+map onto Z[q]/(q^L) and every divisor has constant term 1, so cutting a
+series shorter before the next factor keeps every step exact.  The walk
+holds rows, rows[d] the q-series of x^d with x counting parts: the
+multi-sum is one row, and the companion is the even family's multi-sum
+times its floating odd product (-x q^(1+2N_2); q^2)_inf, whose x^d part
+starts at q^(d^2).  `BivariateSeries` stores the result with the
+coefficient of q^n as a sparse integer polynomial in x.
 """
 
 from __future__ import annotations
@@ -108,7 +109,7 @@ class BivariateSeries:
 # -- the four generating-function constructions -------------------------
 
 
-def _tuple_min_exponent(params: BressoudParams, values: list[int]) -> int:
+def _tuple_min_exponent(params: BressoudParams, values: Sequence[int]) -> int:
     """Valuation of one multi-sum term: quadratic prefactor minus the shift
     absorbed from the negative-exponent finite products."""
     eta = params.eta
@@ -120,52 +121,66 @@ def _tuple_min_exponent(params: BressoudParams, values: list[int]) -> int:
     return base - neg
 
 
-def bressoud_multisum(params: BressoudParams, qmax: int) -> TruncatedSeries:
-    """The multi-sum generating function, summed over all index tuples whose
-    term valuation fits under qmax.
+def _terms(params: BressoudParams, qmax: int, rows: list[list[int]], floor=None):
+    """Yield (valuation, N_1 + ... + N_(k-1), rows) for each multi-sum term
+    whose valuation fits under qmax: rows[d] is the q-list of x^d of the
+    term over its valuation, times the series the rows started as.  The
+    rows yielded are the walk's own, good until the next step.
 
-    A depth-first walk over N_1 >= ... >= N_(k-1): level i holds the term
-    with values[:i+1] fixed and the rest zero, over its valuation, and
-    stepping values[i] from v-1 to v changes at most four of its factors.
+    A depth-first walk over the gaps g_i = N_i - N_(i+1) (N_k = 0), the last
+    gap outermost.  A step of g_i comes with every inner gap zero, so it
+    raises N_1 = ... = N_i together to n and changes 1/(q^eta;q^eta)_(g_i),
+    their finite products and the infinite products that start at them.
+    floor(rows, n), if given, moves a product floating on N_(k-1) to n.
     """
-    require_nonnegative(qmax=qmax)
     eta, k, alphas, lam = params.eta, params.k, params.alphas, params.lam
-    if k < 2:
-        raise ValueError(f"multi-sum needs k >= 2, got k={k}")
-    if lam > k - 1:
-        raise ValueError(f"needs lambda <= k-1, got lambda={lam}, k={k}")
-    total = [0] * (qmax + 1)
     values: list[int] = [0] * (k - 1)
+    for a in alphas[1:]:
+        for e in range(eta - a, qmax + 1, eta):
+            for row in rows:
+                _mul_one_plus(row, e)
 
-    def walk(i: int, c: list[int], base: int) -> None:
-        v = 0
+    def walk(j: int, rows: list[list[int]], base: int):  # steps g_(j+1)
+        fins, infs = alphas[: min(j + 1, lam)], alphas[1 : min(j + 2, lam)]
+        n = start = values[j]
         while True:
-            if i == k - 2:
-                total[base:] = map(add, total[base:], c)
+            if j:
+                yield from walk(j - 1, [row[:] for row in rows], base)
             else:
-                walk(i + 1, c[:], base)
-            if i and v == values[i - 1]:
-                break
-            v += 1
-            values[i] = v
+                yield base, sum(values), rows
+            n += 1
+            values[: j + 1] = [n] * (j + 1)
             base = _tuple_min_exponent(params, values)
             if base > qmax:
                 break
-            del c[qmax - base + 1 :]
-            if i:  # 1/(q^eta;q^eta)_(N_i - v) lost its top factor
-                _mul_one_plus(c, eta * (values[i - 1] - v + 1), -1)
-            _div_one_minus(c, eta * v)
-            if i < lam:
-                _mul_one_plus(c, alphas[i] + eta * (v - 1))
-            if i + 1 < lam:  # the infinite product now starts one factor later
-                _div_one_plus(c, eta - alphas[i + 1] + eta * (v - 1))
-        values[i] = 0
+            length = qmax - base + 1
+            del rows[isqrt(length - 1) + 1 :]  # x^d starts at q^(d^2)
+            for row in rows:
+                del row[length:]
+            if floor and j == k - 2:
+                floor(rows, n)
+            for row in rows:
+                _div_one_minus(row, eta * (n - start))
+                for a in fins:
+                    _mul_one_plus(row, a + eta * (n - 1))
+                for a in infs:
+                    _div_one_plus(row, eta * n - a)
+        values[: j + 1] = [start] * (j + 1)
 
-    root = [1] + [0] * qmax
-    for a in alphas[1:]:
-        for e in range(eta - a, qmax + 1, eta):
-            _mul_one_plus(root, e)
-    walk(0, root, 0)
+    yield from walk(k - 2, rows, 0)
+
+
+def bressoud_multisum(params: BressoudParams, qmax: int) -> TruncatedSeries:
+    """The multi-sum generating function, summed over all index tuples whose
+    term valuation fits under qmax, as the single row of `_terms`."""
+    require_nonnegative(qmax=qmax)
+    if params.k < 2:
+        raise ValueError(f"multi-sum needs k >= 2, got k={params.k}")
+    if params.lam > params.k - 1:
+        raise ValueError(f"needs lambda <= k-1, got lambda={params.lam}, k={params.k}")
+    total = [0] * (qmax + 1)
+    for base, _, (row,) in _terms(params, qmax, [[1] + [0] * qmax]):
+        total[base:] = map(add, total[base:], row)
     return TruncatedSeries(total, qmax)
 
 
@@ -213,51 +228,28 @@ def gg_companion_bivariate(qmax: int) -> BivariateSeries:
     q^(2(N1^2+N2^2)) * x^(N1+N2) * prod(1 + x q^(1+2N2+2i)) /
     ((q^2;q^2)_(N1-N2) (q^2;q^2)_(N2)).
 
-    Series in x are held as rows, rows[d] the q-list of x^d; the x^d part
-    of the product starts at q^(d^2), so only rows with d^2 < len are kept.
+    That is the multi-sum of the even family ((), 2, 3, 3) times its odd
+    product floating on N2: the walk starts from the rows of
+    prod(1 + x q^(2j+1)), and its floor divides out (1 + x q^(2v-1)) when
+    N2 reaches v.
     """
     require_nonnegative(qmax=qmax)
-
-    def trim(rows: list[list[int]], length: int) -> list[list[int]]:
-        rows = rows[: isqrt(length - 1) + 1]
-        for row in rows:
-            del row[length:]
-        return rows
-
-    totals: list[list[int]] = []
     rows = [[1] + [0] * qmax] + [[0] * (qmax + 1) for _ in range(isqrt(qmax))]
     for e in range(1, qmax + 1, 2):
         for d in range(len(rows) - 1, 0, -1):
             rows[d][e:] = map(add, rows[d][e:], rows[d - 1])
-    n2 = 0
-    while 4 * n2 * n2 <= qmax:
-        if n2:  # prod(1 + x q^(1+2N2+2i)) / (q^2;q^2)_(N2) from its N2-1 value
-            rows = trim(rows, qmax - 4 * n2 * n2 + 1)
-            for d in range(1, len(rows)):
-                rows[d][2 * n2 - 1 :] = map(sub, rows[d][2 * n2 - 1 :], rows[d - 1])
-            for row in rows:
-                _div_one_minus(row, 2 * n2)
-        term = [row[:] for row in rows]
-        n1 = n2
-        while True:
-            base = 2 * (n1 * n1 + n2 * n2)
-            for d, row in enumerate(term, start=n1 + n2):
-                while len(totals) <= d:
-                    totals.append([0] * (qmax + 1))
-                totals[d][base:] = map(add, totals[d][base:], row)
-            n1 += 1
-            if 2 * (n1 * n1 + n2 * n2) > qmax:
-                break
-            term = trim(term, qmax - 2 * (n1 * n1 + n2 * n2) + 1)
-            for row in term:
-                _div_one_minus(row, 2 * (n1 - n2))
-        n2 += 1
-    coeffs: list[dict] = [{} for _ in range(qmax + 1)]
-    for d, row in enumerate(totals):
-        for n, v in enumerate(row):
-            if v:
-                coeffs[n][d] = v
-    return BivariateSeries(coeffs, qmax)
+
+    def floor(rows: list[list[int]], v: int) -> None:
+        for d in range(1, len(rows)):
+            rows[d][2 * v - 1 :] = map(sub, rows[d][2 * v - 1 :], rows[d - 1])
+
+    totals: list[list[int]] = []
+    for base, degree, term in _terms(BressoudParams((), 2, 3, 3), qmax, rows, floor):
+        for d, row in enumerate(term, start=degree):
+            while len(totals) <= d:
+                totals.append([0] * (qmax + 1))
+            totals[d][base:] = map(add, totals[d][base:], row)
+    return BivariateSeries([dict(enumerate(col)) for col in zip(*totals)], qmax)
 
 
 def kursungoz_cell(counts: Sequence[int], r: int, qmax: int) -> TruncatedSeries:
@@ -266,21 +258,17 @@ def kursungoz_cell(counts: Sequence[int], r: int, qmax: int) -> TruncatedSeries:
     Every member of the cell has sum N_i parts."""
     require_nonnegative(qmax=qmax)
     counts = tuple(int(v) for v in counts)
-    if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)) or any(
-        v < 0 for v in counts
-    ):
+    if list(counts) != sorted(counts, reverse=True) or min(counts, default=0) < 0:
         raise ValueError(f"row counts must be non-increasing and >= 0, got {counts}")
     k = len(counts) + 1
     if not (k >= 2 and k >= r >= 1):
         raise ValueError(f"cell needs k >= 2 and k >= r >= 1, got k={k}, r={r}")
-    base = 2 * (sum(v * v for v in counts) + sum(counts[r - 1 :]))
+    base = _tuple_min_exponent(BressoudParams((), 2, k, r), counts)
     if base > qmax:
         return TruncatedSeries([0] * (qmax + 1), qmax)
     budget = qmax - base
     c = [1] + [0] * budget
-    diffs = [counts[i] - counts[i + 1] for i in range(k - 2)] + [counts[k - 2]]
-    for d in diffs:
-        for jj in range(1, d + 1):
-            if 2 * jj <= budget:
-                _div_one_minus(c, 2 * jj)
+    for hi, lo in zip(counts, counts[1:] + (0,)):  # 1/(q^2;q^2)_(N_i - N_(i+1))
+        for jj in range(1, min(hi - lo, budget // 2) + 1):
+            _div_one_minus(c, 2 * jj)
     return TruncatedSeries([0] * base + c, qmax)

@@ -60,8 +60,20 @@ def test_classify_eq_member(capsys):
         (("classify", "--fixture", "pi1", "-k", "4", "-r", "3"), "classify needs -p and -t, or -m"),
         (("map", "--op", "dilate", "--fixture", "pi1", "-p", "6"), "--op dilate needs -p and -t"),
         (("map", "--op", "phi-m", "--fixture", "pi1"), "--op phi-m needs -m"),
+        (
+            ("verify", "--identity", "companion", "-k", "5", "-r", "5", "--qmax", "20"),
+            "--identity companion is for -k 3 -r 3 only, got -k 5 -r 5",
+        ),
+        (
+            ("map", "--op", "phi", "--parts", "4,2", "--zeta", "5", "-k", "4", "-r", "4"),
+            "--op phi is for -k 3 -r 3 only, got -k 4 -r 4",
+        ),
+        (
+            ("map", "--op", "psi", "--parts", "5,4,2", "-k", "4", "-r", "4"),
+            "--op psi is for -k 3 -r 3 only, got -k 4 -r 4",
+        ),
     ],
-    ids=["classify", "dilate", "phi-m"],
+    ids=["classify", "dilate", "phi-m", "companion-k5-r5", "phi-k4-r4", "psi-k4-r4"],
 )
 def test_missing_level_options_say_why(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -112,6 +112,14 @@ def test_companion_walk_matches_per_term_reference():
     assert list(gg_companion_bivariate(150).coeffs) == reference_companion(150)
 
 
+def test_companion_at_every_row_cut():
+    # q^0..q^40 crosses each perfect square, where the walk cuts its x-rows
+    for q in range(41):
+        coeffs = gg_companion_bivariate(q).coeffs
+        assert list(coeffs) == reference_companion(q), q
+        assert all(list(c) == sorted(c) for c in coeffs), q  # ascending x-degree
+
+
 def test_multisum_degenerate_single_index():
     params = BressoudParams((), 2, 2, 2)
     assert bressoud_multisum(params, 16)[0] == 1
@@ -176,8 +184,8 @@ def test_companion_bivariate_small():
 
 
 def test_bivariate_collapse_commutes():
-    biv = gg_companion_bivariate(20)
-    prod = bressoud_product(BressoudParams((1,), 2, 3, 3), 20)
+    biv = gg_companion_bivariate(250)
+    prod = bressoud_product(BressoudParams((1,), 2, 3, 3), 250)
     assert biv.at_x1() == prod
 
 
