@@ -173,7 +173,14 @@ def _params_from(args) -> BressoudParams:
         alphas = tuple(int(a) for a in (args.alphas or "").split(",") if a.strip())
     except ValueError as exc:
         raise ValueError(f"--alphas: cannot read {args.alphas!r} as a comma list ({exc})") from None
-    return BressoudParams(alphas, args.eta, args.k, args.r)
+    return BressoudParams(alphas, 2 if args.eta is None else args.eta, args.k, args.r)
+
+
+def _unread_family_options(args, target: str) -> None:
+    """Refuse --alphas and --eta where `target` fixes its own family."""
+    for option in ("alphas", "eta"):
+        if getattr(args, option) is not None:
+            raise ValueError(f"{target} does not read --{option}")
 
 
 def _set_params(args) -> BressoudParams:
@@ -181,6 +188,7 @@ def _set_params(args) -> BressoudParams:
     reads --alphas and --eta."""
     if args.set == "B":
         return _params_from(args)
+    _unread_family_options(args, f"--set {args.set}")
     return BressoudParams((1,) if args.set == "C" else (), 2, args.k, args.r)
 
 
@@ -193,6 +201,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.set in ("I", "F33"):
+        _unread_family_options(args, f"--set {args.set}")
     if args.set == "I":
         for z in enumerate_I(args.floor, args.max_weight):
             print(json.dumps(list(z)))
@@ -225,6 +235,8 @@ def cmd_verify(args) -> int:
         got = f"-k {args.k} -r {args.r}"
         print(f"error: --identity companion is for -k 3 -r 3 only, got {got}", file=sys.stderr)
         return 2
+    if args.identity in ("companion", "cell"):
+        _unread_family_options(args, f"--identity {args.identity}")
     res = _IDENTITIES[args.identity](args)
     if res.ok:
         print(f"PASS {args.identity} qmax={args.qmax}")
@@ -291,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("count", help="CSV of member counts by weight")
     p.add_argument("--set", choices=("B", "C", "E"), default="C")
     p.add_argument("--alphas", help="comma list, e.g. 1,2")
-    p.add_argument("--eta", type=int, default=2)
+    p.add_argument("--eta", type=int, help="default 2")
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
     p.add_argument("--max-n", type=nonnegative, required=True)
@@ -300,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="JSON lines of members")
     p.add_argument("--set", choices=("B", "C", "E", "I", "F33"), default="C")
     p.add_argument("--alphas")
-    p.add_argument("--eta", type=int, default=2)
+    p.add_argument("--eta", type=int, help="default 2")
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-r", type=int, default=3)
     p.add_argument("-n", type=nonnegative, default=0)
@@ -315,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=tuple(_IDENTITIES),
     )
     p.add_argument("--alphas")
-    p.add_argument("--eta", type=int, default=2)
+    p.add_argument("--eta", type=int, help="default 2")
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-r", type=int, default=3)
     p.add_argument("--qmax", type=nonnegative, required=True)

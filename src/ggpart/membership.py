@@ -30,8 +30,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from . import debug
-from .errors import GGError, require_nonnegative
+from .errors import require_nonnegative
 from .marking import MarkedPartition, gg_mark
 
 
@@ -96,18 +95,14 @@ def is_bressoud_B(parts: Sequence[int], params: BressoudParams) -> bool:
 def is_in_C(p, k: int, r: int) -> bool:
     """Marking characterization of the eta=2 family with one residue class.
 
-    Accepts a part sequence or an already marked partition.  With debug
-    checks on, the answer is cross-validated against `is_bressoud_B`.
+    Accepts a part sequence or an already marked partition.  The tests
+    check it against `is_bressoud_B`, the family's four defining conditions.
     """
     mp = p if isinstance(p, MarkedPartition) else gg_mark(p)
     key = ("inC", k, r)
     hit = mp._memo.get(key)
     if hit is None:
-        hit = _is_in_C(mp, k, r)
-        if debug.enabled():
-            if hit != is_bressoud_B(mp.parts, BressoudParams((1,), 2, k, r)):
-                raise GGError(f"membership characterizations disagree on {mp.parts}")
-        mp._memo[key] = hit
+        hit = mp._memo[key] = _is_in_C(mp, k, r)
     return hit
 
 

@@ -185,41 +185,24 @@ def bressoud_multisum(params: BressoudParams, qmax: int) -> TruncatedSeries:
 
 
 def bressoud_product(params: BressoudParams, qmax: int) -> TruncatedSeries:
-    """The infinite-product generating function.
-
-    The triple-product exponents are half-integers when lambda is odd, so the
-    whole computation runs on a doubled exponent grid and is halved at the
-    end; a coefficient landing on an odd doubled exponent is an error.
-    """
+    """The infinite-product generating function, with m = eta(2k-lambda+1)
+    and a = eta(2r-lambda)/2: prod over the alphas of (-q^alpha; q^eta)_inf,
+    times (q^a, q^(m-a), q^m; q^m)_inf / (q^eta; q^eta)_inf.
+    When lambda is odd the middle alpha is eta/2, so eta is even and a is an integer."""
     require_nonnegative(qmax=qmax)
-    eta, k, r, lam = params.eta, params.k, params.r, params.lam
-    Q = 2 * qmax
-    c = [1] + [0] * Q
-    for a in params.alphas:
-        e = 2 * a
-        while e <= Q:
+    eta, lam = params.eta, params.lam
+    m = eta * (2 * params.k - lam + 1)
+    a = eta * (2 * params.r - lam) // 2
+    c = [1] + [0] * qmax
+    for alpha in params.alphas:
+        for e in range(alpha, qmax + 1, eta):
             _mul_one_plus(c, e)
-            e += 2 * eta
-    mod2 = eta * (2 * (2 * k - lam + 1))
-    for start in (eta * (2 * r - lam), eta * (4 * k - 2 * r - lam + 2), mod2):
-        if start < 0:
-            raise ValueError(f"triple-product exponent {start/2} negative; invalid parameters")
-        e = start
-        while e <= Q:
+    for start in (a, m - a, m):
+        for e in range(start, qmax + 1, m):
             _mul_one_plus(c, e, -1)
-            e += mod2
-    e = 2 * eta
-    while e <= Q:
+    for e in range(eta, qmax + 1, eta):
         _div_one_minus(c, e)
-        e += 2 * eta
-    out = [0] * (qmax + 1)
-    for n2, v in enumerate(c):
-        if not v:
-            continue
-        if n2 % 2:
-            raise ValueError(f"fractional exponent {n2}/2 survived in the product")
-        out[n2 // 2] = v
-    return TruncatedSeries(out, qmax)
+    return TruncatedSeries(c, qmax)
 
 
 def gg_companion_bivariate(qmax: int) -> BivariateSeries:

@@ -20,7 +20,7 @@ from ggpart import (
     reduction_types,
     starting_profile,
 )
-from ggpart import classify, debug, membership
+from ggpart import classify
 from ggpart.fixtures import fixture_marked
 
 from helpers import c_members, pt_grid, row_at
@@ -206,9 +206,8 @@ def test_find_m_examples():
                 assert find_pt_eq(mp, 3, 3, m) is not None
 
 
-def test_find_m_rejects_a_non_member_with_checks_off(monkeypatch):
+def test_find_m_rejects_a_non_member_with_checks_off():
     # (3, 3) is not in C(3, 3), so no p places it in the eq family at t = 1
-    monkeypatch.setattr(debug, "_enabled", False)
     with pytest.raises(ClassificationError):
         find_m_eq33(gg_mark((3, 3)))
 
@@ -359,11 +358,9 @@ def test_classifier_never_touches_a_sentinel():
     assert at_zero == {"lt", "sim", "eq"}
 
 
-@pytest.mark.parametrize("checks", [True, False], ids=["debug", "nodebug"])
-def test_label_slots_never_return_a_stale_label(monkeypatch, checks):
+def test_label_slots_never_return_a_stale_label():
     # one object takes every probe in a seeded shuffled order, each probe under
     # the three (k, r) back to back; a new object answers each call afresh
-    monkeypatch.setattr(debug, "_enabled", checks)
     krs = [(3, 3), (4, 3), (4, 4)]
     families = (classify_lt, classify_sim, classify_eq)
     rng = random.Random(20260)
@@ -385,14 +382,12 @@ def _fresh(parts):
 
 
 def test_starting_type_overlap_raises_with_checks_off(monkeypatch):
-    monkeypatch.setattr(debug, "_enabled", False)
     monkeypatch.setattr(classify, "_has1", lambda mp, value: True)
     with pytest.raises(ClassificationError):
         starting_profile(_fresh((4, 4)))
 
 
 def test_starting_type_with_no_case_raises_with_checks_off(monkeypatch):
-    monkeypatch.setattr(debug, "_enabled", False)
     monkeypatch.setattr(classify, "_has1", lambda mp, value: False)
     with pytest.raises(ClassificationError, match=r"matched starting types \[\]"):
         starting_profile(_fresh((4, 4)))
@@ -400,12 +395,6 @@ def test_starting_type_with_no_case_raises_with_checks_off(monkeypatch):
 
 def test_debug_cross_checks_raise_not_assert(monkeypatch):
     # `python -O` strips asserts; these checks must raise a GGError instead
-    monkeypatch.setattr(debug, "_enabled", True)
-    with monkeypatch.context() as m:
-        real = membership._is_in_C
-        m.setattr(membership, "_is_in_C", lambda mp, k, r: not real(mp, k, r))
-        with pytest.raises(GGError):
-            is_in_C(_fresh((6, 4, 2)), 3, 3)
     with monkeypatch.context() as m:
         m.setattr(classify, "_has1", lambda mp, value: True)
         with pytest.raises(GGError):

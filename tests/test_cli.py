@@ -72,8 +72,27 @@ def test_classify_eq_member(capsys):
             ("map", "--op", "psi", "--parts", "5,4,2", "-k", "4", "-r", "4"),
             "--op psi is for -k 3 -r 3 only, got -k 4 -r 4",
         ),
+        # only --identity conjecture/product/sum-product and --set B read the family
+        (
+            ("verify", "--identity", "companion", "--alphas", "1,2", "--eta", "3", "--qmax", "20"),
+            "--identity companion does not read --alphas",
+        ),
+        (
+            ("verify", "--identity", "cell", "-k", "4", "-r", "3", "--eta", "3", "--qmax", "16"),
+            "--identity cell does not read --eta",
+        ),
+        (
+            ("count", "--set", "C", "--alphas", "1,2", "--eta", "3", "-k", "3", "-r", "3", "--max-n", "3"),
+            "--set C does not read --alphas",
+        ),
+        (("enumerate", "--set", "E", "--eta", "2", "-n", "4"), "--set E does not read --eta"),
+        (("enumerate", "--set", "I", "--alphas", "1", "--max-weight", "3"), "--set I does not read --alphas"),
+        (("enumerate", "--set", "F33", "--eta", "2", "-n", "3"), "--set F33 does not read --eta"),
     ],
-    ids=["classify", "dilate", "phi-m", "companion-k5-r5", "phi-k4-r4", "psi-k4-r4"],
+    ids=[
+        "classify", "dilate", "phi-m", "companion-k5-r5", "phi-k4-r4", "psi-k4-r4",
+        "companion-alphas", "cell-eta", "count-C-alphas", "enumerate-E-eta", "enumerate-I-alphas", "F33-eta",
+    ],
 )
 def test_missing_level_options_say_why(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -3,6 +3,7 @@ from collections import Counter
 import pytest
 
 from ggpart import (
+    BressoudParams,
     MembershipError,
     classify_eq,
     classify_lt,
@@ -11,6 +12,8 @@ from ggpart import (
     find_m_eq33,
     gg_mark,
     insert_odd,
+    is_bressoud_B,
+    is_in_C,
     phi_global,
     phi_m,
     phi_pt,
@@ -207,7 +210,14 @@ def test_round_trips_near_the_fixtures():
     # The sweeps above rarely reach kinds 11 and 12 (never 12 at (4,3)), so
     # walk out from the worked examples: two rounds of phi_pt/psi_pt over
     # every (p, t) of every member not yet visited, queueing each image.
+    # Each partition visited or queued is also checked against the four
+    # defining conditions, at weights no exhaustive sweep reaches.
     k, r = 4, 3
+    params = BressoudParams((1,), 2, k, r)
+
+    def agree(x):
+        return is_in_C(x, k, r) == is_bressoud_B(x.parts, params)
+
     frontier = [fixture_marked(n) for n in sorted(FIXTURES) if "overline" not in FIXTURES[n]]
     assert len(frontier) == 22
     visited, weights, kinds, bwd = set(), [], Counter(), 0
@@ -218,17 +228,20 @@ def test_round_trips_near_the_fixtures():
                 continue
             visited.add(x)
             weights.append(x.weight)
+            assert agree(x), x.parts
             for p in range(x.N(2) + 1):
                 for t in range(x.parts[0] // 2 + 3):
                     label = classify_lt(x, k, r, p, t)
                     if label is not None:
                         y = phi_pt(x, k, r, p, t)
                         assert psi_pt(y, k, r, p, t) == x
+                        assert agree(y), y.parts
                         kinds[label.j] += 1
                         queue.append(y)
                     if classify_eq(x, k, r, p, t) is not None:
                         w = psi_pt(x, k, r, p, t)
                         assert phi_pt(w, k, r, p, t) == x
+                        assert agree(w), w.parts
                         bwd += 1
                         queue.append(w)
         frontier = queue

@@ -65,7 +65,7 @@ def test_characterizations_agree_exhaustive():
     for n in range(0, 31):
         for p in all_partitions(n):
             mp = gg_mark(p)
-            for (k, r) in ((3, 3), (4, 3), (4, 4), (5, 3)):
+            for (k, r) in ((3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5)):
                 assert is_in_C(mp, k, r) == is_bressoud_B(p, BressoudParams((1,), 2, k, r))
 
 
