@@ -118,13 +118,13 @@ def cmd_classify(args) -> int:
 _OPS = {
     "dilate": lambda mp, a: maps.dilate(mp, a.k, a.r, a.p, a.t),
     "reduce": lambda mp, a: maps.reduce(mp, a.k, a.r, a.p, a.t),
-    "insert": lambda mp, a: (maps.insert_odd(mp, a.k, a.r, a.p, a.t), None),
-    "separate": lambda mp, a: (maps.separate_odd(mp, a.k, a.r, a.p, a.t), None),
-    "phi-pt": lambda mp, a: (maps.phi_pt(mp, a.k, a.r, a.p, a.t), None),
-    "psi-pt": lambda mp, a: (maps.psi_pt(mp, a.k, a.r, a.p, a.t), None),
-    "phi-m": lambda mp, a: (maps.phi_m(mp, a.k, a.r, a.m), None),
-    "psi-m": lambda mp, a: (maps.psi_m(mp, a.k, a.r, a.m), None),
-}
+    "insert": lambda mp, a: maps.insert_odd_trace(mp, a.k, a.r, a.p, a.t),
+    "separate": lambda mp, a: maps.separate_odd_trace(mp, a.k, a.r, a.p, a.t),
+    "phi-pt": lambda mp, a: (maps.phi_pt(mp, a.k, a.r, a.p, a.t), ()),
+    "psi-pt": lambda mp, a: (maps.psi_pt(mp, a.k, a.r, a.p, a.t), ()),
+    "phi-m": lambda mp, a: (maps.phi_m(mp, a.k, a.r, a.m), ()),
+    "psi-m": lambda mp, a: (maps.psi_m(mp, a.k, a.r, a.m), ()),
+}  # (output, the intermediate grids --trace prints)
 _PT_OPS = ("dilate", "reduce", "insert", "separate", "phi-pt", "psi-pt")  # the ops at one (p, t)
 
 
@@ -140,6 +140,8 @@ def cmd_map(args) -> int:
         got = f"-k {args.k} -r {args.r}"
         print(f"error: --op {args.op} is for -k 3 -r 3 only, got {got}", file=sys.stderr)
         return 2
+    if args.op in ("phi", "psi"):
+        _unread_options(args, f"--op {args.op}", "--overline")
     if args.op == "phi":
         zeta = _parse_parts(args.zeta or "", "--zeta")
         out = maps.phi_global(parts, zeta)
@@ -153,8 +155,8 @@ def cmd_map(args) -> int:
         result = {"partition": list(out.parts), "weight": out.weight, "length": out.length}
         if out.overline is not None:
             result["overline"] = out.overline[0]
-        if args.trace and trace is not None:
-            for step in trace.steps:
+        if args.trace:
+            for step in trace.steps if isinstance(trace, maps.DilationTrace) else trace:
                 print(render_grid(step), file=sys.stderr)
                 print("--", file=sys.stderr)
     if args.op in _PT_OPS:
@@ -176,11 +178,11 @@ def _params_from(args) -> BressoudParams:
     return BressoudParams(alphas, 2 if args.eta is None else args.eta, args.k, args.r)
 
 
-def _unread_family_options(args, target: str) -> None:
-    """Refuse --alphas and --eta where `target` fixes its own family."""
-    for option in ("alphas", "eta"):
-        if getattr(args, option) is not None:
-            raise ValueError(f"{target} does not read --{option}")
+def _unread_options(args, target: str, *flags: str) -> None:
+    """Refuse each of `flags` that was given, since `target` does not read it."""
+    for flag in flags:
+        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
+            raise ValueError(f"{target} does not read {flag}")
 
 
 def _set_params(args) -> BressoudParams:
@@ -188,7 +190,7 @@ def _set_params(args) -> BressoudParams:
     reads --alphas and --eta."""
     if args.set == "B":
         return _params_from(args)
-    _unread_family_options(args, f"--set {args.set}")
+    _unread_options(args, f"--set {args.set}", "--alphas", "--eta")
     return BressoudParams((1,) if args.set == "C" else (), 2, args.k, args.r)
 
 
@@ -200,18 +202,25 @@ def cmd_count(args) -> int:
     return 0
 
 
+_ENUMERATE_UNREAD = {  # by --set; B, C and E do not read --floor or --max-weight
+    "I": ("--alphas", "--eta", "-k", "-r", "-n"),
+    "F33": ("--alphas", "--eta", "-k", "-r", "--floor", "--max-weight"),
+}
+
+
 def cmd_enumerate(args) -> int:
-    if args.set in ("I", "F33"):
-        _unread_family_options(args, f"--set {args.set}")
+    unread = _ENUMERATE_UNREAD.get(args.set, ("--floor", "--max-weight"))
+    _unread_options(args, f"--set {args.set}", *unread)
     if args.set == "I":
-        for z in enumerate_I(args.floor, args.max_weight):
+        for z in enumerate_I(args.floor or 0, args.max_weight or 0):
             print(json.dumps(list(z)))
         return 0
     if args.set == "F33":
-        for p, z in enumerate_F33(args.n):
+        for p, z in enumerate_F33(args.n or 0):
             print(json.dumps([list(p), list(z)]))
         return 0
-    for p in enumerate_B(_set_params(args), args.n):
+    args.k, args.r = (3 if v is None else v for v in (args.k, args.r))
+    for p in enumerate_B(_set_params(args), args.n or 0):
         print(json.dumps(list(p)))
     return 0
 
@@ -221,7 +230,7 @@ _IDENTITIES = {
     "product": lambda a: verify.product(_params_from(a), a.qmax),
     "sum-product": lambda a: verify.sum_product(_params_from(a), a.qmax),
     "companion": lambda a: verify.companion(a.qmax),
-    "cell": lambda a: verify.cell(a.k, a.r, a.qmax, a.max_n1),
+    "cell": lambda a: verify.cell(a.k, a.r, a.qmax),
 }
 
 
@@ -236,7 +245,7 @@ def cmd_verify(args) -> int:
         print(f"error: --identity companion is for -k 3 -r 3 only, got {got}", file=sys.stderr)
         return 2
     if args.identity in ("companion", "cell"):
-        _unread_family_options(args, f"--identity {args.identity}")
+        _unread_options(args, f"--identity {args.identity}", "--alphas", "--eta")
     res = _IDENTITIES[args.identity](args)
     if res.ok:
         print(f"PASS {args.identity} qmax={args.qmax}")
@@ -313,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", choices=("B", "C", "E", "I", "F33"), default="C")
     p.add_argument("--alphas")
     p.add_argument("--eta", type=int, help="default 2")
-    p.add_argument("-k", type=int, default=3)
-    p.add_argument("-r", type=int, default=3)
-    p.add_argument("-n", type=nonnegative, default=0)
-    p.add_argument("--floor", type=nonnegative, default=0, help="odd parts >= 2*floor+1 (I)")
-    p.add_argument("--max-weight", type=nonnegative, default=0)
+    p.add_argument("-k", type=int, help="default 3 (B, C, E)")
+    p.add_argument("-r", type=int, help="default 3 (B, C, E)")
+    p.add_argument("-n", type=nonnegative, help="weight, default 0 (all but I)")
+    p.add_argument("--floor", type=nonnegative, help="odd parts >= 2*floor+1, default 0 (I)")
+    p.add_argument("--max-weight", type=nonnegative, help="default 0 (I)")
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="check one identity coefficient-by-coefficient")
@@ -331,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-r", type=int, default=3)
     p.add_argument("--qmax", type=nonnegative, required=True)
-    p.add_argument("--max-n1", type=nonnegative, default=4, help="largest leading row count (cell)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("roundtrip", help="exhaustive inverse-map sweeps")

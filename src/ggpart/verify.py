@@ -13,10 +13,11 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
+from math import isqrt
 from typing import Any, Optional
 
 from . import maps, series
-from .classify import classify_eq, classify_lt
+from .classify import classify_eq, classify_lt, classify_sim
 from .errors import GGError, require_nonnegative
 from .marking import gg_mark
 from .membership import enumerate_B, enumerate_C, enumerate_E, enumerate_F33, row_counts
@@ -86,20 +87,19 @@ def companion(qmax: int) -> Result:
     return _coefficients(by_length, series.gg_companion_bivariate(qmax).coeffs)
 
 
-def cell(k: int, r: int, qmax: int, max_n1: int) -> Result:
+def cell(k: int, r: int, qmax: int) -> Result:
     """The cell formula against the even family tallied by row counts
-    (N_1..N_(k-1)), one item per cell with N_1 <= max_n1: every
-    non-increasing key, empty or not, and any key the enumeration produced.
-    `where` is (key, n)."""
-    require_nonnegative(qmax=qmax, max_n1=max_n1)
+    (N_1..N_(k-1)), one item per cell that can hold a member of weight <=
+    qmax: every non-increasing key with 2 N_1^2 <= qmax, empty or not, and
+    any key the enumeration produced.  `where` is (key, n)."""
+    require_nonnegative(qmax=qmax)
     if k < 2:
         raise ValueError(f"cell needs k >= 2, got k={k}")
     tallies: dict[tuple, list[int]] = {}
     for n in range(qmax + 1):
         for p in enumerate_E(k, r, n):
             tallies.setdefault(row_counts(gg_mark(p), k - 1), [0] * (qmax + 1))[n] += 1
-    keys = set(combinations_with_replacement(range(max_n1, -1, -1), k - 1))
-    keys |= {key for key in tallies if key[0] <= max_n1}
+    keys = set(combinations_with_replacement(range(isqrt(qmax // 2), -1, -1), k - 1)) | set(tallies)
     tally = _Tally()
     for key in sorted(keys):
         tally.checked += 1
@@ -118,11 +118,11 @@ def members_by_weight(k: int, r: int, wmax: int) -> dict[int, list]:
 
 
 def _round_trip(tally: _Tally, where, x, there, back):
-    """One item: back(there(x)) == x.  Returns there(x), None if a map raised."""
+    """One item: there(x) == (mid, y), back(y) == (mid, x); returns y, None if a map raised."""
     tally.checked += 1
     try:
-        y = there(x)
-        tally.expect(where, x, back(y))
+        mid, y = there(x)
+        tally.expect(where, (mid, x), back(y))
         return y
     except GGError as exc:
         tally.expect(where, x, exc)
@@ -130,9 +130,9 @@ def _round_trip(tally: _Tally, where, x, there, back):
 
 
 def _bijection(fwd, bwd, where, sources, targets, phi, psi, image_stats) -> None:
-    """psi(phi(x)) == x and (weight, length) of phi(x) == image_stats(x) over
-    the sources; the images are distinct, are exactly the targets and share
-    their statistics; phi(psi(y)) == y over the targets."""
+    """Round trips x -> phi -> psi, the image y having (weight, length) ==
+    image_stats(x), over the sources; the images are distinct, are exactly the
+    targets and share their statistics; y -> psi -> phi over the targets."""
     images = []
     for x in sources:
         y = _round_trip(fwd, (where, x), x, phi, psi)
@@ -148,18 +148,30 @@ def _bijection(fwd, bwd, where, sources, targets, phi, psi, image_stats) -> None
         _round_trip(bwd, (where, y), y, psi, phi)
 
 
+def phi_by_factors(x, k: int, r: int, p: int, t: int):
+    """insert_odd(dilate(x)) as ((lt kind of x, midpoint), image)."""
+    mu = maps.dilate(x, k, r, p, t)[0]
+    return (classify_lt(x, k, r, p, t).j, mu), maps.insert_odd(mu, k, r, p, t)
+
+
+def psi_by_factors(y, k: int, r: int, p: int, t: int):
+    """reduce(separate_odd(y)) as ((tilde kind of midpoint, midpoint), image)."""
+    x = maps.reduce(mid := maps.separate_odd(y, k, r, p, t), k, r, p, t)[0]
+    return (classify_sim(mid, k, r, p, t).j, mid), x
+
+
 def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Result]:
     """phi_pt/psi_pt at every (p, t) with 2p+2t+1 <= max(members), where
     `members` is a `members_by_weight` map: from the lt members of each
     weight n (forward) onto the eq members of weight n+2p+2t+1 (backward),
-    with one more part.  `where` is ((p, t), weight n)."""
+    with one more part; items run `*_by_factors`.  `where` is ((p, t), weight n)."""
     wmax = max(members)
     fwd, bwd = _Tally(), _Tally()
     for delta in range(1, wmax + 1, 2):
         for p in range(delta // 2 + 1):
             t = delta // 2 - p
-            phi = partial(maps.phi_pt, k=k, r=r, p=p, t=t)
-            psi = partial(maps.psi_pt, k=k, r=r, p=p, t=t)
+            phi = partial(phi_by_factors, k=k, r=r, p=p, t=t)
+            psi = partial(psi_by_factors, k=k, r=r, p=p, t=t)
             for n in range(wmax + 1 - delta):
                 sources = [mp for mp in members[n] if classify_lt(mp, k, r, p, t)]
                 targets = [mp for mp in members[n + delta] if classify_eq(mp, k, r, p, t)]
@@ -170,10 +182,6 @@ def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Resu
     return fwd.result(), bwd.result()
 
 
-def _phi_global(pair):
-    return maps.phi_global(*pair)
-
-
 def global_pairs(members: dict[int, list]) -> tuple[Result, Result]:
     """phi_global/psi_global from the F33 pairs of each weight n (forward)
     onto the C(3, 3) members of weight n (backward), keeping weight and
@@ -182,7 +190,8 @@ def global_pairs(members: dict[int, list]) -> tuple[Result, Result]:
     for n, targets in members.items():
         pairs = [(gg_mark(even), zeta) for even, zeta in enumerate_F33(n)]
         _bijection(
-            fwd, bwd, n, pairs, targets, _phi_global, maps.psi_global,
+            fwd, bwd, n, pairs, targets,
+            lambda pair: (None, maps.phi_global(*pair)), lambda y: (None, maps.psi_global(y)),
             lambda pair: (n, pair[0].length + len(pair[1])),
         )
     return fwd.result(), bwd.result()

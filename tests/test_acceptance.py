@@ -5,6 +5,8 @@ PASS line on success (run with `pytest -s` to see them); a failure carries
 the first offending object in its assertion message.
 """
 
+from functools import cache
+
 import pytest
 
 from ggpart import (
@@ -17,10 +19,8 @@ from ggpart import (
     find_m_eq33,
     find_pt_eq,
     find_pt_lt,
-    insert_odd,
     reduce,
     render_grid,
-    separate_odd,
     starting_profile,
     verify,
 )
@@ -67,54 +67,35 @@ def test_criterion_03_sum_equals_product(params):
 
 def test_criterion_04_cell_identity():
     for (k, r), cells in {(3, 3): 15, (4, 3): 35, (4, 4): 35}.items():
-        res = verify.cell(k, r, 40, 4)
+        res = verify.cell(k, r, 40)
         assert res.ok, (k, r, res.first)
         assert res.checked == cells, (k, r)
-    _passed(4, "cell formula equals weighted cell enumeration to q^40, every lead <= 4")
+    _passed(4, "cell formula equals weighted cell enumeration to q^40, cells 2 N_1^2 <= 40")
 
 
-def _pt_range(bound=29):
-    out = []
-    m = 0
-    while 2 * m + 1 <= bound:
-        out.extend((p, m - p) for p in range(m + 1))
-        m += 1
-    return out
+@cache
+def _pt_sweep():
+    """verify.pt_bijection at every (p, t) with 2p+2t+1 <= 29, members to weight 30."""
+    return {(k, r): verify.pt_bijection(k, r, c_members(k, r, 30)) for k, r in KR_SETS}
 
 
 def test_criterion_05_pt_bijection():
-    checked = 0
-    for k, r in KR_SETS:
-        fwd, bwd = verify.pt_bijection(k, r, c_members(k, r, 30))
+    for (k, r), (fwd, bwd) in _pt_sweep().items():
         assert fwd.ok and bwd.ok, (k, r, fwd.first, bwd.first)
-        checked += fwd.checked
+    checked = sum(fwd.checked for fwd, _ in _pt_sweep().values())
     assert checked == 7410
     _passed(5, f"phi/psi bijective with matching image sets ({checked} members)")
 
 
 def test_criterion_06_factorized_round_trips():
-    wmax = 30
-    checked = 0
-    for k, r in KR_SETS:
-        members = c_members(k, r, wmax)
-        for p, t in _pt_range():
-            delta = 2 * p + 2 * t + 1
-            for n in range(0, wmax + 1 - delta):
-                for mp in members[n]:
-                    label = classify_lt(mp, k, r, p, t)
-                    if label is None:
-                        continue
-                    mu, _ = dilate(mp, k, r, p, t)
-                    assert mu.weight == mp.weight + 2 * label.l and mu.length == mp.length
-                    sim = classify_sim(mu, k, r, p, t)
-                    assert sim is not None and sim.j == label.j, (mp.parts, p, t)
-                    back, _ = reduce(mu, k, r, p, t)
-                    assert back == mp, (mp.parts, p, t)
-                    omega = insert_odd(mu, k, r, p, t)  # asserts kind and index transport
-                    assert classify_eq(omega, k, r, p, t).index == sim.index
-                    assert separate_odd(omega, k, r, p, t) == mu, (mu.parts, p, t)
-                    checked += 1
-    _passed(6, f"reduce(dilate)=id and separate(insert)=id with transport ({checked} members)")
+    # each item of the sweep goes x -> dilate -> insert_odd -> separate_odd ->
+    # reduce (and back from the eq end), comparing the midpoint, the start and
+    # the lt kind against the midpoint's tilde kind; the maps check their own
+    # ledgers and insertion's index transport
+    counts = {kr: (fwd.checked, bwd.checked) for kr, (fwd, bwd) in _pt_sweep().items()}
+    assert counts == {(3, 3): (2003, 2003), (4, 3): (2543, 2543), (4, 4): (2864, 2864)}
+    assert all(fwd.ok and bwd.ok for fwd, bwd in _pt_sweep().values())
+    _passed(6, "reduce(separate(insert(dilate)))=id and back, midpoints and kinds agreeing")
 
 
 def test_criterion_07_twelve_subset_integrity():

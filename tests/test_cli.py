@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from ggpart import classify, series, verify
+from ggpart import classify, render_grid, series, verify
 from ggpart.cli import main
+from ggpart.fixtures import fixture_marked
 
 
 def run(capsys, *argv):
@@ -88,10 +89,18 @@ def test_classify_eq_member(capsys):
         (("enumerate", "--set", "E", "--eta", "2", "-n", "4"), "--set E does not read --eta"),
         (("enumerate", "--set", "I", "--alphas", "1", "--max-weight", "3"), "--set I does not read --alphas"),
         (("enumerate", "--set", "F33", "--eta", "2", "-n", "3"), "--set F33 does not read --eta"),
+        # nor do the other options a target ignores
+        (("enumerate", "--set", "F33", "-k", "5", "-r", "5", "-n", "3"), "--set F33 does not read -k"),
+        (("enumerate", "--set", "I", "-r", "2", "--max-weight", "4"), "--set I does not read -r"),
+        (("enumerate", "--set", "I", "-n", "2", "--max-weight", "4"), "--set I does not read -n"),
+        (("enumerate", "--set", "C", "--floor", "1", "-n", "4"), "--set C does not read --floor"),
+        (("enumerate", "--set", "F33", "--max-weight", "3"), "--set F33 does not read --max-weight"),
+        (("map", "--op", "psi", "--parts", "7,4,1", "--overline", "7"), "--op psi does not read --overline"),
     ],
     ids=[
         "classify", "dilate", "phi-m", "companion-k5-r5", "phi-k4-r4", "psi-k4-r4",
         "companion-alphas", "cell-eta", "count-C-alphas", "enumerate-E-eta", "enumerate-I-alphas", "F33-eta",
+        "F33-k", "I-r", "I-n", "C-floor", "F33-max-weight", "psi-overline",
     ],
 )
 def test_missing_level_options_say_why(capsys, argv, message):
@@ -128,6 +137,10 @@ def test_map_with_trace(capsys):
     assert "~33" in err and "~37" in err
     data = json.loads(out)
     assert data["weight"] == 454 + 8
+    # insertion's trace is its midpoint grid
+    argv = ("map", "--op", "insert", "--fixture", "m7", "-k", "4", "-r", "3", "-p", "3", "-t", "1")
+    code, _, err = run(capsys, *argv, "--trace")
+    assert code == 0 and err == render_grid(fixture_marked("nu7")) + "\n--\n"
 
 
 def test_map_keeps_the_overline(capsys):
@@ -247,11 +260,26 @@ def test_cell_check_covers_empty_cells(monkeypatch, capsys):
         return real(counts, r, qmax)
 
     monkeypatch.setattr(series, "kursungoz_cell", wrong_on_222)
-    res = verify.cell(4, 3, 20, 4)
+    res = verify.cell(4, 3, 20)
     assert not res.ok and res.first == (((2, 2, 2), 0), 0, 1)
     code, out, _ = run(capsys, "verify", "--identity", "cell", "-k", "4", "-r", "3", "--qmax", "20")
     assert code == 1
     assert out == "FAIL cell qmax=20 first mismatch at ((2, 2, 2), 0) expected 0 got 1\n"
+
+
+def test_cell_check_reaches_every_cell_below_qmax(monkeypatch, capsys):
+    # 2 * 5^2 <= 50, so the (5, 0, 0) cell is compared at q^50
+    real = series.kursungoz_cell
+
+    def wrong_on_500(counts, r, qmax):
+        coeffs = list(real(counts, r, qmax).coeffs)
+        coeffs[-1] += tuple(counts) == (5, 0, 0)
+        return series.TruncatedSeries(coeffs, qmax)
+
+    monkeypatch.setattr(series, "kursungoz_cell", wrong_on_500)
+    code, out, _ = run(capsys, "verify", "--identity", "cell", "-k", "4", "-r", "4", "--qmax", "50")
+    assert code == 1
+    assert out == "FAIL cell qmax=50 first mismatch at ((5, 0, 0), 50) expected 1 got 2\n"
 
 
 def test_roundtrip_command(capsys):
@@ -277,7 +305,6 @@ NEGATIVE_BOUNDS = [
     ("verify", "--identity", "conjecture", "--qmax", "-1"),
     ("verify", "--identity", "companion", "--qmax", "-1"),
     ("verify", "--identity", "cell", "--qmax", "-1"),
-    ("verify", "--identity", "cell", "--qmax", "8", "--max-n1", "-1"),
     ("roundtrip", "--max-weight", "-1"),
     ("count", "-k", "3", "-r", "3", "--max-n", "-1"),
     ("enumerate", "-n", "-1"),

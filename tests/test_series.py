@@ -149,8 +149,7 @@ GG33 = BressoudParams((1,), 2, 3, 3)
         lambda: verify.product(GG33, -1),
         lambda: verify.sum_product(GG33, -1),
         lambda: verify.companion(-1),
-        lambda: verify.cell(4, 3, -1, 2),
-        lambda: verify.cell(4, 3, 8, -1),
+        lambda: verify.cell(4, 3, -1),
         lambda: verify.members_by_weight(3, 3, -1),
         lambda: TruncatedSeries([1, 2, 3], -1),
         lambda: BivariateSeries([{0: 1}], -1),
@@ -158,7 +157,7 @@ GG33 = BressoudParams((1,), 2, 3, 3)
     ids=[
         "bressoud_product", "bressoud_multisum", "gg_companion_bivariate", "kursungoz_cell",
         "verify.conjecture", "verify.product", "verify.sum_product", "verify.companion",
-        "verify.cell qmax", "verify.cell max_n1", "verify.members_by_weight",
+        "verify.cell qmax", "verify.members_by_weight",
         "TruncatedSeries", "BivariateSeries",
     ],
 )
@@ -169,7 +168,7 @@ def test_negative_bounds_rejected(call):
 
 @pytest.mark.parametrize(
     "call",
-    [lambda: kursungoz_cell((), 1, 5), lambda: verify.cell(1, 1, 5, 4)],
+    [lambda: kursungoz_cell((), 1, 5), lambda: verify.cell(1, 1, 5)],
     ids=["kursungoz_cell", "verify.cell"],
 )
 def test_cell_needs_k_at_least_2(call):
