@@ -18,7 +18,10 @@ per family ("lt", "sim", "eq") holding the last label derived and its
 test: every call tests membership, and a member asked again at the slot's
 key gets the stored label.  So a map's output check and the next map's
 input label, or `classify_lt` and then `classify_sim`, derive the label
-once.
+once.  Each is a pure function of the partition, and partitions are shared:
+`ggpart.marking` hands out one live object per marked partition, so a
+round trip's inverse half lands on the objects its forward half built and
+reads the labels derived for them there.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
 "s3"; each 2-marked part up to the threshold matches exactly one of the
@@ -74,7 +77,7 @@ class SubsetLabel:
 
 
 def _has1(mp: MarkedPartition, value: int) -> bool:
-    return 1 in mp.marks_of(value)
+    return mp.has(value, 1)
 
 
 def starting_profile(mp: MarkedPartition) -> StartingProfile:

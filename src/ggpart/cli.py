@@ -58,6 +58,7 @@ def _parse_parts(text: str, option: str) -> tuple[int, ...]:
 
 def _input_partition(args) -> tuple[tuple[int, ...], int | None]:
     if getattr(args, "fixture", None):
+        _unread_options(args, f"--fixture {args.fixture}", "--parts", "--overline")
         return fixture_parts(args.fixture), fixture_overline(args.fixture)
     if args.parts is None:
         print("error: give --parts or --fixture", file=sys.stderr)
@@ -88,6 +89,7 @@ def cmd_classify(args) -> int:
     out["types"] = {str(i): prof.type_at(i) for i in range(1, mp.N(2) + 1)}
     out["threshold"] = prof.threshold
     if args.m is not None:
+        _unread_options(args, "classify -m", "-p", "-t")
         out["m"] = args.m
         out["lt"] = find_pt_lt(mp, k, r, args.m)
         out["eq"] = find_pt_eq(mp, k, r, args.m)
@@ -126,6 +128,13 @@ _OPS = {
     "psi-m": lambda mp, a: (maps.psi_m(mp, a.k, a.r, a.m), ()),
 }  # (output, the intermediate grids --trace prints)
 _PT_OPS = ("dilate", "reduce", "insert", "separate", "phi-pt", "psi-pt")  # the ops at one (p, t)
+_MAP_UNREAD = {  # by --op
+    **{op: ("-m", "--zeta") for op in _PT_OPS},
+    "phi-m": ("-p", "-t", "--zeta"),
+    "psi-m": ("-p", "-t", "--zeta"),
+    "phi": ("--overline", "-p", "-t", "-m"),
+    "psi": ("--overline", "-p", "-t", "-m", "--zeta"),
+}
 
 
 def cmd_map(args) -> int:
@@ -140,8 +149,7 @@ def cmd_map(args) -> int:
         got = f"-k {args.k} -r {args.r}"
         print(f"error: --op {args.op} is for -k 3 -r 3 only, got {got}", file=sys.stderr)
         return 2
-    if args.op in ("phi", "psi"):
-        _unread_options(args, f"--op {args.op}", "--overline")
+    _unread_options(args, f"--op {args.op}", *_MAP_UNREAD[args.op])
     if args.op == "phi":
         zeta = _parse_parts(args.zeta or "", "--zeta")
         out = maps.phi_global(parts, zeta)

@@ -15,20 +15,29 @@ not the largest, or on two copies, with `InvalidSpecialPartition`.
 
 A `MarkedPartition` is built from (value, overlined) pairs and always runs
 the greedy assignment itself, so a non-canonical marking cannot be built.
-All values are immutable; every mutation returns a fresh, canonically
-re-marked partition.  Marks asserted by the surgery callers are looked up in
-the re-marked result, never patched in place, so a wrong assertion surfaces
-as a :class:`~ggpart.errors.MissingEntryError` instead of a silent corruption.
+The marks of each value are kept as one int, bit m set for mark m.
+All values are immutable.  `gg_mark`, `gg_mark_special` and `replace` hand
+out one live object per (parts, overlined value): `_marked` returns the
+partition already alive for that key from a weak table, and runs the greedy
+marking only on a miss.  So a map's inverse lands on the very partition its
+forward half started from, memoised facts included; every memo entry is a
+pure function of the partition.  Building `MarkedPartition(pairs)` directly
+always makes a new object.  Marks asserted by the surgery callers are looked
+up in the canonically marked result, never patched in place, so a wrong
+assertion surfaces as a :class:`~ggpart.errors.MissingEntryError` instead of
+a silent corruption.
 """
 
 from __future__ import annotations
 
+import weakref
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidSpecialPartition, MissingEntryError
 
 _EMPTY: frozenset = frozenset()
+_LIVE: "weakref.WeakValueDictionary[tuple, MarkedPartition]" = weakref.WeakValueDictionary()
 
 
 def _assign(pairs: Sequence[tuple[int, bool]]) -> tuple[dict, Optional[tuple[int, int]]]:
@@ -36,25 +45,30 @@ def _assign(pairs: Sequence[tuple[int, bool]]) -> tuple[dict, Optional[tuple[int
 
     Parts are processed by ascending value, plain copies before the
     overlined one, which starts its mark search at 2.  Returns the
-    {value: frozenset(marks)} map and the (value, mark) of the overlined
-    copy, or None; a second overlined copy raises.
+    {value: marks} map, each marks an int with bit m set for mark m, and the
+    (value, mark) of the overlined copy, or None; a second overlined copy
+    raises.
     """
-    marks_at: dict[int, frozenset] = {}
+    bits_at: dict[int, int] = {}
     overline = None
     for value, over in sorted(pairs):
-        taken = marks_at.get(value, _EMPTY)
-        used = taken | marks_at.get(value - 1, _EMPTY)
+        taken = bits_at.get(value, 0)
+        used = taken | bits_at.get(value - 1, 0) | (3 if over else 1)  # bit 0 is no mark
         if value % 2 == 0:
-            used |= marks_at.get(value - 2, _EMPTY)
-        mark = 2 if over else 1
-        while mark in used:
-            mark += 1
-        marks_at[value] = taken | {mark}
+            used |= bits_at.get(value - 2, 0)
+        free = (used + 1) & ~used  # the lowest clear bit: the smallest free mark
+        bits_at[value] = taken | free
         if over:
             if overline is not None:
                 raise InvalidSpecialPartition(f"more than one overlined part: {overline[0]}, {value}")
-            overline = (value, mark)
-    return marks_at, overline
+            overline = (value, free.bit_length() - 1)
+    return bits_at, overline
+
+
+@lru_cache(maxsize=256)
+def _marks(bits: int) -> tuple[int, ...]:
+    """The marks of a bit set, ascending."""
+    return tuple(m for m in range(1, bits.bit_length()) if bits >> m & 1)
 
 
 class MarkedPartition:
@@ -68,35 +82,37 @@ class MarkedPartition:
     value than `largest_odd`, or on two copies, raises.
     """
 
-    __slots__ = ("parts", "entries", "rows", "overline", "largest_odd", "_marks_at", "_memo")
+    __slots__ = (
+        "parts", "entries", "rows", "overline", "largest_odd", "weight", "length",
+        "_bits", "_memo", "__weakref__",
+    )
 
     def __init__(self, pairs: Sequence[tuple[int, bool]]):
-        marks_at, overline = _assign(pairs)
-        values = sorted(marks_at, reverse=True)
-        self.entries = tuple((v, m, (v, m) == overline) for v in values for m in sorted(marks_at[v]))
-        self.parts = tuple(v for v, _, _ in self.entries)
-        rows: list[list[int]] = [[] for _ in range(max(map(max, marks_at.values()), default=0))]
-        for value, mark, _ in self.entries:
-            rows[mark - 1].append(value)
+        bits_at, overline = _assign(pairs)
+        values = sorted(bits_at, reverse=True)
+        over_value, over_mark = overline or (None, 0)
+        n_rows = max(bits_at.values(), default=1).bit_length() - 1  # the highest mark
+        rows: list[list[int]] = [[] for _ in range(n_rows)]
+        entries = []
+        for v in values:
+            for m in _marks(bits_at[v]):
+                entries.append((v, m, v == over_value and m == over_mark))
+                rows[m - 1].append(v)
+        self.entries = tuple(entries)
+        self.parts = tuple(v for v, _, _ in entries)
         self.rows = tuple(map(tuple, rows))
         self.overline = overline
         self.largest_odd = next((v for v in values if v % 2), 0)
-        if overline is not None and overline[0] != self.largest_odd:
+        if overline is not None and over_value != self.largest_odd:
             raise InvalidSpecialPartition(
-                f"overlined part {overline[0]} is not the largest odd part of {self.parts}"
+                f"overlined part {over_value} is not the largest odd part of {self.parts}"
             )
-        self._marks_at = marks_at
+        self.weight = sum(self.parts)
+        self.length = len(self.parts)
+        self._bits = bits_at
         self._memo: dict = {}
 
     # -- basic views ---------------------------------------------------
-
-    @property
-    def weight(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
 
     @property
     def n_rows(self) -> int:
@@ -114,20 +130,21 @@ class MarkedPartition:
         return self.rows[i - 1] if i <= len(self.rows) else ()
 
     def marks_of(self, value) -> frozenset:
-        return self._marks_at.get(value, _EMPTY)
+        bits = self._bits.get(value)
+        return frozenset(_marks(bits)) if bits else _EMPTY
 
     def max_mark(self, value) -> int:
         """Largest mark carried by `value`, or 0 when absent."""
-        return max(self._marks_at.get(value, _EMPTY), default=0)
+        return (self._bits.get(value, 0) >> 1).bit_length()
 
     def count(self, value) -> int:
-        return len(self._marks_at.get(value, _EMPTY))
+        return self._bits.get(value, 0).bit_count()
 
     def has_part(self, value) -> bool:
-        return value in self._marks_at
+        return value in self._bits
 
     def has(self, value, mark) -> bool:
-        return mark in self._marks_at.get(value, _EMPTY)
+        return self._bits.get(value, 0) >> mark & 1 == 1
 
     # -- identity ------------------------------------------------------
 
@@ -151,7 +168,8 @@ class MarkedPartition:
     # -- surgery -------------------------------------------------------
 
     def replace(self, removals, additions) -> "MarkedPartition":
-        """Remove and insert parts in one batch, then re-mark canonically.
+        """Remove and insert parts in one batch; the result is canonically
+        marked.
 
         removals: iterable of (value, mark_or_None, overlined); a None mark
         matches any copy of the value with the given overline state.
@@ -166,9 +184,33 @@ class MarkedPartition:
             else:
                 who = f"{'overlined ' if over else ''}{mark if mark is not None else 'any'}-marked {value}"
                 raise MissingEntryError(f"no {who} in {self!r}", partition=self)
-        values = [(v, over) for v, _, over in work]
-        values += [(int(value), bool(over)) for value, over in additions]
-        return MarkedPartition(values)
+        parts = [v for v, _, _ in work]
+        overs = [v for v, _, over in work if over]
+        for value, over in additions:
+            value = int(value)
+            parts.append(value)
+            if over:
+                overs.append(value)
+        if len(overs) > 1:
+            raise InvalidSpecialPartition("more than one overlined part: {}, {}".format(*sorted(overs)))
+        parts.sort(reverse=True)
+        return _marked(tuple(parts), overs[0] if overs else None)
+
+
+def _marked(parts: tuple[int, ...], overline: Optional[int]) -> MarkedPartition:
+    """The live marked partition of the non-increasing `parts` with one copy
+    of `overline` overlined (None: no overline).  Only a key with no live
+    partition runs the greedy marking, which raises on a misplaced overline.
+    """
+    mp = _LIVE.get((parts, overline))
+    if mp is None:
+        pairs = [(v, False) for v in parts]
+        if overline is not None:
+            pairs.remove((overline, False))
+            pairs.append((overline, True))
+        mp = MarkedPartition(pairs)
+        _LIVE[mp.parts, overline] = mp  # keyed by its own parts: no second tuple
+    return mp
 
 
 def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
@@ -180,7 +222,7 @@ def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
 
 @lru_cache(maxsize=1 << 14)
 def _gg_mark_cached(parts: tuple[int, ...]) -> MarkedPartition:
-    return MarkedPartition([(v, False) for v in parts])
+    return _marked(parts, None)
 
 
 def gg_mark(parts: Iterable[int]) -> MarkedPartition:
@@ -201,10 +243,7 @@ def gg_mark_special(parts: Iterable[int], overline: Optional[int] = None) -> Mar
     overline = int(overline)
     if overline not in norm:
         raise InvalidSpecialPartition(f"overlined value {overline} is not a part of {norm}")
-    entries = [(v, False) for v in norm]
-    entries.remove((overline, False))
-    entries.append((overline, True))
-    return MarkedPartition(entries)
+    return _marked(norm, overline)
 
 
 # -- presentation ------------------------------------------------------

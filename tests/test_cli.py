@@ -96,11 +96,39 @@ def test_classify_eq_member(capsys):
         (("enumerate", "--set", "C", "--floor", "1", "-n", "4"), "--set C does not read --floor"),
         (("enumerate", "--set", "F33", "--max-weight", "3"), "--set F33 does not read --max-weight"),
         (("map", "--op", "psi", "--parts", "7,4,1", "--overline", "7"), "--op psi does not read --overline"),
+        (
+            ("map", "--op", "dilate", "--fixture", "pi1", "-k", "4", "-r", "3", "-p", "6", "-t", "5",
+             "--zeta", "5", "-m", "2"),
+            "--op dilate does not read -m",
+        ),
+        (
+            ("map", "--op", "insert", "--fixture", "mu", "-k", "4", "-r", "3", "-p", "6", "-t", "5",
+             "--zeta", "5"),
+            "--op insert does not read --zeta",
+        ),
+        (("map", "--op", "phi", "--parts", "4", "--zeta", "5", "-p", "3", "-t", "1"), "--op phi does not read -p"),
+        (("map", "--op", "psi", "--parts", "7,4,1", "-t", "0"), "--op psi does not read -t"),
+        (
+            ("map", "--op", "phi-m", "--fixture", "pi1", "-k", "4", "-r", "3", "-m", "11", "-p", "0", "-t", "0"),
+            "--op phi-m does not read -p",
+        ),
+        (
+            ("map", "--op", "psi-m", "--fixture", "pi2", "-k", "4", "-r", "3", "-m", "11", "-t", "0"),
+            "--op psi-m does not read -t",
+        ),
+        (
+            ("classify", "--fixture", "pi1", "-k", "4", "-r", "3", "-m", "11", "-p", "0", "-t", "0"),
+            "classify -m does not read -p",
+        ),
+        (("mark", "--fixture", "m6", "--parts", "9,9", "--overline", "9"), "--fixture m6 does not read --parts"),
+        (("mark", "--fixture", "m6", "--overline", "9"), "--fixture m6 does not read --overline"),
     ],
     ids=[
         "classify", "dilate", "phi-m", "companion-k5-r5", "phi-k4-r4", "psi-k4-r4",
         "companion-alphas", "cell-eta", "count-C-alphas", "enumerate-E-eta", "enumerate-I-alphas", "F33-eta",
         "F33-k", "I-r", "I-n", "C-floor", "F33-max-weight", "psi-overline",
+        "dilate-m", "insert-zeta", "phi-p", "psi-t", "phi-m-p", "psi-m-t", "classify-m-p",
+        "mark-fixture-parts", "mark-fixture-overline",
     ],
 )
 def test_missing_level_options_say_why(capsys, argv, message):

@@ -11,6 +11,7 @@ from ggpart import (
     dilate,
     find_m_eq33,
     gg_mark,
+    gg_mark_special,
     insert_odd,
     is_bressoud_B,
     is_in_C,
@@ -177,9 +178,29 @@ def test_reduce_reuses_the_separation_check(monkeypatch):
     pi2 = _unshared("pi2")
     calls = _count_clause_passes(monkeypatch)
     mu = separate_odd(pi2, 4, 3, 6, 5)
+    assert calls["eq"] == [pi2]
+    after_separation = {name: list(passes) for name, passes in calls.items()}
+    # reduce reads the tilde label of separation's output check on mu
     assert reduce(mu, 4, 3, 6, 5)[0] == PI1
-    # pi2's eq pass, then separation's output check on mu, which reduce reads
-    assert calls == {"lt": [mu], "eq": [pi2], "_refine_sim": [mu]}
+    assert calls == after_separation
+
+
+def test_round_trips_land_on_the_partitions_they_started_from():
+    # one live object per marked partition: each inverse half returns the
+    # object its forward half built or started from
+    mu, _ = dilate(PI1, 4, 3, 6, 5)
+    assert mu is MU
+    omega = insert_odd(mu, 4, 3, 6, 5)
+    assert omega is PI2
+    assert separate_odd(omega, 4, 3, 6, 5) is mu
+    assert reduce(mu, 4, 3, 6, 5)[0] is PI1
+    assert psi_pt(PI2, 4, 3, 6, 5) is PI1 and phi_pt(PI1, 4, 3, 6, 5) is PI2
+    # the overlined copy is another partition, and a direct build a new object
+    step = fixture_marked("pi1_step2")
+    parts, over = fixture_parts("pi1_step2"), step.overline[0]
+    assert gg_mark_special(parts, over) is step and gg_mark(parts) is not step
+    assert gg_mark_special(parts, None) is gg_mark(parts)
+    assert _unshared("pi1") is not PI1 and _unshared("pi1") == PI1
 
 
 def test_pt_sweep_goes_through_the_public_factors(monkeypatch):

@@ -14,6 +14,7 @@ from ggpart import (
     render_grid,
 )
 from ggpart.fixtures import fixture_marked, fixture_overline, fixture_rows
+from ggpart import marking
 from ggpart.marking import _gg_mark_cached
 from ggpart.membership import all_partitions
 
@@ -72,14 +73,18 @@ def _assert_canonical(mp):
     for i, row in enumerate(mp.rows, 1):
         assert row == tuple(v for v, m, _ in mp.entries if m == i)
     for v in range(0, (mp.parts[0] if mp.parts else 0) + 3):
-        assert mp.marks_of(v) == marks_at.get(v, set())
-        assert mp.count(v) == len(mp.marks_of(v)) == mp.parts.count(v)
+        marks = mp.marks_of(v)
+        assert marks == marks_at.get(v, set())
+        assert mp.count(v) == len(marks) == mp.parts.count(v)
         assert mp.has_part(v) == (v in mp.parts)
+        # the bit-set readers agree with the mark set
+        assert mp.max_mark(v) == max(marks, default=0)
+        assert [m for m in range(0, mp.n_rows + 3) if mp.has(v, m)] == sorted(marks)
     assert [(v, m) for v, m, over in mp.entries if over] == ([mp.overline] if mp.overline else [])
 
 
 def test_greedy_rule_exhaustive():
-    for n in range(0, 13):
+    for n in range(0, 23):
         for p in all_partitions(n):
             _assert_canonical(gg_mark(p))
 
@@ -132,7 +137,7 @@ def test_special_marking_forces_mark_two():
 
 
 def test_special_marking_exhaustive():
-    for n in range(0, 13):
+    for n in range(0, 23):
         for p in all_partitions(n):
             odds = [v for v in p if v % 2]
             if not odds:
@@ -199,6 +204,16 @@ def test_replace_missing_entry():
         mp.replace([(4, 3, False)], [(5, False)])
 
 
+def test_replace_rejects_bad_overlines():
+    # a live partition is never handed out for an overline the marking rejects
+    special = gg_mark_special((5, 3), 5)
+    with pytest.raises(InvalidSpecialPartition, match="more than one overlined part: 5, 7"):
+        special.replace([], [(7, True)])
+    with pytest.raises(InvalidSpecialPartition, match="not the largest odd part"):
+        gg_mark((5,)).replace([], [(3, True)])
+    assert special.replace([(5, None, True)], [(5, True)]) is special
+
+
 @given(partitions_st, st.integers(0, 7), st.integers(1, 15))
 @settings(max_examples=200)
 def test_replace_round_trip_multiset(parts, pick, new_value):
@@ -232,6 +247,21 @@ def test_marking_cache_is_bounded():
     for v in range(1, bound + 100):
         gg_mark((v,))
     assert _gg_mark_cached.cache_info().currsize == bound
+
+
+def test_live_table_is_bounded():
+    # the table of live partitions is weak: it keeps a partition only while
+    # something else does, so 20,000 dropped replace outputs leave nothing
+    base = gg_mark((2, 1))
+    held = len(marking._LIVE)  # what the marking cache, this test and other tests' caches hold
+    big = 10**6  # parts no other test marks, so every output below is new
+    kept = [base.replace([], [(v, False)]) for v in range(big, big + 100)]
+    assert len(marking._LIVE) == held + 100
+    del kept
+    for v in range(big, big + 20_000):
+        out = base.replace([], [(v, False)])
+    assert out.parts == (big + 19_999, 2, 1) and base.replace([], [(big + 19_999, False)]) is out
+    assert len(marking._LIVE) <= held + 1
 
 
 # -- rendering and serialization -----------------------------------------
