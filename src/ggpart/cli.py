@@ -1,6 +1,9 @@
 """Command-line front end.
 
 Subcommands: mark, classify, map, count, enumerate, verify, roundtrip.
+A target (a subcommand with its --op, --set or --identity value, or
+classify -m) reads only the options in its row of the table _READS, and may
+need some; any other option given, or a missing need, is a usage error.
 Exit codes: 0 success/PASS, 1 FAIL (identity mismatch or round-trip
 failure), 2 usage error.  All output is deterministic; --seedless is
 accepted for harness compatibility and simply asserts that behaviour.
@@ -29,7 +32,7 @@ from .membership import BressoudParams, enumerate_B, enumerate_F33, enumerate_I
 
 
 def nonnegative(text: str) -> int:
-    """argparse type of every size bound: an int >= 0."""
+    """argparse type of every size bound and level (-p, -t, -m): an int >= 0."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
@@ -39,8 +42,6 @@ def nonnegative(text: str) -> int:
 def _parse_parts(text: str, option: str) -> tuple[int, ...]:
     """A partition from a comma list or a JSON array given to `option`."""
     text = text.strip()
-    if not text or text == "[]":
-        return ()
     try:
         if text.startswith("["):
             vals = json.loads(text)
@@ -57,13 +58,9 @@ def _parse_parts(text: str, option: str) -> tuple[int, ...]:
 
 
 def _input_partition(args) -> tuple[tuple[int, ...], int | None]:
-    if getattr(args, "fixture", None):
-        _unread_options(args, f"--fixture {args.fixture}", "--parts", "--overline")
+    if args.fixture:
         return fixture_parts(args.fixture), fixture_overline(args.fixture)
-    if args.parts is None:
-        print("error: give --parts or --fixture", file=sys.stderr)
-        raise SystemExit(2)
-    return _parse_parts(args.parts, "--parts"), getattr(args, "overline", None)
+    return _parse_parts(args.parts, "--parts"), args.overline
 
 
 def _print_json(obj) -> None:
@@ -89,15 +86,11 @@ def cmd_classify(args) -> int:
     out["types"] = {str(i): prof.type_at(i) for i in range(1, mp.N(2) + 1)}
     out["threshold"] = prof.threshold
     if args.m is not None:
-        _unread_options(args, "classify -m", "-p", "-t")
         out["m"] = args.m
         out["lt"] = find_pt_lt(mp, k, r, args.m)
         out["eq"] = find_pt_eq(mp, k, r, args.m)
         _print_json(out)
         return 0
-    if args.p is None or args.t is None:
-        print("error: classify needs -p and -t, or -m", file=sys.stderr)
-        return 2
     p, t = args.p, args.t
     out["p"], out["t"] = p, t
     lt = classify_lt(mp, k, r, p, t)
@@ -127,29 +120,10 @@ _OPS = {
     "phi-m": lambda mp, a: (maps.phi_m(mp, a.k, a.r, a.m), ()),
     "psi-m": lambda mp, a: (maps.psi_m(mp, a.k, a.r, a.m), ()),
 }  # (output, the intermediate grids --trace prints)
-_PT_OPS = ("dilate", "reduce", "insert", "separate", "phi-pt", "psi-pt")  # the ops at one (p, t)
-_MAP_UNREAD = {  # by --op
-    **{op: ("-m", "--zeta") for op in _PT_OPS},
-    "phi-m": ("-p", "-t", "--zeta"),
-    "psi-m": ("-p", "-t", "--zeta"),
-    "phi": ("--overline", "-p", "-t", "-m"),
-    "psi": ("--overline", "-p", "-t", "-m", "--zeta"),
-}
 
 
 def cmd_map(args) -> int:
     parts, over = _input_partition(args)
-    if args.op in _PT_OPS and (args.p is None or args.t is None):
-        print(f"error: --op {args.op} needs -p and -t", file=sys.stderr)
-        return 2
-    if args.op in ("phi-m", "psi-m") and args.m is None:
-        print(f"error: --op {args.op} needs -m", file=sys.stderr)
-        return 2
-    if args.op in ("phi", "psi") and (args.k, args.r) != (3, 3):
-        got = f"-k {args.k} -r {args.r}"
-        print(f"error: --op {args.op} is for -k 3 -r 3 only, got {got}", file=sys.stderr)
-        return 2
-    _unread_options(args, f"--op {args.op}", *_MAP_UNREAD[args.op])
     if args.op == "phi":
         zeta = _parse_parts(args.zeta or "", "--zeta")
         out = maps.phi_global(parts, zeta)
@@ -167,7 +141,7 @@ def cmd_map(args) -> int:
             for step in trace.steps if isinstance(trace, maps.DilationTrace) else trace:
                 print(render_grid(step), file=sys.stderr)
                 print("--", file=sys.stderr)
-    if args.op in _PT_OPS:
+    if args.p is not None:  # the ops at one (p, t)
         result["p"], result["t"] = args.p, args.t
     if args.format == "text":
         print(render_grid(out))
@@ -178,7 +152,11 @@ def cmd_map(args) -> int:
     return 0
 
 
-def _params_from(args) -> BressoudParams:
+def _params(args) -> BressoudParams:
+    """The family: --set C is ((1,), 2, k, r) and E is ((), 2, k, r); --set B
+    and the identities that take a family read --alphas and --eta (default 2)."""
+    if getattr(args, "set", "B") != "B":
+        return BressoudParams((1,) if args.set == "C" else (), 2, args.k, args.r)
     try:
         alphas = tuple(int(a) for a in (args.alphas or "").split(",") if a.strip())
     except ValueError as exc:
@@ -186,39 +164,15 @@ def _params_from(args) -> BressoudParams:
     return BressoudParams(alphas, 2 if args.eta is None else args.eta, args.k, args.r)
 
 
-def _unread_options(args, target: str, *flags: str) -> None:
-    """Refuse each of `flags` that was given, since `target` does not read it."""
-    for flag in flags:
-        if getattr(args, flag.lstrip("-").replace("-", "_")) is not None:
-            raise ValueError(f"{target} does not read {flag}")
-
-
-def _set_params(args) -> BressoudParams:
-    """The family --set names: C is ((1,), 2, k, r), E is ((), 2, k, r), and B
-    reads --alphas and --eta."""
-    if args.set == "B":
-        return _params_from(args)
-    _unread_options(args, f"--set {args.set}", "--alphas", "--eta")
-    return BressoudParams((1,) if args.set == "C" else (), 2, args.k, args.r)
-
-
 def cmd_count(args) -> int:
-    params = _set_params(args)
+    params = _params(args)
     print("n,count")
     for n in range(args.max_n + 1):
         print(f"{n},{len(enumerate_B(params, n))}")
     return 0
 
 
-_ENUMERATE_UNREAD = {  # by --set; B, C and E do not read --floor or --max-weight
-    "I": ("--alphas", "--eta", "-k", "-r", "-n"),
-    "F33": ("--alphas", "--eta", "-k", "-r", "--floor", "--max-weight"),
-}
-
-
 def cmd_enumerate(args) -> int:
-    unread = _ENUMERATE_UNREAD.get(args.set, ("--floor", "--max-weight"))
-    _unread_options(args, f"--set {args.set}", *unread)
     if args.set == "I":
         for z in enumerate_I(args.floor or 0, args.max_weight or 0):
             print(json.dumps(list(z)))
@@ -228,15 +182,15 @@ def cmd_enumerate(args) -> int:
             print(json.dumps([list(p), list(z)]))
         return 0
     args.k, args.r = (3 if v is None else v for v in (args.k, args.r))
-    for p in enumerate_B(_set_params(args), args.n or 0):
+    for p in enumerate_B(_params(args), args.n or 0):
         print(json.dumps(list(p)))
     return 0
 
 
 _IDENTITIES = {
-    "conjecture": lambda a: verify.conjecture(_params_from(a), a.qmax),
-    "product": lambda a: verify.product(_params_from(a), a.qmax),
-    "sum-product": lambda a: verify.sum_product(_params_from(a), a.qmax),
+    "conjecture": lambda a: verify.conjecture(_params(a), a.qmax),
+    "product": lambda a: verify.product(_params(a), a.qmax),
+    "sum-product": lambda a: verify.sum_product(_params(a), a.qmax),
     "companion": lambda a: verify.companion(a.qmax),
     "cell": lambda a: verify.cell(a.k, a.r, a.qmax),
 }
@@ -248,12 +202,6 @@ def _mismatch(res: verify.Result) -> str:
 
 
 def cmd_verify(args) -> int:
-    if args.identity == "companion" and (args.k, args.r) != (3, 3):
-        got = f"-k {args.k} -r {args.r}"
-        print(f"error: --identity companion is for -k 3 -r 3 only, got {got}", file=sys.stderr)
-        return 2
-    if args.identity in ("companion", "cell"):
-        _unread_options(args, f"--identity {args.identity}", "--alphas", "--eta")
     res = _IDENTITIES[args.identity](args)
     if res.ok:
         print(f"PASS {args.identity} qmax={args.qmax}")
@@ -299,9 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_partition_opts(p)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("-r", type=int, required=True)
-    p.add_argument("-p", type=int)
-    p.add_argument("-t", type=int)
-    p.add_argument("-m", type=int)
+    for level in ("-p", "-t", "-m"):
+        p.add_argument(level, type=nonnegative)
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("map", help="apply one of the bijections")
@@ -310,11 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("text", "json"), default="json")
     p.add_argument("-k", type=int, default=3)
     p.add_argument("-r", type=int, default=3)
-    p.add_argument("-p", type=int)
-    p.add_argument("-t", type=int)
-    p.add_argument("-m", type=int)
+    for level in ("-p", "-t", "-m"):
+        p.add_argument(level, type=nonnegative)
     p.add_argument("--zeta", help="odd parts to absorb (phi)")
-    p.add_argument("--trace", action="store_true", help="print intermediate grids to stderr")
+    p.add_argument("--trace", action="store_const", const=True, help="print intermediate grids to stderr")
     p.set_defaults(fn=cmd_map)
 
     p = sub.add_parser("count", help="CSV of member counts by weight")
@@ -338,11 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="check one identity coefficient-by-coefficient")
-    p.add_argument(
-        "--identity",
-        required=True,
-        choices=tuple(_IDENTITIES),
-    )
+    p.add_argument("--identity", required=True, choices=tuple(_IDENTITIES))
     p.add_argument("--alphas")
     p.add_argument("--eta", type=int, help="default 2")
     p.add_argument("-k", type=int, default=3)
@@ -358,14 +300,58 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_IN = "--parts --fixture --overline"  # the input partition, which a --fixture gives whole
+_IN_NEED = "--parts or --fixture"
+_PT = f"--op {_IN} --format -k -r -p -t"  # the map ops at one (p, t)
+_FAMILY = "--alphas --eta -k -r"  # a BressoudParams
+_READS = {  # (command, target): (the options the target reads, the ones it needs)
+    ("mark", "mark"): (f"{_IN} --format", (_IN_NEED,)),
+    ("classify", "classify"): (f"{_IN} -k -r -p -t", (_IN_NEED, "-p", "-t")),
+    ("classify", "classify -m"): (f"{_IN} -k -r -m", (_IN_NEED,)),
+    **{("map", f"--op {op}"): (f"{_PT} --trace", (_IN_NEED, "-p", "-t"))
+       for op in ("dilate", "reduce", "insert", "separate")},
+    **{("map", f"--op {op}"): (_PT, (_IN_NEED, "-p", "-t")) for op in ("phi-pt", "psi-pt")},
+    **{("map", f"--op {op}"): (f"--op {_IN} --format -k -r -m", (_IN_NEED, "-m")) for op in ("phi-m", "psi-m")},
+    ("map", "--op phi"): ("--op --parts --fixture --format -k -r --zeta", (_IN_NEED, "-k 3", "-r 3")),
+    ("map", "--op psi"): ("--op --parts --fixture --format -k -r", (_IN_NEED, "-k 3", "-r 3")),
+    ("count", "--set B"): (f"--set {_FAMILY} --max-n", ()),
+    **{("count", f"--set {s}"): ("--set -k -r --max-n", ()) for s in "CE"},
+    ("enumerate", "--set B"): (f"--set {_FAMILY} -n", ()),
+    **{("enumerate", f"--set {s}"): ("--set -k -r -n", ()) for s in "CE"},
+    ("enumerate", "--set I"): ("--set --floor --max-weight", ()),
+    ("enumerate", "--set F33"): ("--set -n", ()),
+    **{("verify", f"--identity {i}"): (f"--identity {_FAMILY} --qmax", ())
+       for i in ("conjecture", "product", "sum-product")},
+    ("verify", "--identity companion"): ("--identity -k -r --qmax", ("-k 3", "-r 3")),
+    ("verify", "--identity cell"): ("--identity -k -r --qmax", ()),
+    ("roundtrip", "roundtrip"): ("-k -r --max-weight", ()),
+}  # a need is an option, an option with the one value it takes, or alternatives joined by "or"
+
+
+def _check(args) -> None:
+    """Refuse a given (not None) option outside the target's row or replaced by --fixture; name a missing need."""
+    target = next((f"--{dest} {getattr(args, dest)}" for dest in ("op", "set", "identity") if hasattr(args, dest)),
+                  f"{args.cmd} -m" if getattr(args, "m", None) is not None else args.cmd)
+    reads, needs = _READS[args.cmd, target]
+    given = {("-" if len(dest) == 1 else "--") + dest.replace("_", "-"): value
+             for dest, value in vars(args).items() if value is not None and dest not in ("seedless", "cmd", "fn")}
+    refused = [(target, flag) for flag in given if flag not in reads.split()]
+    if getattr(args, "fixture", None):  # the fixture is the whole partition
+        refused += [(f"--fixture {args.fixture}", flag) for flag in given if flag in ("--parts", "--overline")]
+    if refused:
+        raise ValueError("{} does not read {}".format(*refused[0]))
+    holds = {*given, *(f"{flag} {value}" for flag, value in given.items())}  # "-k 3" holds of -k 3
+    for need in needs:
+        if holds.isdisjoint(need.split(" or ")):
+            raise ValueError(f"{target} needs {need}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check(args)
         return args.fn(args)
-    except GGError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (GGError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
-from ggpart import classify, render_grid, series, verify
-from ggpart.cli import main
+from ggpart import classify, cli, render_grid, series, verify
+from ggpart.cli import build_parser, main
 from ggpart.fixtures import fixture_marked
 
 
@@ -58,20 +59,20 @@ def test_classify_eq_member(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("classify", "--fixture", "pi1", "-k", "4", "-r", "3"), "classify needs -p and -t, or -m"),
-        (("map", "--op", "dilate", "--fixture", "pi1", "-p", "6"), "--op dilate needs -p and -t"),
+        (("classify", "--fixture", "pi1", "-k", "4", "-r", "3"), "classify needs -p"),
+        (("map", "--op", "dilate", "--fixture", "pi1", "-p", "6"), "--op dilate needs -t"),
         (("map", "--op", "phi-m", "--fixture", "pi1"), "--op phi-m needs -m"),
         (
             ("verify", "--identity", "companion", "-k", "5", "-r", "5", "--qmax", "20"),
-            "--identity companion is for -k 3 -r 3 only, got -k 5 -r 5",
+            "--identity companion needs -k 3",
         ),
         (
             ("map", "--op", "phi", "--parts", "4,2", "--zeta", "5", "-k", "4", "-r", "4"),
-            "--op phi is for -k 3 -r 3 only, got -k 4 -r 4",
+            "--op phi needs -k 3",
         ),
         (
             ("map", "--op", "psi", "--parts", "5,4,2", "-k", "4", "-r", "4"),
-            "--op psi is for -k 3 -r 3 only, got -k 4 -r 4",
+            "--op psi needs -k 3",
         ),
         # only --identity conjecture/product/sum-product and --set B read the family
         (
@@ -122,6 +123,25 @@ def test_classify_eq_member(capsys):
         ),
         (("mark", "--fixture", "m6", "--parts", "9,9", "--overline", "9"), "--fixture m6 does not read --parts"),
         (("mark", "--fixture", "m6", "--overline", "9"), "--fixture m6 does not read --overline"),
+        # only dilate, reduce, insert and separate have intermediate grids to --trace
+        (
+            ("map", "--op", "phi-pt", "--parts", "5,4,2", "-k", "3", "-r", "3", "-p", "0", "-t", "2", "--trace"),
+            "--op phi-pt does not read --trace",
+        ),
+        (
+            ("map", "--op", "psi-pt", "--parts", "5,4,2", "-k", "3", "-r", "3", "-p", "0", "-t", "2", "--trace"),
+            "--op psi-pt does not read --trace",
+        ),
+        (
+            ("map", "--op", "phi-m", "--fixture", "pi1", "-k", "4", "-r", "3", "-m", "11", "--trace"),
+            "--op phi-m does not read --trace",
+        ),
+        (
+            ("map", "--op", "psi-m", "--fixture", "pi2", "-k", "4", "-r", "3", "-m", "11", "--trace"),
+            "--op psi-m does not read --trace",
+        ),
+        (("map", "--op", "phi", "--parts", "4", "--zeta", "5", "--trace"), "--op phi does not read --trace"),
+        (("map", "--op", "psi", "--parts", "7,4,1", "--trace"), "--op psi does not read --trace"),
     ],
     ids=[
         "classify", "dilate", "phi-m", "companion-k5-r5", "phi-k4-r4", "psi-k4-r4",
@@ -129,6 +149,7 @@ def test_classify_eq_member(capsys):
         "F33-k", "I-r", "I-n", "C-floor", "F33-max-weight", "psi-overline",
         "dilate-m", "insert-zeta", "phi-p", "psi-t", "phi-m-p", "psi-m-t", "classify-m-p",
         "mark-fixture-parts", "mark-fixture-overline",
+        "phi-pt-trace", "psi-pt-trace", "phi-m-trace", "psi-m-trace", "phi-trace", "psi-trace",
     ],
 )
 def test_missing_level_options_say_why(capsys, argv, message):
@@ -338,6 +359,12 @@ NEGATIVE_BOUNDS = [
     ("enumerate", "-n", "-1"),
     ("enumerate", "--set", "I", "--floor", "-1"),
     ("enumerate", "--set", "I", "--max-weight", "-1"),
+    ("classify", "--parts", "4,2", "-k", "3", "-r", "3", "-p", "-1", "-t", "0"),
+    ("classify", "--parts", "4,2", "-k", "3", "-r", "3", "-p", "0", "-t", "-1"),
+    ("classify", "--parts", "4,2", "-k", "3", "-r", "3", "-m", "-1"),
+    ("map", "--op", "dilate", "--parts", "4,2", "-p", "-1", "-t", "0"),
+    ("map", "--op", "dilate", "--parts", "4,2", "-p", "0", "-t", "-1"),
+    ("map", "--op", "phi-m", "--parts", "4,2", "-m", "-1"),
 ]
 
 
@@ -395,10 +422,45 @@ def test_malformed_partition_names_the_option_and_input(capsys, option, text, wh
 
 
 def test_mark_without_input_says_why(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["mark"])
-    assert exc.value.code == 2
-    assert "error: give --parts or --fixture" in capsys.readouterr().err
+    code, out, err = run(capsys, "mark")
+    assert code == 2 and out == ""
+    assert err == "error: mark needs --parts or --fixture\n"
+
+
+# each subcommand with the options argparse requires of it
+REQUIRED = {
+    "mark": (),
+    "classify": ("-k", "3", "-r", "3"),
+    "map": ("--op", "dilate"),
+    "count": ("-k", "3", "-r", "3", "--max-n", "0"),
+    "enumerate": (),
+    "verify": ("--identity", "cell", "--qmax", "0"),
+    "roundtrip": ("--max-weight", "0"),
+}
+
+
+def _dest(flag):
+    return flag.lstrip("-").replace("-", "_")
+
+
+@pytest.mark.parametrize("cmd", REQUIRED)
+def test_option_table_matches_the_parser(capsys, cmd):
+    rows = {target: row for (command, target), row in cli._READS.items() if command == cmd}
+    with pytest.raises(SystemExit):
+        main([cmd, "--help"])
+    usage = capsys.readouterr().out
+    # every --op, --set and --identity choice has a row, and every row is a choice
+    selectors = [(flag, re.search(rf"{flag} {{([^}}]*)}}", usage)) for flag in ("--op", "--set", "--identity")]
+    choices = {f"{flag} {value}" for flag, found in selectors if found for value in found[1].split(",")}
+    assert set(rows) == (choices or ({"classify", "classify -m"} if cmd == "classify" else {cmd}))
+    defined = set(vars(build_parser().parse_args([cmd, *REQUIRED[cmd]]))) - {"seedless", "cmd", "fn"}
+    read = set()
+    for reads, needs in rows.values():
+        named = reads.split() + [alt.split()[0] for need in needs for alt in need.split(" or ")]
+        assert {_dest(flag) for flag in named} <= defined  # every option a row names exists
+        assert set(named) <= set(reads.split())  # and a row reads what it needs
+        read |= {_dest(flag) for flag in reads.split()}
+    assert defined == read  # every option the subcommand defines is read by some row
 
 
 def test_deterministic_output(capsys):
