@@ -25,7 +25,6 @@ from .errors import (
     UniquenessError,
 )
 from .maps import (
-    DilationTrace,
     dilate,
     insert_odd,
     phi_global,

@@ -25,9 +25,10 @@ reads the labels derived for them there.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
 "s3"; each 2-marked part up to the threshold matches exactly one of the
-cases s0-s3, and the parts past it are "s-1".  The reduction and insertion
-typings cut the row-2 indexes 1..l into typed runs, tuples (lo, hi, label)
-with a label "A1", "A2", "A3", "B" or "C".
+cases s0-s3, and the parts past it are "s-1".  One walker, `_runs`, cuts
+row-2 indexes into runs (lo, hi, label) of parts stepping by 4: the
+reduction and insertion typings (labels "A1", "A2", "A3", "B", "C") and the
+starting clusters, labelled by their one starting type.
 """
 
 from __future__ import annotations
@@ -124,15 +125,9 @@ def cluster_indexes(mp: MarkedPartition, p: int) -> tuple[int, ...]:
     """Starting cluster indexes p_1 > p_2 > ... > 1 at or below p, for
     1 <= p <= N2: the first index of each starting cluster, a maximal run of
     2-marked parts stepping by 4 with one starting type."""
-    row = mp.row_values(2)
-    if not 1 <= p <= len(row):
-        raise ValueError(f"cluster indexes need 1 <= p <= N2 = {len(row)}, got {p}")
-    types = starting_profile(mp).types
-    return tuple(
-        i
-        for i in range(p, 0, -1)
-        if i == 1 or row[i - 2] != row[i - 1] + 4 or types[i - 2] != types[i - 1]
-    )
+    if not 1 <= p <= mp.N(2):
+        raise ValueError(f"cluster indexes need 1 <= p <= N2 = {mp.N(2)}, got {p}")
+    return tuple(lo for lo, _, _ in _runs(mp, p, _one_type, upward=False))
 
 
 # -- family membership -------------------------------------------------
@@ -366,6 +361,35 @@ def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLa
 # -- typed runs --------------------------------------------------------
 
 
+def _runs(mp: MarkedPartition, l: int, label, upward: bool) -> tuple[tuple[int, int, str], ...]:
+    """Cut the row-2 indexes 1..l, from index 1 (upward) or from l, into runs
+    (lo, hi, label) of parts stepping by 4: each the longest from the near end
+    that `label(mp, prof, row, lo, hi)` types; a near end with none raises."""
+    prof = starting_profile(mp)
+    row = mp.row_values(2)
+    step = 1 if upward else -1
+    runs: list[tuple[int, int, str]] = []
+    near = 1 if upward else l
+    while 1 <= near <= l:
+        far = near
+        while 1 <= far + step <= l and row[far + step - 1] == row[far - 1] - 4 * step:
+            far += step
+        for end in range(far, near - step, -step):
+            lo, hi = min(near, end), max(near, end)
+            if (lab := label(mp, prof, row, lo, hi)) is not None:
+                runs.append((lo, hi, lab))
+                near = end + step
+                break
+        else:  # one index has one starting type, so only the typings get here
+            kind = "reduction run starts" if upward else "insertion run ends"
+            raise ClassificationError(f"no {kind} at index {near} of {mp.parts}")
+    return tuple(runs)
+
+
+def _one_type(mp, prof, row, s, e) -> Optional[str]:
+    return prof.types[s - 1] if len(set(prof.types[s - 1 : e])) == 1 else None
+
+
 def _reduction_label(mp, prof, row, s, e) -> Optional[str]:
     span = range(s, e + 1)
     tys = [prof.type_at(i) for i in span]
@@ -385,25 +409,7 @@ def _reduction_label(mp, prof, row, s, e) -> Optional[str]:
 def reduction_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], ...]:
     """Typed runs (lo, hi, label) of the indexes 1..l above the insertion
     threshold, smallest index first."""
-    prof = starting_profile(mp)
-    row = mp.row_values(2)
-    runs: list[tuple[int, int, str]] = []
-    s = 1
-    while s <= l:
-        e_max = s
-        while e_max + 1 <= l and row[e_max] == row[e_max - 1] - 4:
-            e_max += 1
-        for e in range(e_max, s - 1, -1):
-            lab = _reduction_label(mp, prof, row, s, e)
-            if lab is not None:
-                runs.append((s, e, lab))
-                s = e + 1
-                break
-        else:
-            raise ClassificationError(
-                f"no reduction run starts at index {s} of {mp.parts}"
-            )
-    return tuple(runs)
+    return _runs(mp, l, _reduction_label, upward=True)
 
 
 def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
@@ -429,25 +435,7 @@ def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
 def insertion_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], ...]:
     """Typed runs (lo, hi, label) of the indexes 1..l above the insertion
     threshold, largest index first."""
-    prof = starting_profile(mp)
-    row = mp.row_values(2)
-    runs: list[tuple[int, int, str]] = []
-    e = l
-    while e >= 1:
-        s_min = e
-        while s_min - 1 >= 1 and row[s_min - 2] == row[s_min - 1] + 4:
-            s_min -= 1
-        for s in range(s_min, e + 1):
-            lab = _insertion_label(mp, prof, row, s, e)
-            if lab is not None:
-                runs.append((s, e, lab))
-                e = s - 1
-                break
-        else:
-            raise ClassificationError(
-                f"no insertion run ends at index {e} of {mp.parts}"
-            )
-    return tuple(runs)
+    return _runs(mp, l, _insertion_label, upward=False)
 
 
 def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:

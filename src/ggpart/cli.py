@@ -119,7 +119,7 @@ _OPS = {
     "psi-pt": lambda mp, a: (maps.psi_pt(mp, a.k, a.r, a.p, a.t), ()),
     "phi-m": lambda mp, a: (maps.phi_m(mp, a.k, a.r, a.m), ()),
     "psi-m": lambda mp, a: (maps.psi_m(mp, a.k, a.r, a.m), ()),
-}  # (output, the intermediate grids --trace prints)
+}  # (output, the tuple of intermediate partitions whose grids --trace prints)
 
 
 def cmd_map(args) -> int:
@@ -138,7 +138,7 @@ def cmd_map(args) -> int:
         if out.overline is not None:
             result["overline"] = out.overline[0]
         if args.trace:
-            for step in trace.steps if isinstance(trace, maps.DilationTrace) else trace:
+            for step in trace:
                 print(render_grid(step), file=sys.stderr)
                 print("--", file=sys.stderr)
     if args.p is not None:  # the ops at one (p, t)

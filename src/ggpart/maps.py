@@ -1,7 +1,9 @@
 """The weight-shifting maps between the three partition families.
 
 `dilate`/`reduce` shift weight by 2l (l = number of row-2 parts above the
-insertion index) without touching the length; `insert_odd`/`separate_odd`
+insertion index) without touching the length, and return (result, steps):
+in each step partition the largest odd part 2t_b+1, with its mark r_b, is
+the one a basic move made or a carry moved up.  `insert_odd`/`separate_odd`
 add/remove the odd part 2t+1 and shuffle a cluster of even parts by 2.  Their
 composites `phi_pt`/`psi_pt` realize the one-piece bijection, `phi_m`/`psi_m`
 resolve the unique (p, t) split of m, and `phi_global`/`psi_global` chain the
@@ -17,7 +19,6 @@ construction bug cannot produce a plausible-looking wrong output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from .classify import (
     _chain,
     classify_eq,
@@ -33,15 +34,6 @@ from .classify import (
 from .errors import GGError, MembershipError, MissingEntryError
 from .marking import MarkedPartition, gg_mark
 from .membership import is_in_C
-
-
-@dataclass(frozen=True)
-class DilationTrace:
-    """Intermediate special partitions of one dilation/reduction run plus the
-    per-step (t_b, r_b) bookkeeping; empty when the map was the identity."""
-
-    steps: tuple[MarkedPartition, ...]
-    bookkeeping: tuple[tuple[int, int], ...]
 
 
 def _ledger(name: str, before: MarkedPartition, after: MarkedPartition, dw: int, dl: int):
@@ -104,11 +96,10 @@ def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Map an lt-family member to its tilde-family image (weight +2l)."""
     l = _label(classify_lt, "lt", mp, k, r, p, t).l
     row = mp.row_values(2)
-    cur, steps, book = mp, [], []
+    cur, steps = mp, []
     for lo, hi, lab in insertion_types(mp, l):  # no runs when l == 0: the identity
         cur, tb, rb, over = _basic_dilation(cur, row[hi - 1], lab)
         steps.append(cur)
-        book.append((tb, rb))
         for _ in range(lo, hi):  # carry the odd part up the run
             target = 2 * tb + 4
             marks = [m for m in cur.marks_of(target) if m <= rb]
@@ -123,10 +114,9 @@ def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
             )
             tb, rb = tb + 2, rb1
             steps.append(cur)
-            book.append((tb, rb))
         cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb + 2, False)])
     _ledger("dilate", mp, cur, 2 * l, 0)
-    return cur, DilationTrace(tuple(steps), tuple(book))
+    return cur, tuple(steps)
 
 
 def _basic_reduction(cur: MarkedPartition, value: int, label: str):
@@ -158,15 +148,14 @@ def _reduce(mp: MarkedPartition, label):
     """`reduce` of a member whose tilde label is `label`."""
     l = label.l
     row = mp.row_values(2)
-    cur, steps, book = mp, [], []
+    cur, steps = mp, []
     for lo, hi, lab in reduction_types(mp, l):  # no runs when l == 0: the identity
         for i in range(lo, hi + 1):
             cur, tb, rb, over = _basic_reduction(cur, row[i - 1], lab)
             steps.append(cur)
-            book.append((tb, rb))
             cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb, False)])
     _ledger("reduce", mp, cur, -2 * l, 0)
-    return cur, DilationTrace(tuple(steps), tuple(book))
+    return cur, tuple(steps)
 
 
 # -- insertion / separation --------------------------------------------

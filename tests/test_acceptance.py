@@ -226,13 +226,13 @@ def test_criterion_10_golden_fixtures():
         ], name
     # the running dilation reproduces its stored intermediates exactly
     pi1 = fixture_marked("pi1")
-    mu, trace = dilate(pi1, 4, 3, 6, 5)
-    for step, name in zip(trace.steps, ("pi1_step4", "pi1_step3", "pi1_step2", "pi1_step1")):
+    mu, steps = dilate(pi1, 4, 3, 6, 5)
+    for step, name in zip(steps, ("pi1_step4", "pi1_step3", "pi1_step2", "pi1_step1")):
         assert render_grid(step) == render_grid(fixture_marked(name)), name
     assert render_grid(mu) == render_grid(fixture_marked("mu"))
-    back, rtrace = reduce(mu, 4, 3, 6, 5)
+    back, rsteps = reduce(mu, 4, 3, 6, 5)
     assert render_grid(back) == render_grid(pi1)
-    for step, name in zip(rtrace.steps, ("pi1_step1", "pi1_step2", "pi1_step3", "pi1_step4")):
+    for step, name in zip(rsteps, ("pi1_step1", "pi1_step2", "pi1_step3", "pi1_step4")):
         assert render_grid(step) == render_grid(fixture_marked(name)), name
     # the twelve insertion kinds against their stored inputs/outputs
     from ggpart.maps import insert_odd_trace, separate_odd_trace

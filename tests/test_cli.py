@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ggpart import classify, cli, render_grid, series, verify
+from ggpart import classify, cli, maps, render_grid, series, verify
 from ggpart.cli import build_parser, main
 from ggpart.fixtures import fixture_marked
 
@@ -177,6 +177,16 @@ def test_map_psi_global(capsys):
     assert code == 0 and out == "4\nzeta: 7,1\n"
 
 
+TRACED = [  # op, input fixture, its (p, t) at k=4 r=3, and the grids --trace prints
+    ("dilate", "pi1", ("6", "5"), ("pi1_step4", "pi1_step3", "pi1_step2", "pi1_step1")),
+    ("reduce", "mu", ("6", "5"), ("pi1_step1", "pi1_step2", "pi1_step3", "pi1_step4")),
+    ("insert", "m7", ("3", "1"), ("nu7",)),  # insertion's trace is its midpoint grid
+    ("insert", "m12", ("6", "0"), ("nu12",)),
+    ("separate", "omega7", ("3", "1"), ("nu7",)),
+    ("separate", "omega12", ("6", "0"), ("nu12",)),
+]
+
+
 def test_map_with_trace(capsys):
     code, out, err = run(
         capsys, "map", "--op", "dilate", "--fixture", "pi1",
@@ -186,10 +196,11 @@ def test_map_with_trace(capsys):
     assert "~33" in err and "~37" in err
     data = json.loads(out)
     assert data["weight"] == 454 + 8
-    # insertion's trace is its midpoint grid
-    argv = ("map", "--op", "insert", "--fixture", "m7", "-k", "4", "-r", "3", "-p", "3", "-t", "1")
-    code, _, err = run(capsys, *argv, "--trace")
-    assert code == 0 and err == render_grid(fixture_marked("nu7")) + "\n--\n"
+    for op, fixture, (p, t), grids in TRACED:
+        argv = ("map", "--op", op, "--fixture", fixture, "-k", "4", "-r", "3", "-p", p, "-t", t)
+        code, _, err = run(capsys, *argv, "--trace")
+        assert code == 0, (op, fixture)
+        assert err == "".join(render_grid(fixture_marked(g)) + "\n--\n" for g in grids), (op, fixture)
 
 
 def test_map_keeps_the_overline(capsys):
@@ -339,6 +350,21 @@ def test_roundtrip_command(capsys):
         "psi(phi) round-trips checked=341\n"
         "failures=0\n"
         "global round-trips checked=405 failures=0\n"
+    )
+
+
+def test_roundtrip_failure_names_the_first_mismatch(monkeypatch, capsys):
+    # a separation that returns its input breaks every (p, t) round trip
+    monkeypatch.setattr(maps, "separate_odd", lambda mp, k, r, p, t: mp)
+    code, out, _ = run(capsys, "roundtrip", "-k", "3", "-r", "3", "--max-weight", "6")
+    assert code == 1
+    assert out == (
+        "phi(psi) round-trips checked=9\n"
+        "psi(phi) round-trips checked=9\n"
+        "failures=36\n"
+        "global round-trips checked=15 failures=0\n"
+        "first mismatch at (((0, 0), 0), MarkedPartition()) expected MarkedPartition() "
+        "got MembershipError('(1,) is not in the tilde family at (p,t)=(0,0)')\n"
     )
 
 

@@ -91,8 +91,9 @@ def test_general_eta_enumeration():
 
 
 def test_enumerate_B_equals_definition():
-    # same list in the same descending-lex order; eta 1..4, lambda 0..2, k 2..5
+    # same list in the same descending-lex order; eta 1..4, lambda 0..2, k 1..5
     grid = [
+        BressoudParams((), 1, 1, 1),  # k = 1: only the empty partition
         BressoudParams((), 1, 3, 2),
         BressoudParams((), 1, 2, 1),
         BressoudParams((1,), 2, 2, 2),
