@@ -21,7 +21,8 @@ input label, or `classify_lt` and then `classify_sim`, derive the label
 once.  Each is a pure function of the partition, and partitions are shared:
 `ggpart.marking` hands out one live object per marked partition, so a
 round trip's inverse half lands on the objects its forward half built and
-reads the labels derived for them there.
+reads the labels derived for them there.  A label is a `SubsetLabel`, a
+named tuple: immutable and hashable, and built by every clause pass.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
 "s3"; each 2-marked part up to the threshold matches exactly one of the
@@ -34,7 +35,7 @@ starting clusters, labelled by their one starting type.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ClassificationError, UniquenessError
 from .marking import MarkedPartition
@@ -61,9 +62,8 @@ class StartingProfile:
         return self.types[i - 1]
 
 
-@dataclass(frozen=True, slots=True)
-class SubsetLabel:
-    """One classification of a family member at (p, t).
+class SubsetLabel(NamedTuple):
+    """One classification of a family member at (p, t), as a named tuple.
 
     index: the insertion index (lt/sim) or division index (eq) of subset j;
     l: the number of row-2 parts above that index.
@@ -92,7 +92,7 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
     cached = mp._memo.get("profile")
     if cached is not None:
         return cached
-    row = mp.row_values(2)
+    row = mp.row2
     threshold = _threshold(mp, mp.largest_odd)
     types: list[str] = [S_MINUS1] * len(row)
     anchors: list[Optional[int]] = [None] * len(row)
@@ -125,8 +125,8 @@ def cluster_indexes(mp: MarkedPartition, p: int) -> tuple[int, ...]:
     """Starting cluster indexes p_1 > p_2 > ... > 1 at or below p, for
     1 <= p <= N2: the first index of each starting cluster, a maximal run of
     2-marked parts stepping by 4 with one starting type."""
-    if not 1 <= p <= mp.N(2):
-        raise ValueError(f"cluster indexes need 1 <= p <= N2 = {mp.N(2)}, got {p}")
+    if not 1 <= p <= len(mp.row2):
+        raise ValueError(f"cluster indexes need 1 <= p <= N2 = {len(mp.row2)}, got {p}")
     return tuple(lo for lo, _, _ in _runs(mp, p, _one_type, upward=False))
 
 
@@ -143,7 +143,7 @@ def _member_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     # is +inf, N2 + 1 is -inf.
     if p < 0 or t < 0:
         return False
-    row = mp.row_values(2)
+    row = mp.row2
     n2 = len(row)
     if p > n2:
         return False
@@ -182,7 +182,7 @@ def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
 
 def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
     prof = starting_profile(mp)
-    row = mp.row_values(2)
+    row = mp.row2
     v = row[p - 1] if p else None
     ty = prof.type_at(p) if p else None
     at = 2 * t + 2  # the insertion index of subsets 1 to 5
@@ -239,7 +239,7 @@ def _one_label(family: str, mp: MarkedPartition, p: int, t: int, hits) -> Subset
 
 def _threshold(mp: MarkedPartition, bound: int) -> int:
     """Largest row-2 index whose part exceeds `bound`."""
-    row = mp.row_values(2)
+    row = mp.row2
     l = 0
     while l < len(row) and row[l] > bound:
         l += 1
@@ -260,7 +260,7 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     # The largest odd part fixes t, so most probes stop here; then the bracket.
     if p < 0 or t < 0 or mp.largest_odd != 2 * t + 1:
         return False
-    row = mp.row_values(2)
+    row = mp.row2
     n2 = len(row)
     if p > n2:
         return False
@@ -300,7 +300,7 @@ def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
 
 def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
     prof = starting_profile(mp)
-    row = mp.row_values(2)
+    row = mp.row2
     n2 = len(row)
     v = row[p - 1] if p else None
     vp1 = row[p] if p < n2 else None
@@ -366,7 +366,7 @@ def _runs(mp: MarkedPartition, l: int, label, upward: bool) -> tuple[tuple[int, 
     (lo, hi, label) of parts stepping by 4: each the longest from the near end
     that `label(mp, prof, row, lo, hi)` types; a near end with none raises."""
     prof = starting_profile(mp)
-    row = mp.row_values(2)
+    row = mp.row2
     step = 1 if upward else -1
     runs: list[tuple[int, int, str]] = []
     near = 1 if upward else l
@@ -456,7 +456,7 @@ def _refine_sim(
     mp: MarkedPartition, k: int, r: int, p: int, t: int, base: SubsetLabel
 ) -> Optional[SubsetLabel]:
     """The tilde subset of a member whose lt label at (p, t) is `base`."""
-    row = mp.row_values(2)
+    row = mp.row2
     v = row[p - 1] if p else None
     l = base.l
     red = {i: lab for lo, hi, lab in reduction_types(mp, l) for i in range(lo, hi + 1)}
@@ -492,7 +492,7 @@ _CLAUSES = {"lt": _lt_clauses, "sim": _sim_clauses, "eq": _eq_clauses}
 def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
     """Unique (p, t) with p + t = m placing mp in the lt family, if any."""
     _check_kr(k, r)
-    hits = [(p, m - p) for p in range(0, min(m, mp.N(2)) + 1) if _member_lt(mp, k, r, p, m - p)]
+    hits = [(p, m - p) for p in range(0, min(m, len(mp.row2)) + 1) if _member_lt(mp, k, r, p, m - p)]
     if len(hits) > 1:
         raise UniquenessError(f"{mp.parts} sits in the lt family at {hits} for m={m}")
     return hits[0] if hits else None
@@ -516,7 +516,7 @@ def find_m_eq33(mp: MarkedPartition) -> Optional[int]:
     if not mp.largest_odd:
         return None
     t = (mp.largest_odd - 1) // 2
-    hits = [p for p in range(mp.N(2) + 1) if _member_eq(mp, 3, 3, p, t)]
+    hits = [p for p in range(len(mp.row2) + 1) if _member_eq(mp, 3, 3, p, t)]
     if len(hits) != 1:
         raise ClassificationError(f"{mp.parts} is an eq member at t={t} for p in {hits}")
     return hits[0] + t

@@ -216,7 +216,7 @@ def cmd_roundtrip(args) -> int:
     fwd, bwd = verify.pt_bijection(k, r, members)
     print(f"phi(psi) round-trips checked={bwd.checked}")
     print(f"psi(phi) round-trips checked={fwd.checked}")
-    print(f"failures={fwd.failures + bwd.failures}")
+    print(f"mismatches={fwd.failures + bwd.failures}")  # failed comparisons, not items
     results = [fwd, bwd]
     if k == r == 3:
         gfwd, gbwd = verify.global_pairs(members)

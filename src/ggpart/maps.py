@@ -95,7 +95,7 @@ def _basic_dilation(cur: MarkedPartition, value: int, label: str):
 def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Map an lt-family member to its tilde-family image (weight +2l)."""
     l = _label(classify_lt, "lt", mp, k, r, p, t).l
-    row = mp.row_values(2)
+    row = mp.row2
     cur, steps = mp, []
     for lo, hi, lab in insertion_types(mp, l):  # no runs when l == 0: the identity
         cur, tb, rb, over = _basic_dilation(cur, row[hi - 1], lab)
@@ -147,7 +147,7 @@ def reduce(mp: MarkedPartition, k: int, r: int, p: int, t: int):
 def _reduce(mp: MarkedPartition, label):
     """`reduce` of a member whose tilde label is `label`."""
     l = label.l
-    row = mp.row_values(2)
+    row = mp.row2
     cur, steps = mp, []
     for lo, hi, lab in reduction_types(mp, l):  # no runs when l == 0: the identity
         for i in range(lo, hi + 1):
@@ -170,7 +170,7 @@ def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     label = _label(classify_sim, "tilde", mp, k, r, p, t)
     j, l = label.j, label.l
     odd = 2 * t + 1
-    row = mp.row_values(2)
+    row = mp.row2
     mid: tuple[MarkedPartition, ...] = ()
 
     if j <= 5:
@@ -253,7 +253,7 @@ def _separate_odd(mp: MarkedPartition, k: int, r: int, label):
     (out, intermediates, the tilde label of out)."""
     j, p, t, l = label.j, label.p, label.t, label.l
     odd = 2 * t + 1
-    row = mp.row_values(2)
+    row = mp.row2
     mid: tuple[MarkedPartition, ...] = ()
 
     if j <= 5:

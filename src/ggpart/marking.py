@@ -15,7 +15,9 @@ not the largest, or on two copies, with `InvalidSpecialPartition`.
 
 A `MarkedPartition` is built from (value, overlined) pairs and always runs
 the greedy assignment itself, so a non-canonical marking cannot be built.
-The marks of each value are kept as one int, bit m set for mark m.
+The marks of each value are kept as one int, bit m set for mark m; a live
+partition stores that map, its parts and rows, and no (value, mark,
+overlined) triples: `entries` derives them, and `replace` edits a copy.
 All values are immutable.  `gg_mark`, `gg_mark_special` and `replace` hand
 out one live object per (parts, overlined value): `_marked` returns the
 partition already alive for that key from a weak table, and runs the greedy
@@ -75,42 +77,47 @@ class MarkedPartition:
     """A partition together with its canonical marking, built from
     (value, overlined) pairs by the greedy assignment.
 
-    `entries` holds (value, mark, overlined) triples sorted by decreasing
-    value; `rows[i-1]` is the decreasing tuple of i-marked values; `overline`
-    is the (value, mark) of the overlined copy, or None; `largest_odd` is the
-    largest odd part, or 0 when there is none.  An overline on any other
-    value than `largest_odd`, or on two copies, raises.
+    It stores `parts`, `rows[i-1]` (the decreasing tuple of i-marked values),
+    `row2` (`rows[1]`, or ()), `overline` (the (value, mark) of the overlined
+    copy, or None), `largest_odd` (0 when there is none) and the value-to-marks
+    bits; `entries`, the (value, mark, overlined) triples by decreasing value,
+    then mark, is derived from the bits on each read.  An overline on any
+    other value than `largest_odd`, or on two copies, raises.
     """
 
     __slots__ = (
-        "parts", "entries", "rows", "overline", "largest_odd", "weight", "length",
+        "parts", "rows", "row2", "overline", "largest_odd", "weight", "length",
         "_bits", "_memo", "__weakref__",
     )
 
     def __init__(self, pairs: Sequence[tuple[int, bool]]):
         bits_at, overline = _assign(pairs)
         values = sorted(bits_at, reverse=True)
-        over_value, over_mark = overline or (None, 0)
         n_rows = max(bits_at.values(), default=1).bit_length() - 1  # the highest mark
         rows: list[list[int]] = [[] for _ in range(n_rows)]
-        entries = []
+        parts: list[int] = []
         for v in values:
             for m in _marks(bits_at[v]):
-                entries.append((v, m, v == over_value and m == over_mark))
+                parts.append(v)
                 rows[m - 1].append(v)
-        self.entries = tuple(entries)
-        self.parts = tuple(v for v, _, _ in entries)
+        self.parts = tuple(parts)
         self.rows = tuple(map(tuple, rows))
+        self.row2 = self.rows[1] if n_rows > 1 else ()
         self.overline = overline
         self.largest_odd = next((v for v in values if v % 2), 0)
-        if overline is not None and over_value != self.largest_odd:
+        if overline is not None and overline[0] != self.largest_odd:
             raise InvalidSpecialPartition(
-                f"overlined part {over_value} is not the largest odd part of {self.parts}"
+                f"overlined part {overline[0]} is not the largest odd part of {self.parts}"
             )
-        self.weight = sum(self.parts)
-        self.length = len(self.parts)
+        self.weight = sum(parts)
+        self.length = len(parts)
         self._bits = bits_at
         self._memo: dict = {}
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, bool], ...]:
+        bits, over = self._bits, self.overline or (None, 0)
+        return tuple((v, m, (v, m) == over) for v in sorted(bits, reverse=True) for m in _marks(bits[v]))
 
     # -- basic views ---------------------------------------------------
 
@@ -159,10 +166,7 @@ class MarkedPartition:
         return hash((self.parts, self.overline[0] if self.overline else None))
 
     def __repr__(self) -> str:
-        body = ",".join(
-            (f"~{v}" if self.overline and (v, m) == self.overline else str(v))
-            for v, m, _ in self.entries
-        )
+        body = ",".join(f"~{v}" if over else str(v) for v, _, over in self.entries)
         return f"MarkedPartition({body})"
 
     # -- surgery -------------------------------------------------------
@@ -172,24 +176,27 @@ class MarkedPartition:
         marked.
 
         removals: iterable of (value, mark_or_None, overlined); a None mark
-        matches any copy of the value with the given overline state.
+        takes the smallest mark among the copies of the value with the given
+        overline state.
         additions: iterable of (value, overlined).
         """
-        work = list(self.entries)
-        for value, mark, over in removals:
-            for slot in work:
-                if slot[0] == value and slot[2] == over and (mark is None or slot[1] == mark):
-                    work.remove(slot)
-                    break
-            else:
-                who = f"{'overlined ' if over else ''}{mark if mark is not None else 'any'}-marked {value}"
+        bits, over, parts = dict(self._bits), self.overline, list(self.parts)
+        for value, mark, overlined in removals:
+            over_bit = 1 << over[1] if over and over[0] == value else 0
+            free = over_bit if overlined else bits.get(value, 0) & ~over_bit
+            if mark is not None:
+                free &= 1 << mark if mark > 0 else 0
+            if not free:
+                who = f"{'overlined ' if overlined else ''}{mark if mark is not None else 'any'}-marked {value}"
                 raise MissingEntryError(f"no {who} in {self!r}", partition=self)
-        parts = [v for v, _, _ in work]
-        overs = [v for v, _, over in work if over]
-        for value, over in additions:
+            bits[value] ^= free & -free  # the smallest matching mark
+            over = None if overlined else over
+            parts.remove(value)
+        overs = [over[0]] if over else []
+        for value, overlined in additions:
             value = int(value)
             parts.append(value)
-            if over:
+            if overlined:
                 overs.append(value)
         if len(overs) > 1:
             raise InvalidSpecialPartition("more than one overlined part: {}, {}".format(*sorted(overs)))

@@ -1,10 +1,13 @@
-"""Shared enumeration caches for the sweep-style tests, and the reference
-forms of the enumerator and the series that the library replaced."""
+"""Shared enumeration caches for the sweep-style tests, the bytes per live
+marked partition (read by a tier-1 test and by CI's job summary), and the
+reference forms of the enumerator and the series that the library replaced."""
 
+import gc
 import math
+import tracemalloc
 from functools import cache
 
-from ggpart import enumerate_E, gg_mark, row_counts, verify
+from ggpart import MarkedPartition, enumerate_E, gg_mark, row_counts, verify
 
 # {weight: [marked members]} for the eta=2 single-residue family
 c_members = cache(verify.members_by_weight)
@@ -19,6 +22,23 @@ def e_cell(counts, r: int, n: int):
     """Members of the even family whose marking has exactly the given row sizes."""
     k = len(counts) + 1
     return [p for p in enumerate_E(k, r, n) if row_counts(gg_mark(p), k - 1) == tuple(counts)]
+
+
+def bytes_per_partition(k: int = 4, r: int = 4, wmax: int = 40) -> float:
+    """Bytes that tracemalloc sees retained per live marked partition, over
+    fresh `MarkedPartition(pairs)` objects of every member of E(k, r) to
+    weight wmax (built directly: no cache can hand back an old object)."""
+    pairs = [[(v, False) for v in p] for n in range(wmax + 1) for p in enumerate_E(k, r, n)]
+    for x in pairs:
+        MarkedPartition(x)  # fills the marks cache before tracing starts
+    gc.collect()  # a full collection empties the free lists, which tracemalloc cannot see
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        live = [MarkedPartition(x) for x in pairs]
+        return (tracemalloc.get_traced_memory()[0] - before) / len(live)
+    finally:
+        tracemalloc.stop()
 
 
 def row_at(mp, i: int, j: int):

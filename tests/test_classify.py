@@ -7,6 +7,7 @@ from ggpart import (
     ClassificationError,
     GGError,
     MarkedPartition,
+    SubsetLabel,
     classify_eq,
     classify_lt,
     classify_sim,
@@ -83,6 +84,15 @@ def test_lt_classification_running_example():
         assert label is not None and label.j == j, (p, t)
     for p, t in [(6, 6), (5, 8), (3, 11), (2, 13), (1, 16), (0, 18)]:
         assert classify_lt(PI1, 4, 3, p, t) is None, (p, t)
+
+
+def test_subset_label_value():
+    label = classify_lt(gg_mark((10, 8, 4)), 3, 3, 1, 2)  # the README's library example
+    assert repr(label) == "SubsetLabel(family='lt', j=2, p=1, t=2, index=6, l=1)"
+    with pytest.raises(AttributeError):
+        label.j = 3
+    same = SubsetLabel("lt", 2, 1, 2, 6, 1)
+    assert label == same and hash(label) == hash(same) and {label: 1}[same] == 1
 
 
 def test_lt_requires_admissible_kr():

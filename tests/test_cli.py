@@ -348,7 +348,7 @@ def test_roundtrip_command(capsys):
     assert out == (
         "phi(psi) round-trips checked=341\n"
         "psi(phi) round-trips checked=341\n"
-        "failures=0\n"
+        "mismatches=0\n"
         "global round-trips checked=405 failures=0\n"
     )
 
@@ -361,7 +361,7 @@ def test_roundtrip_failure_names_the_first_mismatch(monkeypatch, capsys):
     assert out == (
         "phi(psi) round-trips checked=9\n"
         "psi(phi) round-trips checked=9\n"
-        "failures=36\n"
+        "mismatches=36\n"
         "global round-trips checked=15 failures=0\n"
         "first mismatch at (((0, 0), 0), MarkedPartition()) expected MarkedPartition() "
         "got MembershipError('(1,) is not in the tilde family at (p,t)=(0,0)')\n"

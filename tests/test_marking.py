@@ -1,10 +1,12 @@
 import json
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggpart import (
+    GGError,
     InvalidSpecialPartition,
     MarkedPartition,
     MissingEntryError,
@@ -13,10 +15,12 @@ from ggpart import (
     marked_to_dict,
     render_grid,
 )
-from ggpart.fixtures import fixture_marked, fixture_overline, fixture_rows
+from ggpart.fixtures import fixture_marked, fixture_names, fixture_overline, fixture_rows
 from ggpart import marking
 from ggpart.marking import _gg_mark_cached
 from ggpart.membership import all_partitions
+
+from helpers import bytes_per_partition, c_members
 
 PI1_PARTS = (38, 38, 36, 34, 32, 30, 26, 26, 22, 22, 22, 18, 16, 16, 14, 12, 12, 10, 9, 6, 6, 6, 2, 1)
 
@@ -262,6 +266,150 @@ def test_live_table_is_bounded():
         out = base.replace([], [(v, False)])
     assert out.parts == (big + 19_999, 2, 1) and base.replace([], [(big + 19_999, False)]) is out
     assert len(marking._LIVE) <= held + 1
+
+
+# -- stored values and their references ------------------------------------
+# The constructor loop and the `replace` body of a partition that stores its
+# (value, mark, overlined) triples, kept as oracles for the derived `entries`
+# and the bit-set `replace`.
+
+
+def _stored_entries(mp):
+    """The triples the constructor stored, from its own greedy pass."""
+    pairs = [(v, False) for v in mp.parts]
+    if mp.overline is not None:
+        pairs.remove((mp.overline[0], False))
+        pairs.append((mp.overline[0], True))
+    bits_at, overline = marking._assign(pairs)
+    over_value, over_mark = overline or (None, 0)
+    entries = []
+    for v in sorted(bits_at, reverse=True):
+        for m in marking._marks(bits_at[v]):
+            entries.append((v, m, v == over_value and m == over_mark))
+    return tuple(entries)
+
+
+def _entries_replace(self, removals, additions):
+    """`MarkedPartition.replace` over a list of the stored triples."""
+    work = list(_stored_entries(self))
+    for value, mark, over in removals:
+        for slot in work:
+            if slot[0] == value and slot[2] == over and (mark is None or slot[1] == mark):
+                work.remove(slot)
+                break
+        else:
+            who = f"{'overlined ' if over else ''}{mark if mark is not None else 'any'}-marked {value}"
+            raise MissingEntryError(f"no {who} in {self!r}", partition=self)
+    parts = [v for v, _, _ in work]
+    overs = [v for v, _, over in work if over]
+    for value, over in additions:
+        value = int(value)
+        parts.append(value)
+        if over:
+            overs.append(value)
+    if len(overs) > 1:
+        raise InvalidSpecialPartition("more than one overlined part: {}, {}".format(*sorted(overs)))
+    parts.sort(reverse=True)
+    return marking._marked(tuple(parts), overs[0] if overs else None)
+
+
+@cache
+def _surgery_inputs():
+    """C(k, r) members to weight 16, and the special markings of every
+    partition to weight 12 that has an odd part."""
+    members = [mp for k, r in ((3, 3), (4, 3), (4, 4)) for ms in c_members(k, r, 16).values() for mp in ms]
+    specials = [
+        gg_mark_special(p, max(v for v in p if v % 2))
+        for n in range(13)
+        for p in all_partitions(n)
+        if any(v % 2 for v in p)
+    ]
+    return members, specials
+
+
+def _outcome(f):
+    try:
+        return f()
+    except GGError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _surgery(draw):
+    """A partition and a batch: distinct copies of its parts, each by its
+    mark or by a None mark, then maybe a faulty removal (a copy again, the
+    other overline state, or a random one, often absent), and additions
+    that now and then carry an overline."""
+    mp = draw(st.sampled_from(_surgery_inputs()[draw(st.integers(0, 1))]))
+    copies = _stored_entries(mp)
+    picks = draw(st.lists(st.sampled_from(range(len(copies))), unique=True, max_size=3)) if copies else []
+    removals = [
+        (v, None if draw(st.booleans()) else m, over) for v, m, over in (copies[i] for i in picks)
+    ]
+    fault = draw(st.sampled_from(("none", "none", "again", "other overline", "random")))
+    if fault == "again" and removals:
+        removals.append(draw(st.sampled_from(removals)))
+    elif fault == "other overline" and removals:
+        v, m, over = draw(st.sampled_from(removals))
+        removals.append((v, m, not over))
+    elif fault == "random":
+        removals.append(
+            draw(st.tuples(st.integers(1, 40), st.one_of(st.none(), st.integers(-1, 5)), st.booleans()))
+        )
+    additions = draw(
+        st.lists(st.tuples(st.integers(1, 40), st.sampled_from((False, False, False, True))), max_size=3)
+    )
+    return mp, removals, additions
+
+
+@given(_surgery())
+@settings(max_examples=400, deadline=None)
+def test_replace_matches_the_entries_list_replace(case):
+    mp, removals, additions = case
+    want = _outcome(lambda: _entries_replace(mp, removals, additions))
+    got = _outcome(lambda: mp.replace(removals, additions))
+    if isinstance(want, MarkedPartition):
+        assert got is want  # one live object per (parts, overline)
+        parts = list(mp.parts) + [value for value, _ in additions]
+        for value, _, _ in removals:
+            parts.remove(value)
+        kept = mp.overline and not any(over for _, _, over in removals)
+        overs = [value for value, over in additions if over] + ([mp.overline[0]] if kept else [])
+        assert got is gg_mark_special(parts, overs[0] if overs else None)
+    else:
+        assert got == want
+
+
+def test_replace_keeps_its_errors():
+    special = fixture_marked("pi1_step2")  # overlined 33
+    cases = [
+        (special, [(33, None, True), (33, None, True)], []),  # the same copy twice
+        (special, [(33, 2, False)], []),  # only the overlined copy carries mark 2
+        (special, [(35, None, False)], []),  # absent
+        (special, [], [(35, True)]),  # two overlines
+        (gg_mark((5, 3)), [], [(3, True)]),  # an overline below the largest odd part
+    ]
+    for mp, removals, additions in cases:
+        want = _outcome(lambda: _entries_replace(mp, removals, additions))
+        assert isinstance(want, tuple) and _outcome(lambda: mp.replace(removals, additions)) == want
+
+
+def test_entries_equal_the_stored_triples():
+    for k, r in ((3, 3), (4, 3), (4, 4), (5, 3)):
+        for members in c_members(k, r, 20).values():
+            for mp in members:
+                assert mp.entries == _stored_entries(mp), mp
+    for mp in _surgery_inputs()[1]:
+        assert mp.entries == _stored_entries(mp), mp
+    for name in fixture_names():
+        mp = fixture_marked(name)
+        assert mp.entries == _stored_entries(mp), name
+        assert mp.row2 is mp.row_values(2)
+
+
+def test_live_partition_memory():
+    # 662 bytes each on CPython 3.11; storing the entry triples as well takes 995
+    assert bytes_per_partition() < 850
 
 
 # -- rendering and serialization -----------------------------------------
