@@ -34,7 +34,6 @@ starting clusters, labelled by their one starting type.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import ClassificationError, UniquenessError
@@ -44,9 +43,8 @@ from .membership import is_in_C
 S_MINUS1, S0, S1, S2, S3 = "s-1", "s0", "s1", "s2", "s3"
 
 
-@dataclass(frozen=True)
-class StartingProfile:
-    """Per-2-marked-part starting data.
+class StartingProfile(NamedTuple):
+    """Per-2-marked-part starting data, as a named tuple.
 
     threshold: largest row-2 index with no odd part at or above it.
     types[i-1] / anchors[i-1] describe the i-th 2-marked part: up to the

@@ -1,4 +1,24 @@
-"""Exception types, and the bound check, shared across the package."""
+"""Exception types, and the bound and integer checks, shared across the package."""
+
+from operator import index
+
+
+def integer(name: str, value) -> int:
+    """`value` read with `operator.index`: a float or a string raises
+    ValueError naming it, where `int` would truncate or parse it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def integers(name: str, values) -> tuple[int, ...]:
+    """`integer` over `values`, each one named `name` in the error."""
+    values = tuple(values)
+    try:
+        return tuple(map(index, values))  # the common case, looped in C
+    except TypeError:
+        return tuple(integer(name, v) for v in values)
 
 
 def require_nonnegative(**bounds: int) -> None:

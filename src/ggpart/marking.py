@@ -36,7 +36,7 @@ import weakref
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .errors import InvalidSpecialPartition, MissingEntryError
+from .errors import InvalidSpecialPartition, MissingEntryError, integer, integers
 
 _EMPTY: frozenset = frozenset()
 _LIVE: "weakref.WeakValueDictionary[tuple, MarkedPartition]" = weakref.WeakValueDictionary()
@@ -194,7 +194,7 @@ class MarkedPartition:
             parts.remove(value)
         overs = [over[0]] if over else []
         for value, overlined in additions:
-            value = int(value)
+            value = integer("part", value)
             parts.append(value)
             if overlined:
                 overs.append(value)
@@ -221,7 +221,7 @@ def _marked(parts: tuple[int, ...], overline: Optional[int]) -> MarkedPartition:
 
 
 def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
-    out = tuple(sorted((int(v) for v in parts), reverse=True))
+    out = tuple(sorted(integers("part", parts), reverse=True))
     if any(v < 1 for v in out):
         raise ValueError(f"parts must be positive integers, got {out}")
     return out
@@ -247,7 +247,7 @@ def gg_mark_special(parts: Iterable[int], overline: Optional[int] = None) -> Mar
     norm = _normalize(parts)
     if overline is None:
         return _gg_mark_cached(norm)
-    overline = int(overline)
+    overline = integer("overline", overline)
     if overline not in norm:
         raise InvalidSpecialPartition(f"overlined value {overline} is not a part of {norm}")
     return _marked(norm, overline)

@@ -27,42 +27,45 @@ candidate, the smaller of its ceiling and the weight left, has capacity.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator, Optional, Sequence
 
-from .errors import require_nonnegative
+from .errors import integer, integers, require_nonnegative
 from .marking import MarkedPartition, gg_mark
 
 
-@dataclass(frozen=True)
-class BressoudParams:
+class BressoudParams(namedtuple("BressoudParams", "alphas eta k r")):
     """Parameters (alpha_1..alpha_lambda; eta, k, r) of the partition family.
 
     Alphas must increase strictly inside (0, eta) and pair up as
     alpha_i = eta - alpha_{lambda+1-i}; lambda = len(alphas) may be zero.
+    A named tuple whose every construction, `_make`, `_replace`, copies and
+    unpickling included, reads each field with `operator.index` and checks
+    it.
     """
 
-    alphas: tuple[int, ...]
-    eta: int
-    k: int
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
-        lam = len(self.alphas)
-        if self.eta < 1:
-            raise ValueError(f"eta must be positive, got {self.eta}")
-        if not all(0 < a < self.eta for a in self.alphas):
-            raise ValueError(f"alphas must lie strictly between 0 and eta: {self.alphas}")
-        if list(self.alphas) != sorted(set(self.alphas)):
-            raise ValueError(f"alphas must be strictly increasing: {self.alphas}")
-        for i, a in enumerate(self.alphas):
-            if a != self.eta - self.alphas[lam - 1 - i]:
-                raise ValueError(
-                    f"alphas must satisfy a_i = eta - a_(lambda+1-i): {self.alphas} with eta={self.eta}"
-                )
-        if not (self.k >= self.r >= max(lam, 1)):
-            raise ValueError(f"need k >= r >= max(lambda, 1), got k={self.k} r={self.r} lambda={lam}")
+    def __new__(cls, alphas: Sequence[int], eta: int, k: int, r: int):
+        alphas = integers("alpha", alphas)
+        eta, k, r = integer("eta", eta), integer("k", k), integer("r", r)
+        lam = len(alphas)
+        if eta < 1:
+            raise ValueError(f"eta must be positive, got {eta}")
+        if not all(0 < a < eta for a in alphas):
+            raise ValueError(f"alphas must lie strictly between 0 and eta: {alphas}")
+        if list(alphas) != sorted(set(alphas)):
+            raise ValueError(f"alphas must be strictly increasing: {alphas}")
+        for i, a in enumerate(alphas):
+            if a != eta - alphas[lam - 1 - i]:
+                raise ValueError(f"alphas must satisfy a_i = eta - a_(lambda+1-i): {alphas} with eta={eta}")
+        if not (k >= r >= max(lam, 1)):
+            raise ValueError(f"need k >= r >= max(lambda, 1), got k={k} r={r} lambda={lam}")
+        return super().__new__(cls, alphas, eta, k, r)
+
+    @classmethod
+    def _make(cls, fields) -> BressoudParams:
+        return cls(*fields)  # so `_replace`, which builds through `_make`, checks too
 
     @property
     def lam(self) -> int:

@@ -26,7 +26,7 @@ from math import isqrt
 from operator import add, sub
 from typing import Sequence
 
-from .errors import require_nonnegative
+from .errors import integers, require_nonnegative
 from .membership import BressoudParams
 
 # -- list kernels (coefficients c[0..qmax]) -----------------------------
@@ -240,7 +240,7 @@ def kursungoz_cell(counts: Sequence[int], r: int, qmax: int) -> TruncatedSeries:
     q^(2(sum N_i^2 + N_r + ... + N_(k-1))) / prod (q^2;q^2)-factors.
     Every member of the cell has sum N_i parts."""
     require_nonnegative(qmax=qmax)
-    counts = tuple(int(v) for v in counts)
+    counts = integers("row count", counts)
     if list(counts) != sorted(counts, reverse=True) or min(counts, default=0) < 0:
         raise ValueError(f"row counts must be non-increasing and >= 0, got {counts}")
     k = len(counts) + 1

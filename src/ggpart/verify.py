@@ -10,11 +10,10 @@ builder a check calls.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import partial
 from itertools import combinations_with_replacement
 from math import isqrt
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import maps, series
 from .classify import classify_eq, classify_lt, classify_sim
@@ -23,10 +22,9 @@ from .marking import gg_mark
 from .membership import enumerate_B, enumerate_C, enumerate_E, enumerate_F33, row_counts
 
 
-@dataclass(frozen=True)
-class Result:
+class Result(NamedTuple):
     """How many items a check covered, how many comparisons failed, and the
-    first failure as (where, expected, got)."""
+    first failure as (where, expected, got), as a named tuple."""
 
     checked: int
     failures: int

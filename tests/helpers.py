@@ -1,6 +1,7 @@
 """Shared enumeration caches for the sweep-style tests, the bytes per live
-marked partition (read by a tier-1 test and by CI's job summary), and the
-reference forms of the enumerator and the series that the library replaced."""
+marked partition (read by a tier-1 test and by CI's job summary), the
+reference forms of the enumerator and the series that the library replaced,
+and `Index`, an integer-like value that is not an int."""
 
 import gc
 import math
@@ -39,6 +40,16 @@ def bytes_per_partition(k: int = 4, r: int = 4, wmax: int = 40) -> float:
         return (tracemalloc.get_traced_memory()[0] - before) / len(live)
     finally:
         tracemalloc.stop()
+
+
+class Index:
+    """An integer-like value that is not an int: it has `__index__` only."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
 
 
 def row_at(mp, i: int, j: int):

@@ -7,6 +7,7 @@ from ggpart import (
     ClassificationError,
     GGError,
     MarkedPartition,
+    StartingProfile,
     SubsetLabel,
     classify_eq,
     classify_lt,
@@ -93,6 +94,17 @@ def test_subset_label_value():
         label.j = 3
     same = SubsetLabel("lt", 2, 1, 2, 6, 1)
     assert label == same and hash(label) == hash(same) and {label: 1}[same] == 1
+
+
+def test_starting_profile_value():
+    prof = starting_profile(gg_mark((10, 8, 4)))
+    assert repr(prof) == "StartingProfile(threshold=1, types=('s1',), anchors=(8,))"
+    assert prof.type_at(1) == "s1"
+    with pytest.raises(AttributeError):
+        prof.threshold = 0
+    same = StartingProfile(1, ("s1",), (8,))
+    assert prof == same and hash(prof) == hash(same) and {prof: 1}[same] == 1
+    assert starting_profile(PI1).type_at(8) == "s-1"
 
 
 def test_lt_requires_admissible_kr():

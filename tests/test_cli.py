@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ggpart
 from ggpart import classify, cli, maps, render_grid, series, verify
 from ggpart.cli import build_parser, main
 from ggpart.fixtures import fixture_marked
@@ -12,6 +17,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _modules_after(code: str) -> set[str]:
+    """Names in sys.modules after `code` runs in a fresh interpreter that
+    finds this ggpart first."""
+    paths = [str(Path(ggpart.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    probe = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    return set(out.stdout.split())
+
+
+def test_import_loads_no_dataclasses_or_inspect():
+    # dataclasses and the inspect/ast/dis/tokenize stack it loads cost about
+    # 10 ms of every fresh interpreter's start-up, for records a named tuple holds
+    added = _modules_after("import ggpart, ggpart.cli") - _modules_after("pass")
+    assert "ggpart.cli" in added
+    assert not added & {"dataclasses", "inspect"}, sorted(added)
 
 
 def test_mark_fixture_grid(capsys):

@@ -20,7 +20,7 @@ from ggpart import marking
 from ggpart.marking import _gg_mark_cached
 from ggpart.membership import all_partitions
 
-from helpers import bytes_per_partition, c_members
+from helpers import Index, bytes_per_partition, c_members
 
 PI1_PARTS = (38, 38, 36, 34, 32, 30, 26, 26, 22, 22, 22, 18, 16, 16, 14, 12, 12, 10, 9, 6, 6, 6, 2, 1)
 
@@ -200,6 +200,33 @@ def test_replace_identity_surgery():
             v, m, _ = mp.entries[0]
             out = mp.replace([(v, m, False)], [(v, False)])
             assert out.rows == mp.rows
+
+
+def test_gg_mark_refuses_non_integers():
+    # int() would mark (2, 1) for (2.5, 1)
+    with pytest.raises(ValueError, match=r"^part must be an integer, got 2\.5$"):
+        gg_mark([2.5, 1])
+    with pytest.raises(ValueError, match=r"^part must be an integer, got '2'$"):
+        gg_mark(["2", 1])
+    assert gg_mark([Index(2), 1]) is gg_mark((2, 1))
+    assert type(gg_mark([Index(2), True]).parts[1]) is int
+
+
+def test_gg_mark_special_refuses_non_integers():
+    # int() would return (5, ~5, 4) for parts (5, 5.9, 4), and read an overline 5.9 as 5
+    with pytest.raises(ValueError, match=r"^part must be an integer, got 5\.9$"):
+        gg_mark_special([5, 5.9, 4], 5)
+    with pytest.raises(ValueError, match=r"^overline must be an integer, got 5\.9$"):
+        gg_mark_special([5, 5, 4], 5.9)
+    assert gg_mark_special([5, Index(5), 4], Index(5)) is gg_mark_special((5, 5, 4), 5)
+
+
+def test_replace_refuses_non_integer_additions():
+    # int() would add a 4 for 4.5
+    mp = gg_mark((4, 2))
+    with pytest.raises(ValueError, match=r"^part must be an integer, got 4\.5$"):
+        mp.replace([], [(4.5, False)])
+    assert mp.replace([], [(Index(4), False)]) is gg_mark((4, 4, 2))
 
 
 def test_replace_missing_entry():

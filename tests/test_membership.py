@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import combinations
 
 import pytest
@@ -18,7 +20,7 @@ from ggpart import (
 )
 from ggpart.membership import all_partitions, enumerate_I_exact
 
-from helpers import e_cell, loop_mul_one_plus, reference_enumerate_B
+from helpers import Index, e_cell, loop_mul_one_plus, reference_enumerate_B
 
 GG33 = BressoudParams((1,), 2, 3, 3)
 
@@ -44,6 +46,57 @@ def test_r_zero_rejected():
     # "at most r-1 parts <= eta" admits nothing at r = 0, not even ()
     with pytest.raises(ValueError, match=r"need k >= r >= max\(lambda, 1\), got k=3 r=0 lambda=0"):
         BressoudParams((), 2, 3, 0)
+
+
+def test_params_value():
+    params = BressoudParams([Index(1)], 2, 3, 3)
+    assert repr(params) == "BressoudParams(alphas=(1,), eta=2, k=3, r=3)"
+    assert params.alphas == (1,) and type(params.alphas[0]) is int
+    assert params == GG33 and hash(params) == hash(GG33) and {params: 1}[GG33] == 1
+    assert params != BressoudParams((1,), 2, 4, 3)
+    with pytest.raises(AttributeError):
+        params.k = 0
+    with pytest.raises(AttributeError):
+        del params.k
+    with pytest.raises(AttributeError):
+        params.extra = 1
+    # no path builds one past the checks
+    for rebuilt in (copy.copy(params), copy.deepcopy(params), pickle.loads(pickle.dumps(params))):
+        assert rebuilt == params and repr(rebuilt) == repr(params)
+    assert params._replace(k=4) == BressoudParams((1,), 2, 4, 3)
+    with pytest.raises(ValueError, match=r"got k=0 r=3 lambda=1"):
+        params._replace(k=0)
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 3\.5$"):
+        params._replace(k=3.5)
+    with pytest.raises(ValueError, match=r"^alphas must be strictly increasing: \(2, 1\)$"):
+        BressoudParams._make([(2, 1), 3, 3, 3])
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (((), 0, 1, 0), "eta must be positive, got 0"),
+        (((2,), 2, 3, 3), "alphas must lie strictly between 0 and eta: (2,)"),
+        (((2, 1), 3, 3, 3), "alphas must be strictly increasing: (2, 1)"),
+        (((1,), 3, 3, 3), "alphas must satisfy a_i = eta - a_(lambda+1-i): (1,) with eta=3"),
+        (((1,), 2, 2, 3), "need k >= r >= max(lambda, 1), got k=2 r=3 lambda=1"),
+        (((1, 2), 3, 3, 1), "need k >= r >= max(lambda, 1), got k=3 r=1 lambda=2"),
+        # int() would truncate 1.5 to 1 and keep 3.0 as k
+        (((1.5,), 2, 3, 3), "alpha must be an integer, got 1.5"),
+        (((1,), 2.0, 3, 3), "eta must be an integer, got 2.0"),
+        (((1,), 2, 3.0, 3), "k must be an integer, got 3.0"),
+        (((1,), 2, 3, "3"), "r must be an integer, got '3'"),
+    ],
+)
+def test_params_error_texts(args, message):
+    with pytest.raises(ValueError) as err:
+        BressoudParams(*args)
+    assert str(err.value) == message
+
+
+def test_params_read_index_values():
+    params = BressoudParams((Index(1),), Index(2), Index(3), Index(3))
+    assert params == GG33 and all(type(v) is int for v in (params.eta, params.k, params.r))
 
 
 def test_pi1_membership():

@@ -20,6 +20,7 @@ from ggpart.membership import enumerate_E
 from ggpart.series import _div_one_minus, _div_one_plus, _mul_one_plus
 
 from helpers import (
+    Index,
     e_cell,
     loop_div_one_minus,
     loop_mul_one_plus,
@@ -180,6 +181,24 @@ def test_companion_bivariate_small():
     assert gg_companion_bivariate(18).coeffs[0] == {0: 1}
     res = verify.companion(18)
     assert res.ok and res.checked == 19, res.first
+
+
+def test_cell_refuses_non_integer_counts():
+    # int() would give the (2, 1) cell for (2.7, 1)
+    with pytest.raises(ValueError, match=r"^row count must be an integer, got 2\.7$"):
+        kursungoz_cell((2.7, 1), 3, 20)
+    assert kursungoz_cell([Index(2), 1], 3, 20) == kursungoz_cell((2, 1), 3, 20)
+
+
+def test_result_value():
+    res = verify.sum_product(BressoudParams((1,), 2, 3, 3), 5)
+    assert repr(res) == "Result(checked=6, failures=0, first=None)" and res.ok
+    same = verify.Result(6, 0, None)
+    assert res == same and hash(res) == hash(same) and {res: 1}[same] == 1
+    with pytest.raises(AttributeError):
+        res.failures = 1
+    failed = verify.Result(3, 1, (2, 5, 6))
+    assert not failed.ok and failed.first == (2, 5, 6) and failed != res
 
 
 def test_bivariate_collapse_commutes():
