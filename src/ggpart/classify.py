@@ -97,23 +97,18 @@ def starting_profile(mp: MarkedPartition) -> StartingProfile:
     prev_anchor: Optional[int] = None
     for b in range(1, threshold + 1):
         v = row[b - 1]
-        if b == 1:
-            low_ok = not mp.has_part(v + 2)
-        else:
-            low_ok = (not _has1(mp, v + 2)) or prev_anchor == v + 2
-        cases = (
-            (_has1(mp, v - 1) and low_ok, S0, v - 1),
-            (_has1(mp, v - 2) and low_ok, S1, v - 2),
-            (_has1(mp, v + 2) and (b == 1 or prev_anchor != v + 2), S2, v + 2),
-            (_has1(mp, v), S3, v),
-        )
-        hits = [(ty, a) for ok, ty, a in cases if ok]
-        if len(hits) != 1:
-            raise ClassificationError(
-                f"index {b} of {mp.parts} matched starting types {[ty for ty, _ in hits]}"
-            )
-        types[b - 1], anchors[b - 1] = hits[0]
-        prev_anchor = anchors[b - 1]
+        above = _has1(mp, v + 2)
+        fresh = b == 1 or prev_anchor != v + 2  # v + 2 is not the previous index's anchor
+        low_ok = not mp.has_part(v + 2) if b == 1 else not (above and fresh)
+        s0 = low_ok and _has1(mp, v - 1)
+        s1 = low_ok and _has1(mp, v - 2)
+        s2 = above and fresh
+        s3 = _has1(mp, v)
+        if s0 + s1 + s2 + s3 != 1:
+            hits = [ty for ty, ok in zip((S0, S1, S2, S3), (s0, s1, s2, s3)) if ok]
+            raise ClassificationError(f"index {b} of {mp.parts} matched starting types {hits}")
+        types[b - 1] = S0 if s0 else S1 if s1 else S2 if s2 else S3
+        anchors[b - 1] = prev_anchor = v - 1 if s0 else v - 2 if s1 else v + 2 if s2 else v
     prof = StartingProfile(threshold, tuple(types), tuple(anchors))
     mp._memo["profile"] = prof
     return prof
@@ -266,7 +261,7 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
         return False
     if not is_in_C(mp, k, r):
         return False
-    if min(mp.marks_of(2 * t + 1)) > 2:
+    if not (mp.has(2 * t + 1, 1) or mp.has(2 * t + 1, 2)):
         return False
     prof = starting_profile(mp)
     v = row[p - 1] if p else None
@@ -297,20 +292,20 @@ def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
 
 
 def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
-    prof = starting_profile(mp)
     row = mp.row2
     n2 = len(row)
     v = row[p - 1] if p else None
+    at = 2 * t + 2  # the division index of subsets 1 to 5
+    if p == 0 or v >= 2 * t + 8:  # no other clause can hold: skip the chain
+        return _one_label("eq", mp, p, t, [(1, at)])
+    prof = starting_profile(mp)
     vp1 = row[p] if p < n2 else None
-    ty = prof.type_at(p) if p else None
+    ty = prof.type_at(p)
     odd_marks = mp.marks_of(2 * t + 1)
     chain = _chain(row, p)
     gap = _first_gap(mp, row, chain)
-    at = 2 * t + 2  # the division index of subsets 1 to 5
     hits = []
 
-    if p == 0 or v >= 2 * t + 8:
-        hits.append((1, at))
     if (
         v == 2 * t + 6
         and ty in (S2, S3)

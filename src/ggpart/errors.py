@@ -22,9 +22,10 @@ def integers(name: str, values) -> tuple[int, ...]:
 
 
 def require_nonnegative(**bounds: int) -> None:
-    """Raise ValueError naming the first of the given size bounds below 0."""
+    """Raise ValueError naming the first of the given size bounds that is not
+    an integer (read with `operator.index`) or is below 0."""
     for name, value in bounds.items():
-        if value < 0:
+        if integer(name, value) < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
 
 

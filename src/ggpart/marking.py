@@ -15,19 +15,25 @@ not the largest, or on two copies, with `InvalidSpecialPartition`.
 
 A `MarkedPartition` is built from (value, overlined) pairs and always runs
 the greedy assignment itself, so a non-canonical marking cannot be built.
-The marks of each value are kept as one int, bit m set for mark m; a live
-partition stores that map, its parts and rows, and no (value, mark,
-overlined) triples: `entries` derives them, and `replace` edits a copy.
-All values are immutable.  `gg_mark`, `gg_mark_special` and `replace` hand
-out one live object per (parts, overlined value): `_marked` returns the
-partition already alive for that key from a weak table, and runs the greedy
-marking only on a miss.  So a map's inverse lands on the very partition its
-forward half started from, memoised facts included; every memo entry is a
-pure function of the partition.  Building `MarkedPartition(pairs)` directly
-always makes a new object.  Marks asserted by the surgery callers are looked
-up in the canonically marked result, never patched in place, so a wrong
-assertion surfaces as a :class:`~ggpart.errors.MissingEntryError` instead of
-a silent corruption.
+It makes one ascending pass: a value's marks are final once its copies are
+marked, so each part joins `parts` and its row as its mark is given, and
+the lists are reversed at the end.  The marks of each value are kept as
+one int, bit m set for mark m; a live partition stores that map, its parts
+and rows, and no (value, mark, overlined) triples: `entries` derives them,
+and `replace` edits a copy.  All values are immutable.  `gg_mark`,
+`gg_mark_special` and `replace` hand out one live object per (parts,
+overlined value): `_marked` returns the partition already alive for that
+key, and runs the greedy marking only on a miss.  The live table is a
+plain dict of weak references, each a `_Ref` carrying its key, the
+partition's own parts tuple and overlined value; one shared callback drops
+a dead partition's entry unless its key was registered again.  So a map's
+inverse lands on the very partition its forward half started from,
+memoised facts included; every memo entry is a pure function of the
+partition.  `MarkedPartition(pairs)` called directly always makes a new
+object.  Marks asserted by the surgery callers are looked up in the
+canonically marked result, never patched in place, so a wrong assertion
+surfaces as a :class:`~ggpart.errors.MissingEntryError`, not as silent
+corruption.
 """
 
 from __future__ import annotations
@@ -38,33 +44,19 @@ from typing import Iterable, Optional, Sequence
 
 from .errors import InvalidSpecialPartition, MissingEntryError, integer, integers
 
-_EMPTY: frozenset = frozenset()
-_LIVE: "weakref.WeakValueDictionary[tuple, MarkedPartition]" = weakref.WeakValueDictionary()
+
+class _Ref(weakref.ref):
+    __slots__ = ("key",)  # the partition's key in _LIVE
 
 
-def _assign(pairs: Sequence[tuple[int, bool]]) -> tuple[dict, Optional[tuple[int, int]]]:
-    """Run the greedy assignment over (value, overlined) pairs.
+_LIVE: "dict[tuple, _Ref]" = {}
 
-    Parts are processed by ascending value, plain copies before the
-    overlined one, which starts its mark search at 2.  Returns the
-    {value: marks} map, each marks an int with bit m set for mark m, and the
-    (value, mark) of the overlined copy, or None; a second overlined copy
-    raises.
-    """
-    bits_at: dict[int, int] = {}
-    overline = None
-    for value, over in sorted(pairs):
-        taken = bits_at.get(value, 0)
-        used = taken | bits_at.get(value - 1, 0) | (3 if over else 1)  # bit 0 is no mark
-        if value % 2 == 0:
-            used |= bits_at.get(value - 2, 0)
-        free = (used + 1) & ~used  # the lowest clear bit: the smallest free mark
-        bits_at[value] = taken | free
-        if over:
-            if overline is not None:
-                raise InvalidSpecialPartition(f"more than one overlined part: {overline[0]}, {value}")
-            overline = (value, free.bit_length() - 1)
-    return bits_at, overline
+
+def _evict(ref: _Ref, _live: dict = _LIVE) -> None:
+    """Drop the entry of a dead partition unless its key was registered again;
+    the bound table outlives the module globals at interpreter exit."""
+    if _live.get(ref.key) is ref:
+        del _live[ref.key]
 
 
 @lru_cache(maxsize=256)
@@ -91,21 +83,37 @@ class MarkedPartition:
     )
 
     def __init__(self, pairs: Sequence[tuple[int, bool]]):
-        bits_at, overline = _assign(pairs)
-        values = sorted(bits_at, reverse=True)
-        n_rows = max(bits_at.values(), default=1).bit_length() - 1  # the highest mark
-        rows: list[list[int]] = [[] for _ in range(n_rows)]
+        # ascending, plain copies before the overlined one (its search starts at mark 2)
+        bits_at: dict[int, int] = {}
+        get = bits_at.get
         parts: list[int] = []
-        for v in values:
-            for m in _marks(bits_at[v]):
-                parts.append(v)
-                rows[m - 1].append(v)
-        self.parts = tuple(parts)
-        self.rows = tuple(map(tuple, rows))
-        self.row2 = self.rows[1] if n_rows > 1 else ()
+        rows: list[list[int]] = []
+        overline = None
+        largest_odd = 0
+        for value, over in sorted(pairs):
+            taken = get(value, 0)
+            used = taken | get(value - 1, 0) | (3 if over else 1)  # bit 0 is no mark
+            if value % 2:
+                largest_odd = value
+            else:
+                used |= get(value - 2, 0)
+            free = (used + 1) & ~used  # the lowest clear bit: the smallest free mark
+            bits_at[value] = taken | free
+            mark = free.bit_length() - 1
+            while len(rows) < mark:  # an overlined copy may open row 2 before row 1
+                rows.append([])
+            rows[mark - 1].append(value)
+            parts.append(value)
+            if over:
+                if overline is not None:
+                    raise InvalidSpecialPartition(f"more than one overlined part: {overline[0]}, {value}")
+                overline = (value, mark)
+        self.parts = tuple(parts[::-1])
+        self.rows = tuple(tuple(row[::-1]) for row in rows)
+        self.row2 = self.rows[1] if len(rows) > 1 else ()
         self.overline = overline
-        self.largest_odd = next((v for v in values if v % 2), 0)
-        if overline is not None and overline[0] != self.largest_odd:
+        self.largest_odd = largest_odd
+        if overline is not None and overline[0] != largest_odd:
             raise InvalidSpecialPartition(
                 f"overlined part {overline[0]} is not the largest odd part of {self.parts}"
             )
@@ -137,8 +145,7 @@ class MarkedPartition:
         return self.rows[i - 1] if i <= len(self.rows) else ()
 
     def marks_of(self, value) -> frozenset:
-        bits = self._bits.get(value)
-        return frozenset(_marks(bits)) if bits else _EMPTY
+        return frozenset(_marks(self._bits.get(value, 0)))
 
     def max_mark(self, value) -> int:
         """Largest mark carried by `value`, or 0 when absent."""
@@ -172,8 +179,7 @@ class MarkedPartition:
     # -- surgery -------------------------------------------------------
 
     def replace(self, removals, additions) -> "MarkedPartition":
-        """Remove and insert parts in one batch; the result is canonically
-        marked.
+        """Remove and insert parts in one batch; the result is canonically marked.
 
         removals: iterable of (value, mark_or_None, overlined); a None mark
         takes the smallest mark among the copies of the value with the given
@@ -207,16 +213,18 @@ class MarkedPartition:
 def _marked(parts: tuple[int, ...], overline: Optional[int]) -> MarkedPartition:
     """The live marked partition of the non-increasing `parts` with one copy
     of `overline` overlined (None: no overline).  Only a key with no live
-    partition runs the greedy marking, which raises on a misplaced overline.
-    """
-    mp = _LIVE.get((parts, overline))
+    partition runs the greedy marking, which raises on a misplaced overline."""
+    ref = _LIVE.get((parts, overline))
+    mp = ref() if ref is not None else None
     if mp is None:
         pairs = [(v, False) for v in parts]
         if overline is not None:
             pairs.remove((overline, False))
             pairs.append((overline, True))
         mp = MarkedPartition(pairs)
-        _LIVE[mp.parts, overline] = mp  # keyed by its own parts: no second tuple
+        ref = _Ref(mp, _evict)
+        ref.key = (mp.parts, overline)  # keyed by its own parts: no second tuple
+        _LIVE[ref.key] = ref
     return mp
 
 
@@ -238,12 +246,8 @@ def gg_mark(parts: Iterable[int]) -> MarkedPartition:
 
 
 def gg_mark_special(parts: Iterable[int], overline: Optional[int] = None) -> MarkedPartition:
-    """Canonical marking of a special partition.
-
-    `overline`, when given, names the part value carrying the overline; it
-    must be the largest odd value present, and exactly one copy of it is
-    overlined.
-    """
+    """Canonical marking of a special partition: `overline`, when given, is
+    the largest odd value present, and exactly one copy of it is overlined."""
     norm = _normalize(parts)
     if overline is None:
         return _gg_mark_cached(norm)
@@ -268,17 +272,13 @@ def render_grid(mp: MarkedPartition) -> str:
     for v, m, over in mp.entries:
         grid[m - 1][col[v]] = f"~{v}" if over else str(v)
     widths = [max(len(grid[r][c]) for r in range(mp.n_rows)) for c in range(len(values))]
-    lines = []
-    for r in range(mp.n_rows - 1, -1, -1):
-        line = "  ".join(cell.rjust(w) for cell, w in zip(grid[r], widths))
-        lines.append(line.rstrip())
-    return "\n".join(lines)
+    return "\n".join(
+        "  ".join(cell.rjust(w) for cell, w in zip(row, widths)).rstrip() for row in reversed(grid)
+    )
 
 
 def marked_to_dict(mp: MarkedPartition) -> dict:
     """JSON-ready form: {"rows": {"1": [...], ...}, "overline": {...} | null}."""
     rows = {str(i): list(mp.row_values(i)) for i in range(1, mp.n_rows + 1)}
-    over = None
-    if mp.overline is not None:
-        over = {"value": mp.overline[0], "mark": mp.overline[1]}
+    over = mp.overline and {"value": mp.overline[0], "mark": mp.overline[1]}
     return {"rows": rows, "overline": over}

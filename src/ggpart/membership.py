@@ -112,8 +112,7 @@ def is_in_C(p, k: int, r: int) -> bool:
 def _is_in_C(mp: MarkedPartition, k: int, r: int) -> bool:
     if mp.n_rows > k - 1:
         return False
-    odds = [v for v in mp.parts if v % 2 == 1]
-    if len(odds) != len(set(odds)):
+    if any(v % 2 and bits & (bits - 1) for v, bits in mp._bits.items()):  # a repeated odd part
         return False
     for small in (1, 2):
         if mp.max_mark(small) > r - 1:

@@ -68,7 +68,7 @@ class TruncatedSeries:
         require_nonnegative(qmax=qmax)
         c = list(coeffs[: qmax + 1]) + [0] * max(0, qmax + 1 - len(coeffs))
         self.qmax = qmax
-        self.coeffs = tuple(int(x) for x in c)
+        self.coeffs = integers("coefficient", c)
 
     def __getitem__(self, n: int) -> int:
         if not 0 <= n <= self.qmax:

@@ -1,10 +1,12 @@
 """Shared enumeration caches for the sweep-style tests, the bytes per live
-marked partition (read by a tier-1 test and by CI's job summary), the
-reference forms of the enumerator and the series that the library replaced,
+marked partition (read by a tier-1 test and by CI's job summary) and the
+microseconds per fresh one (read by CI's job summary), the reference forms of the enumerator and the series that the library replaced,
 and `Index`, an integer-like value that is not an int."""
 
 import gc
 import math
+import statistics
+import time
 import tracemalloc
 from functools import cache
 
@@ -25,11 +27,16 @@ def e_cell(counts, r: int, n: int):
     return [p for p in enumerate_E(k, r, n) if row_counts(gg_mark(p), k - 1) == tuple(counts)]
 
 
+def _e_pairs(k: int, r: int, wmax: int):
+    """The (value, overlined) pairs of every member of E(k, r) to weight wmax."""
+    return [[(v, False) for v in p] for n in range(wmax + 1) for p in enumerate_E(k, r, n)]
+
+
 def bytes_per_partition(k: int = 4, r: int = 4, wmax: int = 40) -> float:
     """Bytes that tracemalloc sees retained per live marked partition, over
     fresh `MarkedPartition(pairs)` objects of every member of E(k, r) to
     weight wmax (built directly: no cache can hand back an old object)."""
-    pairs = [[(v, False) for v in p] for n in range(wmax + 1) for p in enumerate_E(k, r, n)]
+    pairs = _e_pairs(k, r, wmax)
     for x in pairs:
         MarkedPartition(x)  # fills the marks cache before tracing starts
     gc.collect()  # a full collection empties the free lists, which tracemalloc cannot see
@@ -40,6 +47,22 @@ def bytes_per_partition(k: int = 4, r: int = 4, wmax: int = 40) -> float:
         return (tracemalloc.get_traced_memory()[0] - before) / len(live)
     finally:
         tracemalloc.stop()
+
+
+def us_per_partition(k: int = 4, r: int = 4, wmax: int = 40, repeats: int = 15) -> float:
+    """Microseconds per fresh `MarkedPartition(pairs)` over every member of
+    E(k, r) to weight wmax: the median of `repeats` timed sweeps, each
+    building one new object per member and dropping it."""
+    pairs = _e_pairs(k, r, wmax)
+    for x in pairs:
+        MarkedPartition(x)  # fills the marks cache before timing starts
+    sweeps = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for x in pairs:
+            MarkedPartition(x)
+        sweeps.append(time.perf_counter() - start)
+    return statistics.median(sweeps) / len(pairs) * 1e6
 
 
 class Index:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 
@@ -23,6 +24,7 @@ from ggpart import (
     starting_profile,
 )
 from ggpart import classify
+from ggpart.membership import all_partitions
 from ggpart.fixtures import fixture_marked
 
 from helpers import c_members, pt_grid, row_at
@@ -425,3 +427,87 @@ def test_debug_cross_checks_raise_not_assert(monkeypatch):
         m.setattr(classify, "_member_eq", lambda *args: False)
         with pytest.raises(GGError):
             find_m_eq33(gg_mark((1,)))
+
+
+# -- a pin on the classifier -----------------------------------------------
+# Every classify/find result over the probe grid of fresh C(k, r) members to
+# weight 18, raised errors included, hashed into one digest.  The digest was
+# taken before the classifier's first-classification path was rewritten, so a
+# rewrite that changes any answer or error text fails here.
+
+PIN_KRS = ((3, 3), (4, 3), (4, 4), (5, 3))
+PIN_DIGEST = "1d7160382dd42f6c19b29ea20dded44506e24f2255d39e75f191279eeaf524ef"
+
+
+def _outcome(f, *args):
+    """The repr of f's result, or the type and text of the error it raised."""
+    try:
+        return repr(f(*args))
+    except (GGError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _pin_lines():
+    for k, r in PIN_KRS:
+        for members in c_members(k, r, 18).values():
+            for parts in (mp.parts for mp in members):
+                mp = _fresh(parts)
+                grid = _probe_grid(mp)
+                for p, t in grid:
+                    for family in (classify_lt, classify_sim, classify_eq):
+                        yield _outcome(family, mp, k, r, p, t)
+                for m in range(-1, grid[-1][0] + grid[-1][1] + 1):
+                    yield _outcome(find_pt_lt, mp, k, r, m)
+                    yield _outcome(find_pt_eq, mp, k, r, m)
+                yield _outcome(find_m_eq33, mp)
+
+
+def test_classifier_results_are_pinned():
+    digest = hashlib.sha256("\n".join(_pin_lines()).encode()).hexdigest()
+    assert digest == PIN_DIGEST
+
+
+def _ref_starting_profile(mp):
+    """The case-table pass that `starting_profile` replaced: each index's
+    four cases as (ok, type, anchor) rows, the hits collected in a list."""
+    row = mp.row2
+    threshold = classify._threshold(mp, mp.largest_odd)
+    types = [classify.S_MINUS1] * len(row)
+    anchors = [None] * len(row)
+    prev_anchor = None
+    for b in range(1, threshold + 1):
+        v = row[b - 1]
+        if b == 1:
+            low_ok = not mp.has_part(v + 2)
+        else:
+            low_ok = (not classify._has1(mp, v + 2)) or prev_anchor == v + 2
+        cases = (
+            (classify._has1(mp, v - 1) and low_ok, classify.S0, v - 1),
+            (classify._has1(mp, v - 2) and low_ok, classify.S1, v - 2),
+            (classify._has1(mp, v + 2) and (b == 1 or prev_anchor != v + 2), classify.S2, v + 2),
+            (classify._has1(mp, v), classify.S3, v),
+        )
+        hits = [(ty, a) for ok, ty, a in cases if ok]
+        if len(hits) != 1:
+            raise ClassificationError(
+                f"index {b} of {mp.parts} matched starting types {[ty for ty, _ in hits]}"
+            )
+        types[b - 1], anchors[b - 1] = hits[0]
+        prev_anchor = anchors[b - 1]
+    return StartingProfile(threshold, tuple(types), tuple(anchors))
+
+
+@pytest.mark.parametrize("has1", ["greedy", "always", "never"])
+def test_starting_profile_matches_the_case_table(monkeypatch, has1):
+    # every partition to weight 16 and the C(k, r) members to weight 18, each
+    # freshly marked; the patched 1-mark tests drive the pass into its errors
+    if has1 != "greedy":
+        monkeypatch.setattr(classify, "_has1", lambda mp, value, _v=has1 == "always": _v)
+    inputs = {p for n in range(17) for p in all_partitions(n)}
+    inputs |= {mp.parts for k, r in PIN_KRS for ms in c_members(k, r, 18).values() for mp in ms}
+    errors = 0
+    for parts in sorted(inputs):
+        want = _outcome(_ref_starting_profile, _fresh(parts))
+        assert _outcome(starting_profile, _fresh(parts)) == want, parts
+        errors += want.startswith("ClassificationError")
+    assert (errors > 0) == (has1 != "greedy")

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +24,7 @@ from ggpart import marking
 from ggpart.marking import _gg_mark_cached
 from ggpart.membership import all_partitions
 
-from helpers import Index, bytes_per_partition, c_members
+from helpers import Index, bytes_per_partition, c_members, us_per_partition
 
 PI1_PARTS = (38, 38, 36, 34, 32, 30, 26, 26, 22, 22, 22, 18, 16, 16, 14, 12, 12, 10, 9, 6, 6, 6, 2, 1)
 
@@ -295,19 +299,121 @@ def test_live_table_is_bounded():
     assert len(marking._LIVE) <= held + 1
 
 
+def test_dropped_partition_leaves_the_live_table():
+    out = gg_mark((2, 1)).replace([], [(10**6 + 1, False)])
+    key = (out.parts, None)
+    assert marking._LIVE[key]() is out
+    del out
+    assert key not in marking._LIVE
+
+
+def test_stale_callback_keeps_a_key_registered_again():
+    # a reference whose partition died but whose callback runs only after
+    # the key was registered again must not evict the new entry
+    base = gg_mark((2, 1))
+    first = base.replace([], [(10**6 + 2, False)])
+    key = (first.parts, None)
+    stale = marking._Ref(first, None)
+    stale.key = key
+    del first
+    again = base.replace([], [(10**6 + 2, False)])
+    marking._evict(stale)
+    assert marking._LIVE[key]() is again
+    assert base.replace([], [(10**6 + 2, False)]) is again
+
+
+def test_interpreter_exit_with_live_partitions_is_quiet():
+    # partitions still alive at exit die while the modules are torn down,
+    # some only in the final collection, and their callbacks run then
+    code = (
+        "import ggpart\n"
+        "base = ggpart.gg_mark((2, 1))\n"
+        "kept = [base.replace([], [(v, False)]) for v in range(3, 300)]\n"
+        "for mp in kept[::2]:\n"
+        "    mp._memo['cycle'] = mp\n"
+        "for v in range(300, 3000):\n"
+        "    base.replace([(2, None, False)], [(v, False), (v + 1, False)])\n"
+    )
+    paths = [str(Path(marking.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stderr) == (0, "")
+
+
 # -- stored values and their references ------------------------------------
-# The constructor loop and the `replace` body of a partition that stores its
-# (value, mark, overlined) triples, kept as oracles for the derived `entries`
-# and the bit-set `replace`.
+# The two-walk greedy pass that the one-pass constructor replaced, and the
+# constructor loop and the `replace` body of a partition that stores its
+# (value, mark, overlined) triples, kept as oracles for the constructor, the
+# derived `entries` and the bit-set `replace`.
 
 
-def _stored_entries(mp):
-    """The triples the constructor stored, from its own greedy pass."""
+def _assign(pairs):
+    """Run the greedy assignment over (value, overlined) pairs.
+
+    Parts are processed by ascending value, plain copies before the
+    overlined one, which starts its mark search at 2.  Returns the
+    {value: marks} map, each marks an int with bit m set for mark m, and the
+    (value, mark) of the overlined copy, or None; a second overlined copy
+    raises.
+    """
+    bits_at = {}
+    overline = None
+    for value, over in sorted(pairs):
+        taken = bits_at.get(value, 0)
+        used = taken | bits_at.get(value - 1, 0) | (3 if over else 1)  # bit 0 is no mark
+        if value % 2 == 0:
+            used |= bits_at.get(value - 2, 0)
+        free = (used + 1) & ~used  # the lowest clear bit: the smallest free mark
+        bits_at[value] = taken | free
+        if over:
+            if overline is not None:
+                raise InvalidSpecialPartition(f"more than one overlined part: {overline[0]}, {value}")
+            overline = (value, free.bit_length() - 1)
+    return bits_at, overline
+
+
+def _reference_fields(pairs):
+    """The fields the two-walk constructor stored for `pairs`: the greedy
+    pass, then a second walk over the values for the parts and rows."""
+    bits_at, overline = _assign(pairs)
+    values = sorted(bits_at, reverse=True)
+    n_rows = max(bits_at.values(), default=1).bit_length() - 1  # the highest mark
+    rows = [[] for _ in range(n_rows)]
+    parts = []
+    for v in values:
+        for m in marking._marks(bits_at[v]):
+            parts.append(v)
+            rows[m - 1].append(v)
+    largest_odd = next((v for v in values if v % 2), 0)
+    if overline is not None and overline[0] != largest_odd:
+        raise InvalidSpecialPartition(
+            f"overlined part {overline[0]} is not the largest odd part of {tuple(parts)}"
+        )
+    rows = tuple(map(tuple, rows))
+    return {
+        "parts": tuple(parts),
+        "rows": rows,
+        "row2": rows[1] if n_rows > 1 else (),
+        "overline": overline,
+        "largest_odd": largest_odd,
+        "weight": sum(parts),
+        "length": len(parts),
+        "_bits": bits_at,
+    }
+
+
+def _pairs(mp):
+    """The (value, overlined) pairs of a marked partition."""
     pairs = [(v, False) for v in mp.parts]
     if mp.overline is not None:
         pairs.remove((mp.overline[0], False))
         pairs.append((mp.overline[0], True))
-    bits_at, overline = marking._assign(pairs)
+    return pairs
+
+
+def _stored_entries(mp):
+    """The triples the constructor stored, from its own greedy pass."""
+    bits_at, overline = _assign(_pairs(mp))
     over_value, over_mark = overline or (None, 0)
     entries = []
     for v in sorted(bits_at, reverse=True):
@@ -434,9 +540,39 @@ def test_entries_equal_the_stored_triples():
         assert mp.row2 is mp.row_values(2)
 
 
+def test_constructor_matches_the_two_walk_reference():
+    # field by field, over the C(k, r) members to weight 20, the special
+    # markings to weight 12, the fixtures, every partition to weight 14 and
+    # both overline errors
+    krs = ((3, 3), (4, 3), (4, 4), (5, 3))
+    inputs = [_pairs(mp) for k, r in krs for ms in c_members(k, r, 20).values() for mp in ms]
+    inputs += [_pairs(mp) for mp in _surgery_inputs()[1]]
+    inputs += [_pairs(fixture_marked(name)) for name in fixture_names()]
+    inputs += [[(v, False) for v in p] for n in range(15) for p in all_partitions(n)]
+    inputs += [list(reversed(pairs)) for pairs in inputs[::7]]  # the constructor sorts its pairs
+    bad = {
+        "more than one overlined part: 3, 5": [(5, True), (3, True)],
+        "overlined part 3 is not the largest odd part of (5, 3)": [(3, True), (5, False)],
+    }
+    for text, pairs in bad.items():
+        assert _outcome(lambda: MarkedPartition(pairs)) == (InvalidSpecialPartition, text)
+    for pairs in inputs + list(bad.values()):
+        want = _outcome(lambda: _reference_fields(pairs))
+        got = _outcome(lambda: MarkedPartition(pairs))
+        if isinstance(want, dict):
+            assert all(type(row) is tuple for row in got.rows)
+            got = {name: getattr(got, name) for name in want}
+        assert got == want, pairs
+
+
 def test_live_partition_memory():
     # 662 bytes each on CPython 3.11; storing the entry triples as well takes 995
     assert bytes_per_partition() < 850
+
+
+def test_constructor_timer_runs():
+    # the figure CI writes to its job summary; only its shape is checked here
+    assert 0 < us_per_partition(wmax=12, repeats=3) < 1e6
 
 
 # -- rendering and serialization -----------------------------------------

@@ -222,6 +222,22 @@ def test_negative_bounds_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: enumerate_B(GG33, 4.5), "n"),
+        (lambda: list(all_partitions(4.5)), "n"),
+        (lambda: enumerate_I(0.5, 4), "floor"),
+        (lambda: enumerate_I(0, 4.5), "max_weight"),
+    ],
+    ids=["enumerate_B", "all_partitions", "enumerate_I floor", "enumerate_I max_weight"],
+)
+def test_non_integer_bounds_rejected(call, name):
+    # a float bound used to fail deep inside with a bare TypeError
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got \d\.5$"):
+        call()
+
+
 def test_e_is_even_sublist():
     for n in range(0, 25):
         evens = [p for p in enumerate_C(4, 3, n) if all(v % 2 == 0 for v in p)]

@@ -169,6 +169,29 @@ def test_negative_bounds_rejected(call):
 
 @pytest.mark.parametrize(
     "call",
+    [
+        lambda: bressoud_product(GG33, 4.5),
+        lambda: bressoud_multisum(GG33, 4.5),
+        lambda: gg_companion_bivariate(4.5),
+        lambda: kursungoz_cell((1, 0), 3, 4.5),
+    ],
+    ids=["bressoud_product", "bressoud_multisum", "gg_companion_bivariate", "kursungoz_cell"],
+)
+def test_non_integer_bounds_rejected(call):
+    # a float bound used to fail deep inside with a bare TypeError
+    with pytest.raises(ValueError, match=r"^qmax must be an integer, got 4\.5$"):
+        call()
+
+
+def test_non_integer_coefficients_rejected():
+    # int() used to read [1.5, 2.7] as (1, 2)
+    with pytest.raises(ValueError, match=r"^coefficient must be an integer, got 1\.5$"):
+        TruncatedSeries([1.5, 2.7], 1)
+    assert TruncatedSeries([True, 2], 2).coeffs == (1, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
     [lambda: kursungoz_cell((), 1, 5), lambda: verify.cell(1, 1, 5)],
     ids=["kursungoz_cell", "verify.cell"],
 )
