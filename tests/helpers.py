@@ -1,7 +1,8 @@
 """Shared enumeration caches for the sweep-style tests, the bytes per live
 marked partition (read by a tier-1 test and by CI's job summary) and the
-microseconds per fresh one (read by CI's job summary), the reference forms of the enumerator and the series that the library replaced,
-and `Index`, an integer-like value that is not an int."""
+microseconds per fresh one (read by CI's job summary), the reference forms
+of the enumerator and the series that the library replaced, and `Index`,
+an integer-like value that is not an int."""
 
 import gc
 import math
@@ -28,8 +29,13 @@ def e_cell(counts, r: int, n: int):
 
 
 def _e_pairs(k: int, r: int, wmax: int):
-    """The (value, overlined) pairs of every member of E(k, r) to weight wmax."""
-    return [[(v, False) for v in p] for n in range(wmax + 1) for p in enumerate_E(k, r, n)]
+    """The (value, overlined) pairs of every member of E(k, r) to weight
+    wmax, each marked once so that the marks cache is full before a
+    measurement starts."""
+    pairs = [[(v, False) for v in p] for n in range(wmax + 1) for p in enumerate_E(k, r, n)]
+    for x in pairs:
+        MarkedPartition(x)
+    return pairs
 
 
 def bytes_per_partition(k: int = 4, r: int = 4, wmax: int = 40) -> float:
@@ -37,8 +43,6 @@ def bytes_per_partition(k: int = 4, r: int = 4, wmax: int = 40) -> float:
     fresh `MarkedPartition(pairs)` objects of every member of E(k, r) to
     weight wmax (built directly: no cache can hand back an old object)."""
     pairs = _e_pairs(k, r, wmax)
-    for x in pairs:
-        MarkedPartition(x)  # fills the marks cache before tracing starts
     gc.collect()  # a full collection empties the free lists, which tracemalloc cannot see
     tracemalloc.start()
     try:
@@ -54,8 +58,6 @@ def us_per_partition(k: int = 4, r: int = 4, wmax: int = 40, repeats: int = 15) 
     E(k, r) to weight wmax: the median of `repeats` timed sweeps, each
     building one new object per member and dropping it."""
     pairs = _e_pairs(k, r, wmax)
-    for x in pairs:
-        MarkedPartition(x)  # fills the marks cache before timing starts
     sweeps = []
     for _ in range(repeats):
         start = time.perf_counter()

@@ -24,8 +24,8 @@ from ggpart import (
     starting_profile,
 )
 from ggpart import classify
-from ggpart.membership import all_partitions
 from ggpart.fixtures import fixture_marked
+from ggpart.membership import all_partitions
 
 from helpers import c_members, pt_grid, row_at
 
