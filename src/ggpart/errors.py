@@ -21,12 +21,11 @@ def integers(name: str, values) -> tuple[int, ...]:
         return tuple(integer(name, v) for v in values)
 
 
-def require_nonnegative(**bounds: int) -> None:
-    """Raise ValueError naming the first of the given size bounds that is not
-    an integer (read with `operator.index`) or is below 0."""
-    for name, value in bounds.items():
-        if integer(name, value) < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
+def require_nonnegative(name: str, value) -> int:
+    """The size bound `value` read with `integer`; below 0 raises ValueError naming it."""
+    if (value := integer(name, value)) < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 class GGError(Exception):

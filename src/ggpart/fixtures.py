@@ -180,7 +180,3 @@ def fixture_overline(name: str):
 def fixture_marked(name: str) -> MarkedPartition:
     """Re-mark the fixture's parts (the stored rows are the expected result)."""
     return gg_mark_special(fixture_parts(name), fixture_overline(name))
-
-
-def fixture_rows(name: str) -> dict[int, tuple[int, ...]]:
-    return dict(FIXTURES[name]["rows"])

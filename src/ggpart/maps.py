@@ -365,7 +365,7 @@ def psi_global(mp: MarkedPartition):
     while mp.largest_odd:
         if len(zeta) >= budget:
             raise GGError(f"separation loop exceeded the odd-part budget on {mp.parts}")
-        m = find_m_eq33(mp)
-        mp = psi_m(mp, 3, 3, m)
+        m, t = find_m_eq33(mp), mp.largest_odd // 2
+        mp = psi_pt(mp, 3, 3, m - t, t)
         zeta.append(2 * m + 1)
     return mp, tuple(zeta)

@@ -130,7 +130,7 @@ def row_counts(mp: MarkedPartition, upto: int) -> tuple[int, ...]:
 
 def all_partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int, ...]]:
     """Every partition of n, parts non-increasing, in descending-lex order."""
-    require_nonnegative(n=n)
+    n = require_nonnegative("n", n)
     if n == 0:
         yield ()
         return
@@ -155,7 +155,7 @@ def all_partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int
 def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
     """Complete duplicate-free list of family members of weight n, in
     descending-lex order."""
-    require_nonnegative(n=n)
+    n = require_nonnegative("n", n)
     eta, k, r = params.eta, params.k, params.r
     if n == 0:
         return [()]
@@ -223,7 +223,8 @@ def enumerate_E(k: int, r: int, n: int) -> list[tuple[int, ...]]:
 def enumerate_I(floor: int, max_weight: int) -> list[tuple[int, ...]]:
     """Partitions into distinct odd parts >= 2*floor+1, of weight <= max_weight,
     ordered by (weight, parts)."""
-    require_nonnegative(floor=floor, max_weight=max_weight)
+    floor = require_nonnegative("floor", floor)
+    max_weight = require_nonnegative("max_weight", max_weight)
     out: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], next_min: int, budget: int) -> None:
@@ -241,13 +242,14 @@ def enumerate_I(floor: int, max_weight: int) -> list[tuple[int, ...]]:
 
 
 def enumerate_I_exact(floor: int, weight: int) -> list[tuple[int, ...]]:
+    weight = require_nonnegative("weight", weight)
     return [z for z in enumerate_I(floor, weight) if sum(z) == weight]
 
 
 def enumerate_F33(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Pairs (even-family member, distinct-odd partition) of total weight n,
     with the odd floor given by the member's second row count."""
-    require_nonnegative(n=n)
+    n = require_nonnegative("n", n)
     pairs = []
     for w in range(0, n + 1):
         for p in enumerate_E(3, 3, w):

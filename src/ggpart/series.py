@@ -65,7 +65,7 @@ class TruncatedSeries:
     __slots__ = ("qmax", "coeffs")
 
     def __init__(self, coeffs: Sequence[int], qmax: int):
-        require_nonnegative(qmax=qmax)
+        qmax = require_nonnegative("qmax", qmax)
         c = list(coeffs[: qmax + 1]) + [0] * max(0, qmax + 1 - len(coeffs))
         self.qmax = qmax
         self.coeffs = integers("coefficient", c)
@@ -95,7 +95,7 @@ class BivariateSeries:
     __slots__ = ("qmax", "coeffs")
 
     def __init__(self, coeffs: Sequence[dict], qmax: int):
-        require_nonnegative(qmax=qmax)
+        qmax = require_nonnegative("qmax", qmax)
         cs = [dict(coeffs[n]) if n < len(coeffs) else {} for n in range(qmax + 1)]
         self.qmax = qmax
         self.coeffs = tuple(
@@ -173,7 +173,7 @@ def _terms(params: BressoudParams, qmax: int, rows: list[list[int]], floor=None)
 def bressoud_multisum(params: BressoudParams, qmax: int) -> TruncatedSeries:
     """The multi-sum generating function, summed over all index tuples whose
     term valuation fits under qmax, as the single row of `_terms`."""
-    require_nonnegative(qmax=qmax)
+    qmax = require_nonnegative("qmax", qmax)
     if params.k < 2:
         raise ValueError(f"multi-sum needs k >= 2, got k={params.k}")
     if params.lam > params.k - 1:
@@ -189,7 +189,7 @@ def bressoud_product(params: BressoudParams, qmax: int) -> TruncatedSeries:
     and a = eta(2r-lambda)/2: prod over the alphas of (-q^alpha; q^eta)_inf,
     times (q^a, q^(m-a), q^m; q^m)_inf / (q^eta; q^eta)_inf.
     When lambda is odd the middle alpha is eta/2, so eta is even and a is an integer."""
-    require_nonnegative(qmax=qmax)
+    qmax = require_nonnegative("qmax", qmax)
     eta, lam = params.eta, params.lam
     m = eta * (2 * params.k - lam + 1)
     a = eta * (2 * params.r - lam) // 2
@@ -216,7 +216,7 @@ def gg_companion_bivariate(qmax: int) -> BivariateSeries:
     prod(1 + x q^(2j+1)), and its floor divides out (1 + x q^(2v-1)) when
     N2 reaches v.
     """
-    require_nonnegative(qmax=qmax)
+    qmax = require_nonnegative("qmax", qmax)
     rows = [[1] + [0] * qmax] + [[0] * (qmax + 1) for _ in range(isqrt(qmax))]
     for e in range(1, qmax + 1, 2):
         for d in range(len(rows) - 1, 0, -1):
@@ -239,7 +239,7 @@ def kursungoz_cell(counts: Sequence[int], r: int, qmax: int) -> TruncatedSeries:
     """Generating function of one marking cell (fixed row counts):
     q^(2(sum N_i^2 + N_r + ... + N_(k-1))) / prod (q^2;q^2)-factors.
     Every member of the cell has sum N_i parts."""
-    require_nonnegative(qmax=qmax)
+    qmax = require_nonnegative("qmax", qmax)
     counts = integers("row count", counts)
     if list(counts) != sorted(counts, reverse=True) or min(counts, default=0) < 0:
         raise ValueError(f"row counts must be non-increasing and >= 0, got {counts}")

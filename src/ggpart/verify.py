@@ -16,7 +16,7 @@ from math import isqrt
 from typing import Any, NamedTuple, Optional
 
 from . import maps, series
-from .classify import classify_eq, classify_lt, classify_sim
+from .classify import classify_lt, classify_sim, find_pt_eq, find_pt_lt
 from .errors import GGError, require_nonnegative
 from .marking import gg_mark
 from .membership import enumerate_B, enumerate_C, enumerate_E, enumerate_F33, row_counts
@@ -59,7 +59,7 @@ def _coefficients(expected, got) -> Result:
 
 
 def _counts(params, qmax: int) -> list[int]:
-    return [len(enumerate_B(params, n)) for n in range(qmax + 1)]
+    return [len(enumerate_B(params, n)) for n in range(require_nonnegative("qmax", qmax) + 1)]
 
 
 def conjecture(params, qmax: int) -> Result:
@@ -81,6 +81,7 @@ def sum_product(params, qmax: int) -> Result:
 def companion(qmax: int) -> Result:
     """The length-refined series against the members of C(3, 3) counted by
     weight and length, as {length: count} per weight."""
+    qmax = require_nonnegative("qmax", qmax)
     by_length = [dict(Counter(map(len, enumerate_C(3, 3, n)))) for n in range(qmax + 1)]
     return _coefficients(by_length, series.gg_companion_bivariate(qmax).coeffs)
 
@@ -90,7 +91,7 @@ def cell(k: int, r: int, qmax: int) -> Result:
     (N_1..N_(k-1)), one item per cell that can hold a member of weight <=
     qmax: every non-increasing key with 2 N_1^2 <= qmax, empty or not, and
     any key the enumeration produced.  `where` is (key, n)."""
-    require_nonnegative(qmax=qmax)
+    qmax = require_nonnegative("qmax", qmax)
     if k < 2:
         raise ValueError(f"cell needs k >= 2, got k={k}")
     tallies: dict[tuple, list[int]] = {}
@@ -111,7 +112,7 @@ def cell(k: int, r: int, qmax: int) -> Result:
 
 def members_by_weight(k: int, r: int, wmax: int) -> dict[int, list]:
     """{weight: [marked members of C(k, r)]} for every weight up to wmax."""
-    require_nonnegative(wmax=wmax)
+    wmax = require_nonnegative("wmax", wmax)
     return {n: [gg_mark(p) for p in enumerate_C(k, r, n)] for n in range(wmax + 1)}
 
 
@@ -159,24 +160,26 @@ def psi_by_factors(y, k: int, r: int, p: int, t: int):
 
 
 def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Result]:
-    """phi_pt/psi_pt at every (p, t) with 2p+2t+1 <= max(members), where
-    `members` is a `members_by_weight` map: from the lt members of each
-    weight n (forward) onto the eq members of weight n+2p+2t+1 (backward),
-    with one more part; items run `*_by_factors`.  `where` is ((p, t), weight n)."""
+    """phi_pt/psi_pt from the lt members of each weight n (forward) onto the eq
+    members of weight n+2p+2t+1 <= max(members) (backward), with one more part,
+    placed by `find_pt_lt`/`find_pt_eq` per level m = p + t of a `members_by_weight`
+    map; items run `*_by_factors` and their clause passes.  `where` is ((p, t), n)."""
     wmax = max(members)
+    groups: dict[tuple[int, int, int], tuple[list, list]] = {}  # (m, p, n): (sources, targets)
+    for n, mps in members.items():
+        for mp in mps:
+            for m in range((wmax + 1) // 2):
+                if n + 2 * m + 1 <= wmax and (pt := find_pt_lt(mp, k, r, m)):
+                    groups.setdefault((m, pt[0], n), ([], []))[0].append(mp)
+                if 2 * m + 1 <= n and (pt := find_pt_eq(mp, k, r, m)):
+                    groups.setdefault((m, pt[0], n - 2 * m - 1), ([], []))[1].append(mp)
     fwd, bwd = _Tally(), _Tally()
-    for delta in range(1, wmax + 1, 2):
-        for p in range(delta // 2 + 1):
-            t = delta // 2 - p
-            phi = partial(phi_by_factors, k=k, r=r, p=p, t=t)
-            psi = partial(psi_by_factors, k=k, r=r, p=p, t=t)
-            for n in range(wmax + 1 - delta):
-                sources = [mp for mp in members[n] if classify_lt(mp, k, r, p, t)]
-                targets = [mp for mp in members[n + delta] if classify_eq(mp, k, r, p, t)]
-                _bijection(
-                    fwd, bwd, ((p, t), n), sources, targets, phi, psi,
-                    lambda mp: (mp.weight + delta, mp.length + 1),
-                )
+    for (m, p, n), (sources, targets) in sorted(groups.items()):
+        phi, psi = (partial(f, k=k, r=r, p=p, t=m - p) for f in (phi_by_factors, psi_by_factors))
+        _bijection(
+            fwd, bwd, ((p, m - p), n), sources, targets, phi, psi,
+            lambda mp: (mp.weight + 2 * m + 1, mp.length + 1),
+        )
     return fwd.result(), bwd.result()
 
 

@@ -1,17 +1,17 @@
 """Shared enumeration caches for the sweep-style tests, the bytes per live
 marked partition (read by a tier-1 test and by CI's job summary) and the
 microseconds per fresh one (read by CI's job summary), the reference forms
-of the enumerator and the series that the library replaced, and `Index`,
-an integer-like value that is not an int."""
+of the enumerator, the series and the (p, t) sweep that the library
+replaced, and `Index`, an integer-like value that is not an int."""
 
 import gc
 import math
 import statistics
 import time
 import tracemalloc
-from functools import cache
+from functools import cache, partial
 
-from ggpart import MarkedPartition, enumerate_E, gg_mark, row_counts, verify
+from ggpart import MarkedPartition, classify_eq, classify_lt, enumerate_E, gg_mark, row_counts, verify
 
 # {weight: [marked members]} for the eta=2 single-residue family
 c_members = cache(verify.members_by_weight)
@@ -92,6 +92,27 @@ def pt_grid(mp, t_max: int):
     """All (p, t) pairs worth probing for one partition: p bounded by the
     second row, t by the point where every membership clause has stabilized."""
     return [(p, t) for p in range(0, mp.N(2) + 1) for t in range(0, t_max + 1)]
+
+
+def reference_pt_bijection(k: int, r: int, members: dict[int, list]):
+    """`verify.pt_bijection` as the probe grid it replaced: every (delta, p, n)
+    with delta = 2p+2t+1, in that order, its sources and targets filtered by
+    `classify_lt`/`classify_eq`, each group run by `verify._bijection`."""
+    wmax = max(members)
+    fwd, bwd = verify._Tally(), verify._Tally()
+    for delta in range(1, wmax + 1, 2):
+        for p in range(delta // 2 + 1):
+            t = delta // 2 - p
+            phi = partial(verify.phi_by_factors, k=k, r=r, p=p, t=t)
+            psi = partial(verify.psi_by_factors, k=k, r=r, p=p, t=t)
+            for n in range(wmax + 1 - delta):
+                sources = [mp for mp in members[n] if classify_lt(mp, k, r, p, t)]
+                targets = [mp for mp in members[n + delta] if classify_eq(mp, k, r, p, t)]
+                verify._bijection(
+                    fwd, bwd, ((p, t), n), sources, targets, phi, psi,
+                    lambda mp: (mp.weight + delta, mp.length + 1),
+                )
+    return fwd.result(), bwd.result()
 
 
 # -- reference forms of the series kernels and builders ------------------

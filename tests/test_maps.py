@@ -4,6 +4,7 @@ import pytest
 
 from ggpart import (
     BressoudParams,
+    ClassificationError,
     MembershipError,
     classify_eq,
     classify_lt,
@@ -29,7 +30,7 @@ from ggpart import MarkedPartition, classify, maps
 from ggpart.fixtures import FIXTURES, fixture_marked, fixture_parts
 from ggpart.maps import insert_odd_trace, separate_odd_trace
 
-from helpers import c_members, e_members, pt_grid
+from helpers import c_members, e_members, pt_grid, reference_pt_bijection
 
 PI1 = fixture_marked("pi1")
 PI2 = fixture_marked("pi2")
@@ -219,6 +220,39 @@ def test_pt_sweep_goes_through_the_public_factors(monkeypatch):
     assert fwd.failures > fwd.checked == bwd.checked == bwd.failures > 0
 
 
+@pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken separate_odd"])
+@pytest.mark.parametrize("k, r", [(3, 3), (4, 3), (4, 4), (5, 3)])
+def test_pt_sweep_equals_the_probe_grid(monkeypatch, k, r, broken):
+    # the searches place each member in the groups the probe grid filtered,
+    # in the grid's order; exceptions compare by repr
+    if broken:
+        monkeypatch.setattr(maps, "separate_odd", lambda mp, k, r, p, t: mp)
+    members = c_members(k, r, 20)
+    got = verify.pt_bijection(k, r, members)
+    assert repr(got) == repr(reference_pt_bijection(k, r, members))
+    assert got[0].ok == got[1].ok == (not broken)
+
+
+def test_pt_sweep_counts_a_clause_error_as_a_failed_item(monkeypatch):
+    # membership alone places a member, so its clause pass runs inside the item
+    empty = MarkedPartition([])  # built here: no earlier label slot is set
+    clean = verify.pt_bijection(3, 3, c_members(3, 3, 8))
+    members = {**c_members(3, 3, 8), 0: [empty]}
+    real = classify._CLAUSES["lt"]
+
+    def planted(mp, *args):
+        if mp == empty:
+            raise ClassificationError("planted")
+        return real(mp, *args)
+
+    monkeypatch.setitem(classify._CLAUSES, "lt", planted)
+    fwd, bwd = verify.pt_bijection(3, 3, members)
+    assert clean[0].ok and fwd.checked == clean[0].checked
+    where, expected, got = fwd.first
+    assert (where, expected, repr(got)) == ((((0, 0), 0), empty), empty, "ClassificationError('planted')")
+    assert not bwd.ok
+
+
 def test_round_trips_near_the_fixtures():
     # The sweeps above rarely reach kinds 11 and 12 (never 12 at (4,3)), so
     # walk out from the worked examples: two rounds of phi_pt/psi_pt over
@@ -287,6 +321,22 @@ def test_global_examples():
     assert psi_global(gg_mark((1,))) == (gg_mark(()), (1,))
     back, zeta = psi_global(gg_mark((8, 4, 2)))
     assert back.parts == (8, 4, 2) and zeta == ()
+
+
+def test_psi_global_searches_once_per_odd_part(monkeypatch):
+    # find_m_eq33 asks p = 0..N2 at the one t, and psi_pt checks its input once
+    y = phi_global((8, 4, 2), (7,))
+    assert (y.parts, y.N(2)) == ((8, 7, 4, 2), 2)
+    calls = {"_member_eq": 0}
+    real = classify._member_eq
+
+    def counted(*args):
+        calls["_member_eq"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(classify, "_member_eq", counted)
+    assert psi_global(y) == (gg_mark((8, 4, 2)), (7,))
+    assert calls == {"_member_eq": 3 + 1}
 
 
 def test_global_round_trip_sweep():

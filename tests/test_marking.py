@@ -19,7 +19,7 @@ from ggpart import (
     marked_to_dict,
     render_grid,
 )
-from ggpart.fixtures import fixture_marked, fixture_names, fixture_overline, fixture_rows
+from ggpart.fixtures import FIXTURES, fixture_marked, fixture_names, fixture_overline
 from ggpart import marking
 from ggpart.marking import _gg_mark_cached
 from ggpart.membership import all_partitions
@@ -159,7 +159,7 @@ def test_special_marking_exhaustive():
 def test_special_trace_fixtures():
     for name in ("pi1_step2", "pi1_step1"):
         mp = fixture_marked(name)
-        assert {i: mp.row_values(i) for i in (1, 2, 3)} == fixture_rows(name)
+        assert {i: mp.row_values(i) for i in (1, 2, 3)} == FIXTURES[name]["rows"]
         assert mp.overline[0] == fixture_overline(name)
         assert mp.overline[1] == 2
 

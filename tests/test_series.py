@@ -8,15 +8,20 @@ from ggpart import (
     BivariateSeries,
     BressoudParams,
     TruncatedSeries,
+    all_partitions,
     bressoud_multisum,
     bressoud_product,
+    enumerate_B,
+    enumerate_C,
+    enumerate_F33,
+    enumerate_I,
     gg_companion_bivariate,
     gg_mark,
     kursungoz_cell,
     row_counts,
     verify,
 )
-from ggpart.membership import enumerate_E
+from ggpart.membership import enumerate_E, enumerate_I_exact
 from ggpart.series import _div_one_minus, _div_one_plus, _mul_one_plus
 
 from helpers import (
@@ -181,6 +186,39 @@ def test_non_integer_bounds_rejected(call):
     # a float bound used to fail deep inside with a bare TypeError
     with pytest.raises(ValueError, match=r"^qmax must be an integer, got 4\.5$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda b: TruncatedSeries([1, 2, 3], b(4)),
+        lambda b: (lambda s: (s.qmax, s.coeffs))(BivariateSeries([{0: 1}], b(3))),
+        lambda b: bressoud_product(GG33, b(12)),
+        lambda b: bressoud_multisum(GG33, b(12)),
+        lambda b: gg_companion_bivariate(b(12)).coeffs,
+        lambda b: kursungoz_cell((1, 0), 3, b(12)),
+        lambda b: enumerate_B(GG33, b(8)),
+        lambda b: enumerate_C(3, 3, b(8)),
+        lambda b: enumerate_I(b(1), b(12)),
+        lambda b: enumerate_I_exact(b(1), b(12)),
+        lambda b: enumerate_F33(b(8)),
+        lambda b: list(all_partitions(b(6))),
+        lambda b: verify.cell(4, 3, b(12)),
+        lambda b: verify.members_by_weight(3, 3, b(8)),
+        lambda b: verify.product(GG33, b(12)),
+        lambda b: verify.conjecture(GG33, b(12)),
+        lambda b: verify.companion(b(12)),
+    ],
+    ids=[
+        "TruncatedSeries", "BivariateSeries", "bressoud_product", "bressoud_multisum",
+        "gg_companion_bivariate", "kursungoz_cell", "enumerate_B", "enumerate_C", "enumerate_I",
+        "enumerate_I_exact", "enumerate_F33", "all_partitions", "verify.cell",
+        "verify.members_by_weight", "verify.product", "verify.conjecture", "verify.companion",
+    ],
+)
+def test_index_bounds_read_as_ints(call):
+    # an __index__ bound used to pass the check, then fail on + or < with a bare TypeError
+    assert call(Index) == call(int)
 
 
 def test_non_integer_coefficients_rejected():
