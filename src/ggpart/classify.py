@@ -8,9 +8,13 @@ the test suite, never in the implementation, so each one stays falsifiable.
 Row 2 is read as plain ints: where the paper reads r2(0) = +inf or
 r2(N2 + 1) = -inf, a clause tests the index instead (`p == 0 or ...`).
 Each lt or eq clause states its subset's insertion or division index where
-it reads the condition, as a (j, index) hit.  The chains r2(i) = r2(q) +
-4(q - i) (+ 2 for the side chain) have one reader, `_chain`, shared by the
-eq membership test, the eq clauses and the separation maps.
+it reads the condition, as a (j, index) hit.  Each clause pass returns
+subset 1 at once where no other clause can hold (p = 0, or the part at
+index p far above 2t+1), before it reads the profile or the reduction
+typing; `classify_eq` tests that the largest odd part is 2t+1 before its
+membership test.  The chains r2(i) = r2(q) + 4(q - i) (+ 2 for the side
+chain) have one reader, `_chain`, shared by the eq membership test, the eq
+clauses and the separation maps.
 The only caches are per partition: the starting profile, which several
 procedures share and the starting clusters are read off, and one label slot
 per family ("lt", "sim", "eq") holding the last label derived and its
@@ -22,7 +26,8 @@ once.  Each is a pure function of the partition, and partitions are shared:
 `ggpart.marking` hands out one live object per marked partition, so a
 round trip's inverse half lands on the objects its forward half built and
 reads the labels derived for them there.  A label is a `SubsetLabel`, a
-named tuple: immutable and hashable, and built by every clause pass.
+named tuple: immutable and hashable, and built by every clause pass through
+`tuple.__new__`, which skips the named tuple's Python-level constructor.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
 "s3"; each 2-marked part up to the threshold matches exactly one of the
@@ -174,18 +179,16 @@ def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
 
 
 def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
-    prof = starting_profile(mp)
     row = mp.row2
     v = row[p - 1] if p else None
-    ty = prof.type_at(p) if p else None
     at = 2 * t + 2  # the insertion index of subsets 1 to 5
+    if p == 0 or v > 2 * t + 6:  # no other clause can hold: skip the profile
+        return _one_label("lt", mp, p, t, [(1, at)])
+    prof = starting_profile(mp)
+    ty = prof.type_at(p)
     hits = []
 
-    if (
-        p == 0
-        or v > 2 * t + 6
-        or (v == 2 * t + 6 and ty in (S2, S3) and mp.max_mark(2 * t + 6) == 2)
-    ):
+    if v == 2 * t + 6 and ty in (S2, S3) and mp.max_mark(2 * t + 6) == 2:
         hits.append((1, at))
     if v == 2 * t + 6 and not mp.has_part(2 * t + 2) and (
         ty not in (S2, S3) or mp.max_mark(2 * t + 6) > 2
@@ -193,7 +196,7 @@ def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLa
         hits.append((2, at))
     if v == 2 * t + 6 and ty == S3 and mp.has_part(2 * t + 2) and mp.max_mark(2 * t + 6) > 2:
         hits.append((3, at))
-    if p and v <= 2 * t + 4:  # w: the part at the first cluster index p_1
+    if v <= 2 * t + 4:  # w: the part at the first cluster index p_1
         ps = cluster_indexes(mp, p)
         w = row[ps[0] - 1]
         if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) == 2:
@@ -227,7 +230,7 @@ def _one_label(family: str, mp: MarkedPartition, p: int, t: int, hits) -> Subset
             f"{family} member {mp.parts} at (p,t)=({p},{t}) matched subsets {[j for j, _ in hits]}"
         )
     j, index = hits[0]
-    return SubsetLabel(family, j, p, t, index, _threshold(mp, index))
+    return tuple.__new__(SubsetLabel, (family, j, p, t, index, _threshold(mp, index)))
 
 
 def _threshold(mp: MarkedPartition, bound: int) -> int:
@@ -250,8 +253,9 @@ def _first_gap(mp: MarkedPartition, row: tuple[int, ...], idxs) -> Optional[int]
 
 
 def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
-    # The largest odd part fixes t, so most probes stop here; then the bracket.
-    if p < 0 or t < 0 or mp.largest_odd != 2 * t + 1:
+    # 2t+1 is the largest odd part: classify_eq tests it, the searches read t
+    # off it.  The bracket first.
+    if p < 0 or t < 0:
         return False
     row = mp.row2
     n2 = len(row)
@@ -288,6 +292,8 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
 def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the equality family, or None if not a member."""
     _check_kr(k, r)
+    if mp.largest_odd != 2 * t + 1:  # the largest odd part fixes t: most probes stop here
+        return None
     return _derived(mp, "eq", k, r, p, t) if _member_eq(mp, k, r, p, t) else None
 
 
@@ -452,10 +458,10 @@ def _refine_sim(
     row = mp.row2
     v = row[p - 1] if p else None
     l = base.l
+    if p == 0 or v >= 2 * t + 8:  # no other clause can hold: skip the typing
+        return tuple.__new__(SubsetLabel, ("sim", 1, p, t, base.index, l))
     red = {i: lab for lo, hi, lab in reduction_types(mp, l) for i in range(lo, hi + 1)}
     hits = []
-    if p == 0 or v >= 2 * t + 8:
-        hits.append(1)
     if v == 2 * t + 6 and red.get(p) in ("A1", "A2", "B") and not mp.has_part(2 * t + 2):
         hits.append(2)
     if v == 2 * t + 6 and red.get(p) == "A1" and mp.has_part(2 * t + 2):
@@ -473,7 +479,7 @@ def _refine_sim(
         )
     if not hits:
         return None
-    return SubsetLabel("sim", hits[0], p, t, base.index, l)
+    return tuple.__new__(SubsetLabel, ("sim", hits[0], p, t, base.index, l))
 
 
 _CLAUSES = {"lt": _lt_clauses, "sim": _sim_clauses, "eq": _eq_clauses}

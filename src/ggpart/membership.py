@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
 from .errors import integer, integers, require_nonnegative
@@ -241,19 +242,17 @@ def enumerate_I(floor: int, max_weight: int) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_I_exact(floor: int, weight: int) -> list[tuple[int, ...]]:
-    weight = require_nonnegative("weight", weight)
-    return [z for z in enumerate_I(floor, weight) if sum(z) == weight]
-
-
 def enumerate_F33(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Pairs (even-family member, distinct-odd partition) of total weight n,
-    with the odd floor given by the member's second row count."""
+    with the odd floor given by the member's second row count.  Each floor's
+    distinct-odd partitions to weight n are built once and grouped by weight."""
     n = require_nonnegative("n", n)
+    by_floor: dict[int, dict[int, list[tuple[int, ...]]]] = {}
     pairs = []
     for w in range(0, n + 1):
         for p in enumerate_E(3, 3, w):
             n2 = gg_mark(p).N(2)
-            for z in enumerate_I_exact(n2, n - w):
-                pairs.append((p, z))
+            if n2 not in by_floor:
+                by_floor[n2] = {v: list(zs) for v, zs in groupby(enumerate_I(n2, n), key=sum)}
+            pairs += [(p, z) for z in by_floor[n2].get(n - w, ())]
     return pairs

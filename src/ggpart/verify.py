@@ -168,11 +168,14 @@ def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Resu
     groups: dict[tuple[int, int, int], tuple[list, list]] = {}  # (m, p, n): (sources, targets)
     for n, mps in members.items():
         for mp in mps:
-            for m in range((wmax + 1) // 2):
-                if n + 2 * m + 1 <= wmax and (pt := find_pt_lt(mp, k, r, m)):
+            for m in range((wmax - n + 1) // 2):  # n + 2m + 1 <= wmax
+                if pt := find_pt_lt(mp, k, r, m):
                     groups.setdefault((m, pt[0], n), ([], []))[0].append(mp)
-                if 2 * m + 1 <= n and (pt := find_pt_eq(mp, k, r, m)):
-                    groups.setdefault((m, pt[0], n - 2 * m - 1), ([], []))[1].append(mp)
+            if mp.largest_odd:  # it is 2t+1, so only the levels t..t+N2 can place mp
+                t = mp.largest_odd // 2
+                for m in range(t, min(t + len(mp.row2), (n - 1) // 2) + 1):  # 2m + 1 <= n
+                    if pt := find_pt_eq(mp, k, r, m):
+                        groups.setdefault((m, pt[0], n - 2 * m - 1), ([], []))[1].append(mp)
     fwd, bwd = _Tally(), _Tally()
     for (m, p, n), (sources, targets) in sorted(groups.items()):
         phi, psi = (partial(f, k=k, r=r, p=p, t=m - p) for f in (phi_by_factors, psi_by_factors))

@@ -1,8 +1,9 @@
 """Shared enumeration caches for the sweep-style tests, the bytes per live
-marked partition (read by a tier-1 test and by CI's job summary) and the
-microseconds per fresh one (read by CI's job summary), the reference forms
-of the enumerator, the series and the (p, t) sweep that the library
-replaced, and `Index`, an integer-like value that is not an int."""
+marked partition (read by a tier-1 test and by CI's job summary), the
+microseconds per fresh one and per classifier probe (read by CI's job
+summary), the reference forms of the enumerators, the series, the (p, t)
+sweep and the classifier passes that the library replaced, and `Index`, an
+integer-like value that is not an int."""
 
 import gc
 import math
@@ -10,8 +11,37 @@ import statistics
 import time
 import tracemalloc
 from functools import cache, partial
+from typing import Optional
 
-from ggpart import MarkedPartition, classify_eq, classify_lt, enumerate_E, gg_mark, row_counts, verify
+from ggpart import (
+    ClassificationError,
+    MarkedPartition,
+    SubsetLabel,
+    classify_eq,
+    classify_lt,
+    classify_sim,
+    enumerate_E,
+    gg_mark,
+    is_in_C,
+    row_counts,
+    verify,
+)
+from ggpart.classify import (
+    S0,
+    S1,
+    S2,
+    S3,
+    _chain,
+    _check_kr,
+    _derived,
+    _first_gap,
+    _one_label,
+    cluster_indexes,
+    reduction_types,
+    starting_profile,
+)
+from ggpart.errors import require_nonnegative
+from ggpart.membership import enumerate_I
 
 # {weight: [marked members]} for the eta=2 single-residue family
 c_members = cache(verify.members_by_weight)
@@ -65,6 +95,31 @@ def us_per_partition(k: int = 4, r: int = 4, wmax: int = 40, repeats: int = 15) 
             MarkedPartition(x)
         sweeps.append(time.perf_counter() - start)
     return statistics.median(sweeps) / len(pairs) * 1e6
+
+
+def us_per_probe(k: int = 3, r: int = 3, wmax: int = 24, repeats: int = 5) -> float:
+    """Microseconds per `classify_lt`/`classify_sim`/`classify_eq` call over
+    the probe grid of C(k, r) to weight wmax: the median of `repeats` timed
+    sweeps.  Each sweep probes a fresh `MarkedPartition(pairs)` of every
+    member (built before the clock, so no label from an earlier sweep
+    answers) at every p <= N2 and t <= wmax // 2 + 4: `classify_lt`, then
+    `classify_sim` where lt hits, and `classify_eq`."""
+    pairs = [[(v, False) for v in mp.parts] for mps in c_members(k, r, wmax).values() for mp in mps]
+    t_max = wmax // 2 + 4
+    sweeps = []
+    for _ in range(repeats):
+        fresh = [MarkedPartition(x) for x in pairs]
+        calls = 0
+        start = time.perf_counter()
+        for mp in fresh:
+            for p, t in pt_grid(mp, t_max):
+                if classify_lt(mp, k, r, p, t) is not None:
+                    classify_sim(mp, k, r, p, t)
+                    calls += 1
+                classify_eq(mp, k, r, p, t)
+                calls += 2
+        sweeps.append((time.perf_counter() - start) / calls)
+    return statistics.median(sweeps) * 1e6
 
 
 class Index:
@@ -264,3 +319,153 @@ def reference_enumerate_B(params, n):
 
     rec(n, n, 0)
     return out
+
+
+# -- reference forms of the classifier passes ----------------------------
+# The lt and tilde clause passes and the eq membership test as they were
+# before each clause pass returned subset 1 at once where no other clause
+# can hold, and before `classify_eq` tested the largest odd part ahead of
+# its membership test; kept verbatim as test oracles.
+
+
+def reference_lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
+    prof = starting_profile(mp)
+    row = mp.row2
+    v = row[p - 1] if p else None
+    ty = prof.type_at(p) if p else None
+    at = 2 * t + 2  # the insertion index of subsets 1 to 5
+    hits = []
+
+    if (
+        p == 0
+        or v > 2 * t + 6
+        or (v == 2 * t + 6 and ty in (S2, S3) and mp.max_mark(2 * t + 6) == 2)
+    ):
+        hits.append((1, at))
+    if v == 2 * t + 6 and not mp.has_part(2 * t + 2) and (
+        ty not in (S2, S3) or mp.max_mark(2 * t + 6) > 2
+    ):
+        hits.append((2, at))
+    if v == 2 * t + 6 and ty == S3 and mp.has_part(2 * t + 2) and mp.max_mark(2 * t + 6) > 2:
+        hits.append((3, at))
+    if p and v <= 2 * t + 4:  # w: the part at the first cluster index p_1
+        ps = cluster_indexes(mp, p)
+        w = row[ps[0] - 1]
+        if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) == 2:
+            hits.append((4, at))
+        if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) > 2:
+            hits.append((5, at))
+        if v == 2 * t + 4 and ty == S1:
+            hits.append((6, w))
+        if v == 2 * t + 4 and ty == S2:
+            hits.append((7, w + 2))
+        if v == 2 * t + 2 and ty == S2:
+            hits.append((8, w + 2))
+        if v == 2 * t + 2 and ty == S3:
+            if not mp.has_part(w + 4):
+                hits.append((9, w + 2))
+            if mp.has_part(w + 4) and not mp.has_part(w + 6):
+                hits.append((10, w + 4))
+            if ps[0] > 1 and row[ps[0] - 2] == w + 6:
+                ty1, w2 = prof.type_at(ps[0] - 1), row[ps[1] - 1]  # w2: the part at p_2
+                if ty1 == S1:
+                    hits.append((11, w2))
+                if ty1 == S2:
+                    hits.append((12, w2 + 2))
+    return _one_label("lt", mp, p, t, hits)
+
+
+def reference_refine_sim(
+    mp: MarkedPartition, k: int, r: int, p: int, t: int, base: SubsetLabel
+) -> Optional[SubsetLabel]:
+    """The tilde subset of a member whose lt label at (p, t) is `base`."""
+    row = mp.row2
+    v = row[p - 1] if p else None
+    l = base.l
+    red = {i: lab for lo, hi, lab in reduction_types(mp, l) for i in range(lo, hi + 1)}
+    hits = []
+    if p == 0 or v >= 2 * t + 8:
+        hits.append(1)
+    if v == 2 * t + 6 and red.get(p) in ("A1", "A2", "B") and not mp.has_part(2 * t + 2):
+        hits.append(2)
+    if v == 2 * t + 6 and red.get(p) == "A1" and mp.has_part(2 * t + 2):
+        hits.append(3)
+    if v == 2 * t + 6 and red.get(p) == "C" and not mp.has_part(2 * t + 2):
+        hits.append(4)
+    if v == 2 * t + 4 and red.get(p) == "A1":
+        hits.append(5)
+    if base.j >= 6:
+        if l == 0 or row[l - 1] != base.index + 4 or red.get(l) == "A1":
+            hits.append(base.j)
+    if len(hits) > 1:
+        raise ClassificationError(
+            f"sim candidate {mp.parts} at (p,t)=({p},{t}) matched subsets {hits}"
+        )
+    if not hits:
+        return None
+    return SubsetLabel("sim", hits[0], p, t, base.index, l)
+
+
+def reference_member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
+    # The largest odd part fixes t, so most probes stop here; then the bracket.
+    if p < 0 or t < 0 or mp.largest_odd != 2 * t + 1:
+        return False
+    row = mp.row2
+    n2 = len(row)
+    if p > n2:
+        return False
+    if (p < n2 and row[p] > 2 * t + 2) or (p > 0 and row[p - 1] < 2 * t + 2):
+        return False
+    if not is_in_C(mp, k, r):
+        return False
+    if not (mp.has(2 * t + 1, 1) or mp.has(2 * t + 1, 2)):
+        return False
+    prof = starting_profile(mp)
+    v = row[p - 1] if p else None
+    vp1 = row[p] if p < n2 else None
+    two_marked = mp.has(2 * t + 2, 2)
+    if two_marked:
+        ty = prof.type_at(row.index(2 * t + 2) + 1)
+        if ty == S0:
+            if vp1 != 2 * t + 2:
+                return False
+            if not any(mp.count(row[i - 1]) == 1 for i in _chain(row, p + 1)):
+                return False
+        elif ty == S2:
+            if v != 2 * t + 2:
+                return False
+    if mp.has_part(2 * t + 2) and not two_marked:
+        if v != 2 * t + 4 or prof.type_at(p) != S3:
+            return False
+        if _first_gap(mp, row, _chain(row, p)) is None:
+            return False
+    return True
+
+
+def reference_classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
+    """Subset number within the equality family, or None if not a member."""
+    _check_kr(k, r)
+    return _derived(mp, "eq", k, r, p, t) if reference_member_eq(mp, k, r, p, t) else None
+
+
+# -- reference form of the pair enumerator -------------------------------
+# `enumerate_F33` as it was before it grouped each floor's distinct-odd
+# partitions by weight: one filtered `enumerate_I` per even member.
+
+
+def reference_enumerate_I_exact(floor: int, weight: int) -> list[tuple[int, ...]]:
+    weight = require_nonnegative("weight", weight)
+    return [z for z in enumerate_I(floor, weight) if sum(z) == weight]
+
+
+def reference_enumerate_F33(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Pairs (even-family member, distinct-odd partition) of total weight n,
+    with the odd floor given by the member's second row count."""
+    n = require_nonnegative("n", n)
+    pairs = []
+    for w in range(0, n + 1):
+        for p in enumerate_E(3, 3, w):
+            n2 = gg_mark(p).N(2)
+            for z in reference_enumerate_I_exact(n2, n - w):
+                pairs.append((p, z))
+    return pairs

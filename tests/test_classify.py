@@ -27,7 +27,14 @@ from ggpart import classify
 from ggpart.fixtures import fixture_marked
 from ggpart.membership import all_partitions
 
-from helpers import c_members, pt_grid, row_at
+from helpers import (
+    c_members,
+    pt_grid,
+    reference_classify_eq,
+    reference_lt_clauses,
+    reference_refine_sim,
+    row_at,
+)
 
 PI1 = fixture_marked("pi1")
 PI2 = fixture_marked("pi2")
@@ -465,6 +472,58 @@ def _pin_lines():
 def test_classifier_results_are_pinned():
     digest = hashlib.sha256("\n".join(_pin_lines()).encode()).hexdigest()
     assert digest == PIN_DIGEST
+
+
+# -- the fast paths against the passes they replaced -------------------------
+# Each clause pass returns subset 1 at once where no other clause can hold,
+# and `classify_eq` rejects a t off the largest odd part before its
+# membership test; `tests/helpers` keeps the passes as they were before.
+
+
+def _ref_lt_sim(mp, k, r, p, t):
+    """The outcomes of the reference lt and tilde passes at a member (p, t)."""
+    try:
+        base = reference_lt_clauses(mp, k, r, p, t)
+    except GGError:
+        return [_outcome(reference_lt_clauses, mp, k, r, p, t)] * 2
+    return [repr(base), _outcome(reference_refine_sim, mp, k, r, p, t, base)]
+
+
+@pytest.mark.parametrize("k, r", PIN_KRS)
+def test_fast_paths_match_the_reference_passes(k, r):
+    # every probe of the C(k, r) members of weight 19 to 26, past the pin's 18:
+    # the public calls on one fresh object, the reference passes on another.
+    # The lt membership test gates both lt and tilde passes, and is unchanged.
+    members = c_members(k, r, 26)
+    shortcuts = 0
+    for parts in (mp.parts for n in range(19, 27) for mp in members[n]):
+        mp, ref = _fresh(parts), _fresh(parts)
+        for p, t in _probe_grid(mp):
+            got = _outcome(classify_eq, mp, k, r, p, t)
+            assert got == _outcome(reference_classify_eq, ref, k, r, p, t), (parts, p, t)
+            if not classify._member_lt(ref, k, r, p, t):
+                continue
+            got = [_outcome(family, mp, k, r, p, t) for family in (classify_lt, classify_sim)]
+            assert got == _ref_lt_sim(ref, k, r, p, t), (parts, p, t)
+            if p == 0 or mp.row2[p - 1] >= 2 * t + 8:
+                # the tilde shortcut skips the reduction typing, which must not raise there
+                reduction_types(ref, classify_lt(mp, k, r, p, t).l)
+                shortcuts += 1
+    assert shortcuts > 0
+
+
+def test_eq_probe_off_the_largest_odd_part_skips_membership(monkeypatch):
+    calls = []
+    real = classify._member_eq
+    monkeypatch.setattr(classify, "_member_eq", lambda *args: calls.append(args) or real(*args))
+    probes = 0
+    for members in c_members(3, 3, 14).values():
+        for mp in members:
+            for p, t in _probe_grid(mp):
+                if mp.largest_odd != 2 * t + 1:
+                    assert classify_eq(mp, 3, 3, p, t) is None
+                    probes += 1
+    assert probes > 0 and calls == []
 
 
 def _ref_starting_profile(mp):

@@ -253,6 +253,28 @@ def test_pt_sweep_counts_a_clause_error_as_a_failed_item(monkeypatch):
     assert not bwd.ok
 
 
+def test_pt_sweep_asks_find_pt_eq_only_where_it_can_hit(monkeypatch):
+    # the largest odd part 2t+1 fixes t, so only the levels m = t..t+N2 with
+    # 2m + 1 <= n can place a member of weight n, and none without an odd part
+    members = c_members(3, 3, 20)
+    calls = []
+    real = verify.find_pt_eq
+
+    def counted(mp, k, r, m):
+        calls.append((mp.parts, m))
+        return real(mp, k, r, m)
+
+    monkeypatch.setattr(verify, "find_pt_eq", counted)
+    verify.pt_bijection(3, 3, members)
+    assert calls == [
+        (mp.parts, m)
+        for n, mps in members.items()
+        for mp in mps
+        for m in range(n)
+        if mp.largest_odd and 2 * m + 1 <= n and 0 <= m - mp.largest_odd // 2 <= mp.N(2)
+    ]
+
+
 def test_round_trips_near_the_fixtures():
     # The sweeps above rarely reach kinds 11 and 12 (never 12 at (4,3)), so
     # walk out from the worked examples: two rounds of phi_pt/psi_pt over

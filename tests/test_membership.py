@@ -18,9 +18,16 @@ from ggpart import (
     is_in_C,
     row_counts,
 )
-from ggpart.membership import all_partitions, enumerate_I_exact
+from ggpart.membership import all_partitions
 
-from helpers import Index, e_cell, loop_mul_one_plus, reference_enumerate_B
+from helpers import (
+    Index,
+    e_cell,
+    loop_mul_one_plus,
+    reference_enumerate_B,
+    reference_enumerate_F33,
+    reference_enumerate_I_exact,
+)
 
 GG33 = BressoudParams((1,), 2, 3, 3)
 
@@ -262,7 +269,7 @@ def test_cells_partition_the_even_family():
 def test_distinct_odd_enumeration():
     assert enumerate_I(0, 4) == [(), (1,), (3,), (3, 1)]
     assert enumerate_I(2, 4) == [()]
-    assert enumerate_I_exact(0, 4) == [(3, 1)]
+    assert reference_enumerate_I_exact(0, 4) == [(3, 1)]
     for z in enumerate_I(1, 20):
         assert all(v % 2 == 1 and v >= 3 for v in z)
         assert len(set(z)) == len(z)
@@ -283,7 +290,14 @@ def test_distinct_odd_counts_match_product():
         for e in range(2 * floor + 1, 21, 2):
             loop_mul_one_plus(s, e)
         for n in range(21):
-            assert s[n] == len(enumerate_I_exact(floor, n)), (floor, n)
+            assert s[n] == len(reference_enumerate_I_exact(floor, n)), (floor, n)
+
+
+def test_pair_enumeration_equals_the_reference():
+    # one enumerate_I per floor, grouped by weight, against one filtered
+    # enumerate_I per even member: the same pairs in the same order
+    for n in range(37):
+        assert enumerate_F33(n) == reference_enumerate_F33(n), n
 
 
 def test_pair_counts_match_bivariate_sum():

@@ -21,7 +21,7 @@ from ggpart import (
     row_counts,
     verify,
 )
-from ggpart.membership import enumerate_E, enumerate_I_exact
+from ggpart.membership import enumerate_E
 from ggpart.series import _div_one_minus, _div_one_plus, _mul_one_plus
 
 from helpers import (
@@ -200,7 +200,6 @@ def test_non_integer_bounds_rejected(call):
         lambda b: enumerate_B(GG33, b(8)),
         lambda b: enumerate_C(3, 3, b(8)),
         lambda b: enumerate_I(b(1), b(12)),
-        lambda b: enumerate_I_exact(b(1), b(12)),
         lambda b: enumerate_F33(b(8)),
         lambda b: list(all_partitions(b(6))),
         lambda b: verify.cell(4, 3, b(12)),
@@ -212,7 +211,7 @@ def test_non_integer_bounds_rejected(call):
     ids=[
         "TruncatedSeries", "BivariateSeries", "bressoud_product", "bressoud_multisum",
         "gg_companion_bivariate", "kursungoz_cell", "enumerate_B", "enumerate_C", "enumerate_I",
-        "enumerate_I_exact", "enumerate_F33", "all_partitions", "verify.cell",
+        "enumerate_F33", "all_partitions", "verify.cell",
         "verify.members_by_weight", "verify.product", "verify.conjecture", "verify.companion",
     ],
 )
