@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import ClassificationError, UniquenessError
+from .errors import ClassificationError, UniquenessError, integer
 from .marking import MarkedPartition
 from .membership import is_in_C
 
@@ -138,8 +138,8 @@ def _check_kr(k: int, r: int) -> None:
 
 def _member_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     # Bracket first: max(row[p], largest_odd) < 2t+1 < row[p-1].  Row-2 index 0
-    # is +inf, N2 + 1 is -inf.
-    if p < 0 or t < 0:
+    # is +inf, N2 + 1 is -inf.  A t < 0 fails the largest-odd test.
+    if p < 0:
         return False
     row = mp.row2
     n2 = len(row)
@@ -194,16 +194,17 @@ def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLa
         ty not in (S2, S3) or mp.max_mark(2 * t + 6) > 2
     ):
         hits.append((2, at))
-    if v == 2 * t + 6 and ty == S3 and mp.has_part(2 * t + 2) and mp.max_mark(2 * t + 6) > 2:
+    # 2t+6 is s3 here: else 2t+4 holds the 1-mark, and 2t+2's first two marks go to 2t (s3 at p + 1)
+    if v == 2 * t + 6 and mp.has_part(2 * t + 2) and mp.max_mark(2 * t + 6) > 2:
         hits.append((3, at))
     if v <= 2 * t + 4:  # w: the part at the first cluster index p_1
         ps = cluster_indexes(mp, p)
         w = row[ps[0] - 1]
-        if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) == 2:
+        if ty == S3 and mp.max_mark(2 * t + 4) == 2:  # at an s3 v = 2t+2, 2t+4 takes mark 3
             hits.append((4, at))
         if v == 2 * t + 4 and ty == S3 and mp.max_mark(2 * t + 4) > 2:
             hits.append((5, at))
-        if v == 2 * t + 4 and ty == S1:
+        if ty == S1:  # membership types v = 2t+2 s2 or s3
             hits.append((6, w))
         if v == 2 * t + 4 and ty == S2:
             hits.append((7, w + 2))
@@ -254,8 +255,8 @@ def _first_gap(mp: MarkedPartition, row: tuple[int, ...], idxs) -> Optional[int]
 
 def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     # 2t+1 is the largest odd part: classify_eq tests it, the searches read t
-    # off it.  The bracket first.
-    if p < 0 or t < 0:
+    # off it (a t < 0 fails the mark test of 2t+1).  The bracket first.
+    if p < 0:
         return False
     row = mp.row2
     n2 = len(row)
@@ -282,7 +283,7 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
             if v != 2 * t + 2:
                 return False
     if mp.has_part(2 * t + 2) and not two_marked:
-        if v != 2 * t + 4 or prof.type_at(p) != S3:
+        if v != 2 * t + 4:  # its type is s3: see _eq_clauses
             return False
         if _first_gap(mp, row, _chain(row, p)) is None:
             return False
@@ -319,7 +320,7 @@ def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLa
         and (ty != S2 or all(mp.count(row[i - 1] + 2) >= 2 for i in chain))
     ):
         hits.append((2, at))
-    if v == 2 * t + 6 and ty == S3 and vp1 == 2 * t + 2 and gap is None:
+    if vp1 == 2 * t + 2 and gap is None:  # then v = 2t+6, of type s3 (below)
         hits.append((3, at))
     if (
         v == 2 * t + 6
@@ -328,32 +329,28 @@ def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLa
         and (ty != S2 or any(mp.count(row[i - 1] + 2) == 1 for i in chain))
     ):
         hits.append((4, at))
-    if v == 2 * t + 4 and ty == S3:
+    if v == 2 * t + 4:  # s3: 2t+2 has no 1-mark (2t+1 or 2t holds it), so 2t+4 has one
         if gap is None:
             hits.append((5, at))
         elif odd_marks == frozenset({1}):
             hits.append((6, row[gap - 1]))
         elif odd_marks == frozenset({2}):
             hits.append((8, row[gap - 1]))
-    if v == 2 * t + 6 and vp1 == 2 * t + 2:
+    if vp1 == 2 * t + 2:  # v = 2t+6: 2t+4 and 2t+2 cannot both be 2-marked
+        # Membership types p s1 or s3 (s2 makes p + 1 s2).  A chain part with a part two above
+        # but no 1-mark is s2, as is each one below it, p too: so they are s3 (no gap, no s10).
         s10 = next((i for i in chain if mp.count(row[i - 1]) == 1), None)
-        # the index-(p+1) chain extends the index-p chain by one step
-        if s10 is None and mp.count(2 * t + 2) == 1 and gap is not None:
+        if s10 is None and gap is not None:  # membership's count-1 chain part is 2t+2
             hits.append((7, row[gap - 1]))
-        if s10 is not None and all(
-            prof.type_at(i) == S3 and mp.has_part(row[i - 1] + 2)
-            for i in chain
-            if i < s10
-        ):
+        if s10 is not None and all(mp.has_part(row[i - 1] + 2) for i in chain if i < s10):
             hits.append((10, row[s10 - 1]))
-        if s10 is not None and gap is not None and gap < s10:
+        if s10 is not None and gap < s10:
             hits.append((12, row[gap - 1]))
     if v == 2 * t + 2:
+        # p is s2, so 2t+4 is 1-marked and 2t+6 absent: the side parts are s3
         side = _chain(row, p, 2)  # two above the chain through p
-        if all(prof.type_at(i) == S3 and mp.has_part(row[i - 1] + 2) for i in side):
-            hits.append((9, row[chain[0] - 1] + 2))
-        if any(prof.type_at(i) == S3 and not mp.has_part(row[i - 1] + 2) for i in side):
-            hits.append((11, row[_first_gap(mp, row, side) - 1]))
+        gap2 = _first_gap(mp, row, side)
+        hits.append((9, row[chain[0] - 1] + 2) if gap2 is None else (11, row[gap2 - 1]))
     return _one_label("eq", mp, p, t, hits)
 
 
@@ -464,9 +461,11 @@ def _refine_sim(
     hits = []
     if v == 2 * t + 6 and red.get(p) in ("A1", "A2", "B") and not mp.has_part(2 * t + 2):
         hits.append(2)
-    if v == 2 * t + 6 and red.get(p) == "A1" and mp.has_part(2 * t + 2):
+    # Clauses 3 and 4 hold only at v = 2t+6 (p > l at 2t+2; p is s3 at 2t+4 and leaves no room
+    # for 2t+2, as lt clause 3 says of 2t+6), where a C run (s1, s2) leaves none either.
+    if red.get(p) == "A1" and mp.has_part(2 * t + 2):
         hits.append(3)
-    if v == 2 * t + 6 and red.get(p) == "C" and not mp.has_part(2 * t + 2):
+    if red.get(p) == "C":
         hits.append(4)
     if v == 2 * t + 4 and red.get(p) == "A1":
         hits.append(5)
@@ -491,6 +490,7 @@ _CLAUSES = {"lt": _lt_clauses, "sim": _sim_clauses, "eq": _eq_clauses}
 def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
     """Unique (p, t) with p + t = m placing mp in the lt family, if any."""
     _check_kr(k, r)
+    m = integer("m", m)
     hits = [(p, m - p) for p in range(0, min(m, len(mp.row2)) + 1) if _member_lt(mp, k, r, p, m - p)]
     if len(hits) > 1:
         raise UniquenessError(f"{mp.parts} sits in the lt family at {hits} for m={m}")
@@ -501,7 +501,7 @@ def find_pt_eq(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[in
     """The (p, t) with p + t = m placing mp in the eq family, if any.  The
     largest odd part is 2t+1, so p = m - t is the one candidate."""
     _check_kr(k, r)
-    t = (mp.largest_odd - 1) // 2
+    m, t = integer("m", m), (mp.largest_odd - 1) // 2
     return (m - t, t) if _member_eq(mp, k, r, m - t, t) else None
 
 

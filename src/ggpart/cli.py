@@ -17,9 +17,9 @@ import sys
 
 from . import maps, verify
 from .classify import (
-    _refine_sim,
     classify_eq,
     classify_lt,
+    classify_sim,
     cluster_indexes,
     find_pt_eq,
     find_pt_lt,
@@ -94,7 +94,7 @@ def cmd_classify(args) -> int:
     p, t = args.p, args.t
     out["p"], out["t"] = p, t
     lt = classify_lt(mp, k, r, p, t)
-    sim = _refine_sim(mp, k, r, p, t, lt) if lt else None
+    sim = classify_sim(mp, k, r, p, t)
     eq = classify_eq(mp, k, r, p, t)
     fams = {}
     if lt:

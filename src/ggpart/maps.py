@@ -31,7 +31,7 @@ from .classify import (
     insertion_types,
     reduction_types,
 )
-from .errors import GGError, MembershipError, MissingEntryError
+from .errors import GGError, MembershipError, MissingEntryError, integers
 from .marking import MarkedPartition, gg_mark
 from .membership import is_in_C
 
@@ -345,7 +345,7 @@ def phi_global(parts, zeta) -> MarkedPartition:
     mp = parts if isinstance(parts, MarkedPartition) else gg_mark(parts)
     if mp.largest_odd or not is_in_C(mp, 3, 3):
         raise MembershipError(f"{mp.parts} is not an even k=r=3 member")
-    zeta = tuple(sorted(zeta, reverse=True))
+    zeta = tuple(sorted(integers("absorbed part", zeta), reverse=True))
     if len(set(zeta)) != len(zeta) or any(z % 2 == 0 for z in zeta):
         raise MembershipError(f"absorbed parts must be distinct odds, got {zeta}")
     floor = mp.N(2)

@@ -164,7 +164,7 @@ def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Resu
     members of weight n+2p+2t+1 <= max(members) (backward), with one more part,
     placed by `find_pt_lt`/`find_pt_eq` per level m = p + t of a `members_by_weight`
     map; items run `*_by_factors` and their clause passes.  `where` is ((p, t), n)."""
-    wmax = max(members)
+    wmax = max(members, default=0)
     groups: dict[tuple[int, int, int], tuple[list, list]] = {}  # (m, p, n): (sources, targets)
     for n, mps in members.items():
         for mp in mps:

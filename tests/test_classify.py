@@ -30,9 +30,6 @@ from ggpart.membership import all_partitions
 from helpers import (
     c_members,
     pt_grid,
-    reference_classify_eq,
-    reference_lt_clauses,
-    reference_refine_sim,
     row_at,
 )
 
@@ -176,6 +173,21 @@ def test_sim_classification_examples():
     # pi1 itself is not a tilde member at (6,5): its threshold part has type A1?
     own = classify_sim(PI1, 4, 3, 6, 5)
     assert own is None
+
+
+def test_clause_conditions_past_the_sweeps():
+    # members no sweep of the suite probes at these (p, t), each reading one
+    # clause condition that would otherwise go unchecked
+    assert classify_sim(gg_mark((8, 8, 2, 2)), 3, 3, 2, 0) is None  # l = 1, row2[0] = index + 4, C
+    assert classify_sim(gg_mark((14, 14)), 3, 3, 1, 4).j == 2  # tilde 2 reads 2t+2, weight 28
+    assert classify_sim(gg_mark((10, 8, 8, 4)), 4, 3, 1, 1).j == 3  # tilde 3 reads 2t+2, weight 30
+    label = classify_eq(gg_mark((10, 8, 8, 4, 2, 1)), 4, 3, 2, 0)  # weight 33
+    assert (label.j, label.index) == (9, 4)  # the side (8) has a part two above: eq 9, not 11
+    # "B" needs every part of an s2 run twice: the single 6 splits (6, 2) into two runs
+    assert insertion_types(gg_mark((8, 6, 4, 2, 2, 1)), 2) == ((2, 2, "B"), (1, 1, "A3"))
+    # an s0 index has no reduction type, even with two copies two above it
+    with pytest.raises(ClassificationError, match=r"^no reduction run starts at index 2 of \(6, 4, 4, 2, 1\)$"):
+        reduction_types(gg_mark((6, 4, 4, 2, 1)), 2)
 
 
 def test_sim_containments():
@@ -472,44 +484,6 @@ def _pin_lines():
 def test_classifier_results_are_pinned():
     digest = hashlib.sha256("\n".join(_pin_lines()).encode()).hexdigest()
     assert digest == PIN_DIGEST
-
-
-# -- the fast paths against the passes they replaced -------------------------
-# Each clause pass returns subset 1 at once where no other clause can hold,
-# and `classify_eq` rejects a t off the largest odd part before its
-# membership test; `tests/helpers` keeps the passes as they were before.
-
-
-def _ref_lt_sim(mp, k, r, p, t):
-    """The outcomes of the reference lt and tilde passes at a member (p, t)."""
-    try:
-        base = reference_lt_clauses(mp, k, r, p, t)
-    except GGError:
-        return [_outcome(reference_lt_clauses, mp, k, r, p, t)] * 2
-    return [repr(base), _outcome(reference_refine_sim, mp, k, r, p, t, base)]
-
-
-@pytest.mark.parametrize("k, r", PIN_KRS)
-def test_fast_paths_match_the_reference_passes(k, r):
-    # every probe of the C(k, r) members of weight 19 to 26, past the pin's 18:
-    # the public calls on one fresh object, the reference passes on another.
-    # The lt membership test gates both lt and tilde passes, and is unchanged.
-    members = c_members(k, r, 26)
-    shortcuts = 0
-    for parts in (mp.parts for n in range(19, 27) for mp in members[n]):
-        mp, ref = _fresh(parts), _fresh(parts)
-        for p, t in _probe_grid(mp):
-            got = _outcome(classify_eq, mp, k, r, p, t)
-            assert got == _outcome(reference_classify_eq, ref, k, r, p, t), (parts, p, t)
-            if not classify._member_lt(ref, k, r, p, t):
-                continue
-            got = [_outcome(family, mp, k, r, p, t) for family in (classify_lt, classify_sim)]
-            assert got == _ref_lt_sim(ref, k, r, p, t), (parts, p, t)
-            if p == 0 or mp.row2[p - 1] >= 2 * t + 8:
-                # the tilde shortcut skips the reduction typing, which must not raise there
-                reduction_types(ref, classify_lt(mp, k, r, p, t).l)
-                shortcuts += 1
-    assert shortcuts > 0
 
 
 def test_eq_probe_off_the_largest_odd_part_skips_membership(monkeypatch):

@@ -59,11 +59,13 @@ def test_classify_command(capsys):
     assert data["threshold"] == 7
 
 
-def test_classify_runs_one_membership_pass(monkeypatch, capsys):
+def test_classify_runs_one_lt_clause_pass(monkeypatch, capsys):
     # the sim family is refined from the lt label, not classified again
+    mu = fixture_marked("mu")  # the live object the CLI marks: no earlier label answers
+    mu._memo.clear()
     calls = []
-    real = classify._member_lt
-    monkeypatch.setattr(classify, "_member_lt", lambda *a: calls.append(a) or real(*a))
+    real = classify._CLAUSES["lt"]
+    monkeypatch.setitem(classify._CLAUSES, "lt", lambda *a: calls.append(a) or real(*a))
     code, out, _ = run(capsys, "classify", "--fixture", "mu", "-k", "4", "-r", "3", "-p", "6", "-t", "5")
     assert code == 0 and len(calls) == 1
     assert out == (

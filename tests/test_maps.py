@@ -334,6 +334,10 @@ def test_m_level_maps():
             if n2 >= 1:
                 with pytest.raises(MembershipError):
                     phi_m(mp, 3, 3, n2 - 1)
+    for fn in (classify.find_pt_lt, classify.find_pt_eq, phi_m, psi_m):
+        # find_pt_lt used to place (4,) at (0, 1.5), and phi_m then named the part 4.0
+        with pytest.raises(ValueError, match=r"^m must be an integer, got 1\.5$"):
+            fn(gg_mark((4,)), 3, 3, 1.5)
 
 
 def test_global_examples():
@@ -364,6 +368,7 @@ def test_psi_global_searches_once_per_odd_part(monkeypatch):
 def test_global_round_trip_sweep():
     fwd, bwd = verify.global_pairs(c_members(3, 3, 20))
     assert fwd.ok and bwd.ok, (fwd.first, bwd.first)
+    assert verify.pt_bijection(3, 3, {}) == verify.global_pairs({}) == (verify.Result(0, 0, None),) * 2
 
 
 def test_global_rejects_bad_pairs():
@@ -371,3 +376,7 @@ def test_global_rejects_bad_pairs():
         phi_global((3, 2), (5,))  # odd part in the even component
     with pytest.raises(MembershipError):
         phi_global((4, 2), (1,))  # floor is 2*N2+1 = 3
+    # non-integer absorbed parts used to raise a bare TypeError
+    for zeta, text in (((2.5,), "2.5"), (("3",), "'3'")):
+        with pytest.raises(ValueError, match=rf"^absorbed part must be an integer, got {text}$"):
+            phi_global((), zeta)

@@ -1,8 +1,8 @@
 import json
 import os
+import re
 import subprocess
 import sys
-from functools import cache
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ggpart import (
-    GGError,
     InvalidSpecialPartition,
     MarkedPartition,
     MissingEntryError,
@@ -340,229 +339,36 @@ def test_interpreter_exit_with_live_partitions_is_quiet():
     assert (out.returncode, out.stderr) == (0, "")
 
 
-# -- stored values and their references ------------------------------------
-# The two-walk greedy pass that the one-pass constructor replaced, and the
-# constructor loop and the `replace` body of a partition that stores its
-# (value, mark, overlined) triples, kept as oracles for the constructor, the
-# derived `entries` and the bit-set `replace`.
-
-
-def _assign(pairs):
-    """Run the greedy assignment over (value, overlined) pairs.
-
-    Parts are processed by ascending value, plain copies before the
-    overlined one, which starts its mark search at 2.  Returns the
-    {value: marks} map, each marks an int with bit m set for mark m, and the
-    (value, mark) of the overlined copy, or None; a second overlined copy
-    raises.
-    """
-    bits_at = {}
-    overline = None
-    for value, over in sorted(pairs):
-        taken = bits_at.get(value, 0)
-        used = taken | bits_at.get(value - 1, 0) | (3 if over else 1)  # bit 0 is no mark
-        if value % 2 == 0:
-            used |= bits_at.get(value - 2, 0)
-        free = (used + 1) & ~used  # the lowest clear bit: the smallest free mark
-        bits_at[value] = taken | free
-        if over:
-            if overline is not None:
-                raise InvalidSpecialPartition(f"more than one overlined part: {overline[0]}, {value}")
-            overline = (value, free.bit_length() - 1)
-    return bits_at, overline
-
-
-def _reference_fields(pairs):
-    """The fields the two-walk constructor stored for `pairs`: the greedy
-    pass, then a second walk over the values for the parts and rows."""
-    bits_at, overline = _assign(pairs)
-    values = sorted(bits_at, reverse=True)
-    n_rows = max(bits_at.values(), default=1).bit_length() - 1  # the highest mark
-    rows = [[] for _ in range(n_rows)]
-    parts = []
-    for v in values:
-        for m in marking._marks(bits_at[v]):
-            parts.append(v)
-            rows[m - 1].append(v)
-    largest_odd = next((v for v in values if v % 2), 0)
-    if overline is not None and overline[0] != largest_odd:
-        raise InvalidSpecialPartition(
-            f"overlined part {overline[0]} is not the largest odd part of {tuple(parts)}"
-        )
-    rows = tuple(map(tuple, rows))
-    return {
-        "parts": tuple(parts),
-        "rows": rows,
-        "row2": rows[1] if n_rows > 1 else (),
-        "overline": overline,
-        "largest_odd": largest_odd,
-        "weight": sum(parts),
-        "length": len(parts),
-        "_bits": bits_at,
-    }
-
-
-def _pairs(mp):
-    """The (value, overlined) pairs of a marked partition."""
-    pairs = [(v, False) for v in mp.parts]
-    if mp.overline is not None:
-        pairs.remove((mp.overline[0], False))
-        pairs.append((mp.overline[0], True))
-    return pairs
-
-
-def _stored_entries(mp):
-    """The triples the constructor stored, from its own greedy pass."""
-    bits_at, overline = _assign(_pairs(mp))
-    over_value, over_mark = overline or (None, 0)
-    entries = []
-    for v in sorted(bits_at, reverse=True):
-        for m in marking._marks(bits_at[v]):
-            entries.append((v, m, v == over_value and m == over_mark))
-    return tuple(entries)
-
-
-def _entries_replace(self, removals, additions):
-    """`MarkedPartition.replace` over a list of the stored triples."""
-    work = list(_stored_entries(self))
-    for value, mark, over in removals:
-        for slot in work:
-            if slot[0] == value and slot[2] == over and (mark is None or slot[1] == mark):
-                work.remove(slot)
-                break
-        else:
-            who = f"{'overlined ' if over else ''}{mark if mark is not None else 'any'}-marked {value}"
-            raise MissingEntryError(f"no {who} in {self!r}", partition=self)
-    parts = [v for v, _, _ in work]
-    overs = [v for v, _, over in work if over]
-    for value, over in additions:
-        value = int(value)
-        parts.append(value)
-        if over:
-            overs.append(value)
-    if len(overs) > 1:
-        raise InvalidSpecialPartition("more than one overlined part: {}, {}".format(*sorted(overs)))
-    parts.sort(reverse=True)
-    return marking._marked(tuple(parts), overs[0] if overs else None)
-
-
-@cache
-def _surgery_inputs():
-    """C(k, r) members to weight 16, and the special markings of every
-    partition to weight 12 that has an odd part."""
-    members = [mp for k, r in ((3, 3), (4, 3), (4, 4)) for ms in c_members(k, r, 16).values() for mp in ms]
-    specials = [
-        gg_mark_special(p, max(v for v in p if v % 2))
-        for n in range(13)
-        for p in all_partitions(n)
-        if any(v % 2 for v in p)
-    ]
-    return members, specials
-
-
-def _outcome(f):
-    try:
-        return f()
-    except GGError as exc:
-        return type(exc), str(exc)
-
-
-@st.composite
-def _surgery(draw):
-    """A partition and a batch: distinct copies of its parts, each by its
-    mark or by a None mark, then maybe a faulty removal (a copy again, the
-    other overline state, or a random one, often absent), and additions
-    that now and then carry an overline."""
-    mp = draw(st.sampled_from(_surgery_inputs()[draw(st.integers(0, 1))]))
-    copies = _stored_entries(mp)
-    picks = draw(st.lists(st.sampled_from(range(len(copies))), unique=True, max_size=3)) if copies else []
-    removals = [
-        (v, None if draw(st.booleans()) else m, over) for v, m, over in (copies[i] for i in picks)
-    ]
-    fault = draw(st.sampled_from(("none", "none", "again", "other overline", "random")))
-    if fault == "again" and removals:
-        removals.append(draw(st.sampled_from(removals)))
-    elif fault == "other overline" and removals:
-        v, m, over = draw(st.sampled_from(removals))
-        removals.append((v, m, not over))
-    elif fault == "random":
-        removals.append(
-            draw(st.tuples(st.integers(1, 40), st.one_of(st.none(), st.integers(-1, 5)), st.booleans()))
-        )
-    additions = draw(
-        st.lists(st.tuples(st.integers(1, 40), st.sampled_from((False, False, False, True))), max_size=3)
-    )
-    return mp, removals, additions
-
-
-@given(_surgery())
-@settings(max_examples=400, deadline=None)
-def test_replace_matches_the_entries_list_replace(case):
-    mp, removals, additions = case
-    want = _outcome(lambda: _entries_replace(mp, removals, additions))
-    got = _outcome(lambda: mp.replace(removals, additions))
-    if isinstance(want, MarkedPartition):
-        assert got is want  # one live object per (parts, overline)
-        parts = list(mp.parts) + [value for value, _ in additions]
-        for value, _, _ in removals:
-            parts.remove(value)
-        kept = mp.overline and not any(over for _, _, over in removals)
-        overs = [value for value, over in additions if over] + ([mp.overline[0]] if kept else [])
-        assert got is gg_mark_special(parts, overs[0] if overs else None)
-    else:
-        assert got == want
+# -- surgery errors and derived triples --------------------------------------
 
 
 def test_replace_keeps_its_errors():
-    special = fixture_marked("pi1_step2")  # overlined 33
+    special = fixture_marked("pi1_step2")  # overlined 33, on mark 2
     cases = [
-        (special, [(33, None, True), (33, None, True)], []),  # the same copy twice
-        (special, [(33, 2, False)], []),  # only the overlined copy carries mark 2
-        (special, [(35, None, False)], []),  # absent
-        (special, [], [(35, True)]),  # two overlines
-        (gg_mark((5, 3)), [], [(3, True)]),  # an overline below the largest odd part
+        (special, [(33, None, True), (33, None, True)], "overlined any-marked 33"),  # one copy twice
+        (special, [(33, 2, False)], "2-marked 33"),  # only the overlined copy carries mark 2
+        (special, [(35, None, False)], "any-marked 35"),  # absent
+        (gg_mark_special((5, 3), 5), [(3, None, True)], "overlined any-marked 3"),  # not the overlined part
+        (gg_mark((4, 2)), [(4, 0, False)], "0-marked 4"),  # marks start at 1
     ]
-    for mp, removals, additions in cases:
-        want = _outcome(lambda: _entries_replace(mp, removals, additions))
-        assert isinstance(want, tuple) and _outcome(lambda: mp.replace(removals, additions)) == want
+    for mp, removals, who in cases:
+        with pytest.raises(MissingEntryError, match=f"^no {who} in {re.escape(repr(mp))}$"):
+            mp.replace(removals, [])
+    # a plain copy on the overline's mark number goes
+    parts = list(special.parts)
+    parts.remove(36)
+    assert special.replace([(36, 2, False)], []) is gg_mark_special(parts, 33)
 
 
 def test_entries_equal_the_stored_triples():
-    for k, r in ((3, 3), (4, 3), (4, 4), (5, 3)):
-        for members in c_members(k, r, 20).values():
-            for mp in members:
-                assert mp.entries == _stored_entries(mp), mp
-    for mp in _surgery_inputs()[1]:
-        assert mp.entries == _stored_entries(mp), mp
-    for name in fixture_names():
-        mp = fixture_marked(name)
-        assert mp.entries == _stored_entries(mp), name
+    # one (value, mark, overlined) triple per marked copy, read off the rows,
+    # by decreasing value and then by mark
+    inputs = [fixture_marked(name) for name in fixture_names()]
+    inputs += [mp for ms in c_members(4, 3, 16).values() for mp in ms]
+    for mp in inputs:
+        triples = [(v, m, (v, m) == mp.overline) for m, row in enumerate(mp.rows, 1) for v in row]
+        assert mp.entries == tuple(sorted(triples, key=lambda e: (-e[0], e[1]))), mp
         assert mp.row2 is mp.row_values(2)
-
-
-def test_constructor_matches_the_two_walk_reference():
-    # field by field, over the C(k, r) members to weight 20, the special
-    # markings to weight 12, the fixtures, every partition to weight 14 and
-    # both overline errors
-    krs = ((3, 3), (4, 3), (4, 4), (5, 3))
-    inputs = [_pairs(mp) for k, r in krs for ms in c_members(k, r, 20).values() for mp in ms]
-    inputs += [_pairs(mp) for mp in _surgery_inputs()[1]]
-    inputs += [_pairs(fixture_marked(name)) for name in fixture_names()]
-    inputs += [[(v, False) for v in p] for n in range(15) for p in all_partitions(n)]
-    inputs += [list(reversed(pairs)) for pairs in inputs[::7]]  # the constructor sorts its pairs
-    bad = {
-        "more than one overlined part: 3, 5": [(5, True), (3, True)],
-        "overlined part 3 is not the largest odd part of (5, 3)": [(3, True), (5, False)],
-    }
-    for text, pairs in bad.items():
-        assert _outcome(lambda: MarkedPartition(pairs)) == (InvalidSpecialPartition, text)
-    for pairs in inputs + list(bad.values()):
-        want = _outcome(lambda: _reference_fields(pairs))
-        got = _outcome(lambda: MarkedPartition(pairs))
-        if isinstance(want, dict):
-            assert all(type(row) is tuple for row in got.rows)
-            got = {name: getattr(got, name) for name in want}
-        assert got == want, pairs
 
 
 def test_live_partition_memory():

@@ -1,6 +1,5 @@
 import copy
 import pickle
-from itertools import combinations
 
 import pytest
 
@@ -24,9 +23,6 @@ from helpers import (
     Index,
     e_cell,
     loop_mul_one_plus,
-    reference_enumerate_B,
-    reference_enumerate_F33,
-    reference_enumerate_I_exact,
 )
 
 GG33 = BressoudParams((1,), 2, 3, 3)
@@ -169,26 +165,6 @@ def test_enumerate_B_equals_definition():
             assert enumerate_B(params, n) == [p for p in every if is_bressoud_B(p, params)], (params, n)
 
 
-def _every_params():
-    """Every valid BressoudParams with eta 1..5 and k 1..5."""
-    for eta in range(1, 6):
-        for size in range(eta):
-            for alphas in combinations(range(1, eta), size):
-                if all(eta - a in alphas for a in alphas):
-                    for k in range(1, 6):
-                        for r in range(max(size, 1), k + 1):
-                            yield BressoudParams(alphas, eta, k, r)
-
-
-def test_enumerate_B_equals_reference():
-    # same list in the same order as the check-every-value enumerator
-    grid = list(_every_params())
-    assert len(grid) == 154
-    for params in grid:
-        for n in range(0, 26 if params.eta == 1 else 31):
-            assert enumerate_B(params, n) == reference_enumerate_B(params, n), (params, n)
-
-
 @pytest.mark.parametrize(
     "params, n, want",
     [
@@ -205,7 +181,7 @@ def test_enumerate_B_equals_reference():
     ],
 )
 def test_enumerate_B_edge_bounds(params, n, want):
-    assert enumerate_B(params, n) == want == reference_enumerate_B(params, n)
+    assert enumerate_B(params, n) == want
     assert all(is_bressoud_B(p, params) for p in want)
 
 
@@ -269,7 +245,6 @@ def test_cells_partition_the_even_family():
 def test_distinct_odd_enumeration():
     assert enumerate_I(0, 4) == [(), (1,), (3,), (3, 1)]
     assert enumerate_I(2, 4) == [()]
-    assert reference_enumerate_I_exact(0, 4) == [(3, 1)]
     for z in enumerate_I(1, 20):
         assert all(v % 2 == 1 and v >= 3 for v in z)
         assert len(set(z)) == len(z)
@@ -290,14 +265,7 @@ def test_distinct_odd_counts_match_product():
         for e in range(2 * floor + 1, 21, 2):
             loop_mul_one_plus(s, e)
         for n in range(21):
-            assert s[n] == len(reference_enumerate_I_exact(floor, n)), (floor, n)
-
-
-def test_pair_enumeration_equals_the_reference():
-    # one enumerate_I per floor, grouped by weight, against one filtered
-    # enumerate_I per even member: the same pairs in the same order
-    for n in range(37):
-        assert enumerate_F33(n) == reference_enumerate_F33(n), n
+            assert s[n] == sum(sum(z) == n for z in enumerate_I(floor, n)), (floor, n)
 
 
 def test_pair_counts_match_bivariate_sum():
