@@ -116,35 +116,31 @@ def members_by_weight(k: int, r: int, wmax: int) -> dict[int, list]:
     return {n: [gg_mark(p) for p in enumerate_C(k, r, n)] for n in range(wmax + 1)}
 
 
-def _round_trip(tally: _Tally, where, x, there, back):
-    """One item: there(x) == (mid, y), back(y) == (mid, x); returns y, None if a map raised."""
-    tally.checked += 1
-    try:
-        mid, y = there(x)
-        tally.expect(where, (mid, x), back(y))
-        return y
-    except GGError as exc:
-        tally.expect(where, x, exc)
-        return None
-
-
 def _bijection(fwd, bwd, where, sources, targets, phi, psi, image_stats) -> None:
-    """Round trips x -> phi -> psi, the image y having (weight, length) ==
-    image_stats(x), over the sources; the images are distinct, are exactly the
-    targets and share their statistics; y -> psi -> phi over the targets."""
-    images = []
+    """Round trips x -> phi -> psi over the sources, the image y having
+    (weight, length) == image_stats(x), and the images exactly the targets.
+    Those facts make psi the inverse of phi on the targets, so each target is
+    one backward item that passes when a clean round trip reached it, since
+    that trip computed psi(y) == (mid, x) and phi(x) == (mid, y); no backward
+    trip runs."""
+    images, reached = [], {}
     for x in sources:
-        y = _round_trip(fwd, (where, x), x, phi, psi)
-        if y is not None:
-            fwd.expect((where, x), image_stats(x), (y.weight, y.length))
-            images.append(y)
-    got = sorted(y.parts for y in images)
-    fwd.expect(where, len(got), len(set(got)))
-    fwd.expect(where, sorted(y.parts for y in targets), got)
-    want = Counter((y.weight, y.length) for y in targets)
-    fwd.expect(where, want, Counter((y.weight, y.length) for y in images))
-    for y in targets:
-        _round_trip(bwd, (where, y), y, psi, phi)
+        fwd.checked += 1
+        try:
+            mid, y = phi(x)
+            back = psi(y)
+        except GGError as exc:
+            fwd.expect((where, x), x, exc)
+            continue
+        fwd.expect((where, x), (mid, x), back)
+        fwd.expect((where, x), image_stats(x), (y.weight, y.length))
+        images.append(y.parts)
+        if back == (mid, x):
+            reached[y.parts] = y
+    fwd.expect(where, sorted(y.parts for y in targets), sorted(images))
+    for y in targets:  # got is None where no clean trip reached y
+        bwd.checked += 1
+        bwd.expect((where, y), y, reached.get(y.parts))
 
 
 def phi_by_factors(x, k: int, r: int, p: int, t: int):
@@ -163,7 +159,8 @@ def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Resu
     """phi_pt/psi_pt from the lt members of each weight n (forward) onto the eq
     members of weight n+2p+2t+1 <= max(members) (backward), with one more part,
     placed by `find_pt_lt`/`find_pt_eq` per level m = p + t of a `members_by_weight`
-    map; items run `*_by_factors` and their clause passes.  `where` is ((p, t), n)."""
+    map; a source's item runs each `*_by_factors` once, with its clause pass,
+    and a target's item reads the trip that reached it.  `where` is ((p, t), n)."""
     wmax = max(members, default=0)
     groups: dict[tuple[int, int, int], tuple[list, list]] = {}  # (m, p, n): (sources, targets)
     for n, mps in members.items():
@@ -188,8 +185,9 @@ def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Resu
 
 def global_pairs(members: dict[int, list]) -> tuple[Result, Result]:
     """phi_global/psi_global from the F33 pairs of each weight n (forward)
-    onto the C(3, 3) members of weight n (backward), keeping weight and
-    length; `members` is a `members_by_weight(3, 3, wmax)` map."""
+    onto the C(3, 3) members of weight n (backward, read off the forward
+    trips), keeping weight and length; `members` is a
+    `members_by_weight(3, 3, wmax)` map."""
     fwd, bwd = _Tally(), _Tally()
     for n, targets in members.items():
         pairs = [(gg_mark(even), zeta) for even, zeta in enumerate_F33(n)]

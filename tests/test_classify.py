@@ -249,7 +249,7 @@ def test_find_m_examples():
                 assert find_pt_eq(mp, 3, 3, m) is not None
 
 
-def test_find_m_rejects_a_non_member_with_checks_off():
+def test_find_m_rejects_a_non_member():
     # (3, 3) is not in C(3, 3), so no p places it in the eq family at t = 1
     with pytest.raises(ClassificationError):
         find_m_eq33(gg_mark((3, 3)))
@@ -424,28 +424,23 @@ def _fresh(parts):
     return MarkedPartition([(v, False) for v in parts])
 
 
-def test_starting_type_overlap_raises_with_checks_off(monkeypatch):
+def test_starting_type_overlap_raises(monkeypatch):
     monkeypatch.setattr(classify, "_has1", lambda mp, value: True)
     with pytest.raises(ClassificationError):
         starting_profile(_fresh((4, 4)))
 
 
-def test_starting_type_with_no_case_raises_with_checks_off(monkeypatch):
+def test_starting_type_with_no_case_raises(monkeypatch):
     monkeypatch.setattr(classify, "_has1", lambda mp, value: False)
     with pytest.raises(ClassificationError, match=r"matched starting types \[\]"):
         starting_profile(_fresh((4, 4)))
 
 
-def test_debug_cross_checks_raise_not_assert(monkeypatch):
-    # `python -O` strips asserts; these checks must raise a GGError instead
-    with monkeypatch.context() as m:
-        m.setattr(classify, "_has1", lambda mp, value: True)
-        with pytest.raises(GGError):
-            starting_profile(_fresh((4, 4)))
-    with monkeypatch.context() as m:
-        m.setattr(classify, "_member_eq", lambda *args: False)
-        with pytest.raises(GGError):
-            find_m_eq33(gg_mark((1,)))
+def test_find_m_with_no_eq_level_raises_not_assert(monkeypatch):
+    # `python -O` strips asserts; this check must raise a GGError instead
+    monkeypatch.setattr(classify, "_member_eq", lambda *args: False)
+    with pytest.raises(GGError):
+        find_m_eq33(gg_mark((1,)))
 
 
 # -- a pin on the classifier -----------------------------------------------

@@ -30,7 +30,7 @@ from ggpart import MarkedPartition, classify, maps
 from ggpart.fixtures import FIXTURES, fixture_marked, fixture_parts
 from ggpart.maps import insert_odd_trace, separate_odd_trace
 
-from helpers import c_members, e_members, pt_grid, reference_pt_bijection
+from helpers import c_members, e_members, pt_grid
 
 PI1 = fixture_marked("pi1")
 PI2 = fixture_marked("pi2")
@@ -220,17 +220,43 @@ def test_pt_sweep_goes_through_the_public_factors(monkeypatch):
     assert fwd.failures > fwd.checked == bwd.checked == bwd.failures > 0
 
 
-@pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken separate_odd"])
-@pytest.mark.parametrize("k, r", [(3, 3), (4, 3), (4, 4), (5, 3)])
-def test_pt_sweep_equals_the_probe_grid(monkeypatch, k, r, broken):
-    # the searches place each member in the groups the probe grid filtered,
-    # in the grid's order; exceptions compare by repr
-    if broken:
-        monkeypatch.setattr(maps, "separate_odd", lambda mp, k, r, p, t: mp)
-    members = c_members(k, r, 20)
-    got = verify.pt_bijection(k, r, members)
-    assert repr(got) == repr(reference_pt_bijection(k, r, members))
-    assert got[0].ok == got[1].ok == (not broken)
+@pytest.mark.parametrize("k, r", [(3, 3), (4, 3)])
+def test_pt_maps_answer_a_second_call_as_the_first(monkeypatch, k, r):
+    # a clean sweep runs psi once per source and on no target alone, so here
+    # psi then phi run from every target, twice on the live partition (the
+    # second call meets the labels the first left) and once on a fresh copy
+    real, calls = verify.psi_by_factors, Counter()
+
+    def counted(y, k, r, p, t):
+        calls[y, p, t] += 1
+        return real(y, k, r, p, t)
+
+    monkeypatch.setattr(verify, "psi_by_factors", counted)
+    fwd, bwd = verify.pt_bijection(k, r, c_members(k, r, 20))
+    assert fwd.ok and bwd.ok and len(calls) == fwd.checked == bwd.checked
+    assert set(calls.values()) == {1}  # so the calls' targets are every target
+    for y, p, t in calls:
+        runs = []
+        for z in (y, y, MarkedPartition([(v, False) for v in y.parts])):
+            mid, x = real(z, k, r, p, t)
+            runs.append((mid, x, verify.phi_by_factors(x, k, r, p, t)))
+        assert runs[0] == runs[1] == runs[2] and runs[0][2] == (runs[0][0], y)
+
+
+def test_pt_sweep_names_the_one_target_psi_gets_wrong(monkeypatch):
+    # psi wrong on one target fails its source's round trip and its backward item only
+    y = gg_mark((6, 4, 1))  # eq-placed at (p, t) = (1, 0) only
+    real = verify.psi_by_factors
+
+    def wrong_on_y(mp, **kw):
+        mid, x = real(mp, **kw)
+        return mid, (mp if mp == y else x)
+
+    monkeypatch.setattr(verify, "psi_by_factors", wrong_on_y)
+    fwd, bwd = verify.pt_bijection(3, 3, c_members(3, 3, 12))
+    assert fwd.failures == bwd.failures == 1 and bwd.checked == fwd.checked == 57
+    assert fwd.first[0] == (((1, 0), 8), psi_pt(y, 3, 3, 1, 0))
+    assert bwd.first == ((((1, 0), 8), y), y, None)
 
 
 def test_pt_sweep_counts_a_clause_error_as_a_failed_item(monkeypatch):
