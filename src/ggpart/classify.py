@@ -16,18 +16,16 @@ membership test.  The chains r2(i) = r2(q) + 4(q - i) (+ 2 for the side
 chain) have one reader, `_chain`, shared by the eq membership test, the eq
 clauses and the separation maps.
 The only caches are per partition: the starting profile, which several
-procedures share and the starting clusters are read off, and one label slot
-per family ("lt", "sim", "eq") holding the last label derived and its
-(k, r, p, t).  The slot skips only the clause pass, never the membership
-test: every call tests membership, and a member asked again at the slot's
-key gets the stored label.  So a map's output check and the next map's
-input label, or `classify_lt` and then `classify_sim`, derive the label
-once.  Each is a pure function of the partition, and partitions are shared:
-`ggpart.marking` hands out one live object per marked partition, so a
-round trip's inverse half lands on the objects its forward half built and
-reads the labels derived for them there.  A label is a `SubsetLabel`, a
-named tuple: immutable and hashable, and built by every clause pass through
-`tuple.__new__`, which skips the named tuple's Python-level constructor.
+procedures share, and one label slot per family ("lt", "sim", "eq") holding
+the last label derived and its (k, r, p, t), read and written only here.
+`classify_*` test membership before the slot (most probes reject, and the
+bracket costs less than a slot read).  A map's input check reads the slot
+first (`_slot`), which is safe: a slot is written only after membership
+passed, on an immutable partition shared as one live object, so along a
+chain each map's input check is answered by the previous output check.  A
+clause pass reads its levels with `errors.integer`; the probe path reads
+none, so a non-member probe at a non-integer level answers None.  A label is
+a `SubsetLabel` named tuple, built by `tuple.__new__` to skip its constructor.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
 "s3"; each 2-marked part up to the threshold matches exactly one of the
@@ -160,13 +158,28 @@ def _member_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
     return True
 
 
+def _levels(k, r, p, t) -> tuple[int, int, int, int]:
+    """(k, r, p, t) read with `integer`, each named in its error; ints pass as they are."""
+    if k.__class__ is r.__class__ is p.__class__ is t.__class__ is int:
+        return k, r, p, t
+    return integer("k", k), integer("r", r), integer("p", p), integer("t", t)
+
+
+def _slot(mp: MarkedPartition, family: str, key: tuple, classify):
+    """The label in `family`'s slot on `mp` if that holds the levels `key`, else `classify`'s."""
+    slot = mp._memo.get(family)
+    return slot[1] if slot is not None and slot[0] == key else classify(mp, *key)
+
+
 def _derived(mp: MarkedPartition, family: str, k: int, r: int, p: int, t: int):
     """The label of a member in `family` at (p, t): the family's slot on `mp`
     if it holds this (k, r, p, t), else a fresh clause pass, which replaces it."""
     key = (k, r, p, t)
-    slot = mp._memo.get(family)
+    slot = mp._memo.get(family)  # read here, not by `_slot`: the call costs the probes
     if slot is not None and slot[0] == key:
         return slot[1]
+    if not (k.__class__ is r.__class__ is p.__class__ is t.__class__ is int):
+        key = k, r, p, t = _levels(k, r, p, t)
     label = _CLAUSES[family](mp, k, r, p, t)
     mp._memo[family] = (key, label)
     return label
@@ -435,23 +448,16 @@ def insertion_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], 
 
 
 def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
-    """Subset number within the tilde family, or None if not a member.
-
-    The first five subsets key on the reduction type of the part at index p;
-    the rest refine the lt subsets by the reduction type at the threshold.
-    """
+    """Subset number within the tilde family, or None if not a member."""
     _check_kr(k, r)
     return _derived(mp, "sim", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
 
 
 def _sim_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
-    return _refine_sim(mp, k, r, p, t, _derived(mp, "lt", k, r, p, t))
-
-
-def _refine_sim(
-    mp: MarkedPartition, k: int, r: int, p: int, t: int, base: SubsetLabel
-) -> Optional[SubsetLabel]:
-    """The tilde subset of a member whose lt label at (p, t) is `base`."""
+    """The tilde subset of an lt member at (p, t): the first five subsets key on
+    the reduction type of the part at index p, the rest refine the lt label by
+    the reduction type at the threshold."""
+    base = _derived(mp, "lt", k, r, p, t)
     row = mp.row2
     v = row[p - 1] if p else None
     l = base.l

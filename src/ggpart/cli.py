@@ -115,8 +115,8 @@ _OPS = {
     "reduce": lambda mp, a: maps.reduce(mp, a.k, a.r, a.p, a.t),
     "insert": lambda mp, a: maps.insert_odd_trace(mp, a.k, a.r, a.p, a.t),
     "separate": lambda mp, a: maps.separate_odd_trace(mp, a.k, a.r, a.p, a.t),
-    "phi-pt": lambda mp, a: (maps.phi_pt(mp, a.k, a.r, a.p, a.t), ()),
-    "psi-pt": lambda mp, a: (maps.psi_pt(mp, a.k, a.r, a.p, a.t), ()),
+    "phi-pt": lambda mp, a: maps.phi_pt_trace(mp, a.k, a.r, a.p, a.t),
+    "psi-pt": lambda mp, a: maps.psi_pt_trace(mp, a.k, a.r, a.p, a.t),
     "phi-m": lambda mp, a: (maps.phi_m(mp, a.k, a.r, a.m), ()),
     "psi-m": lambda mp, a: (maps.psi_m(mp, a.k, a.r, a.m), ()),
 }  # (output, the tuple of intermediate partitions whose grids --trace prints)
@@ -302,15 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 _IN = "--parts --fixture --overline"  # the input partition, which a --fixture gives whole
 _IN_NEED = "--parts or --fixture"
-_PT = f"--op {_IN} --format -k -r -p -t"  # the map ops at one (p, t)
+_PT = f"--op {_IN} --format -k -r -p -t --trace"  # the map ops at one (p, t)
 _FAMILY = "--alphas --eta -k -r"  # a BressoudParams
 _READS = {  # (command, target): (the options the target reads, the ones it needs)
     ("mark", "mark"): (f"{_IN} --format", (_IN_NEED,)),
     ("classify", "classify"): (f"{_IN} -k -r -p -t", (_IN_NEED, "-p", "-t")),
     ("classify", "classify -m"): (f"{_IN} -k -r -m", (_IN_NEED,)),
-    **{("map", f"--op {op}"): (f"{_PT} --trace", (_IN_NEED, "-p", "-t"))
-       for op in ("dilate", "reduce", "insert", "separate")},
-    **{("map", f"--op {op}"): (_PT, (_IN_NEED, "-p", "-t")) for op in ("phi-pt", "psi-pt")},
+    **{("map", f"--op {op}"): (_PT, (_IN_NEED, "-p", "-t"))
+       for op in ("dilate", "reduce", "insert", "separate", "phi-pt", "psi-pt")},
     **{("map", f"--op {op}"): (f"--op {_IN} --format -k -r -m", (_IN_NEED, "-m")) for op in ("phi-m", "psi-m")},
     ("map", "--op phi"): ("--op --parts --fixture --format -k -r --zeta", (_IN_NEED, "-k 3", "-r 3")),
     ("map", "--op psi"): ("--op --parts --fixture --format -k -r", (_IN_NEED, "-k 3", "-r 3")),

@@ -13,14 +13,21 @@ insertion or separation kind is one or two batches of row-2 move spans
 
 Every step addresses parts by (value, mark) in the current canonical marking
 and re-marks after each batch of replacements; a missing target aborts with
-the trace attached.  Weight/length deltas are checked after every map, so a
-construction bug cannot produce a plausible-looking wrong output.
+the trace attached.  Each of the four factors reads its levels as ints and
+its input's label, checks its weight/length ledger, then classifies its
+output and checks that the subset kind and index were kept.  The input label
+is the family's slot when that holds this (k, r, p, t): a slot is written
+only after membership passed, so along a chain each input check is answered
+by the previous output check.  `phi_pt_trace`/`psi_pt_trace` compose the
+public factors, return (result, (midpoint,)) and check the whole ledger.
 """
 
 from __future__ import annotations
 
 from .classify import (
     _chain,
+    _levels,
+    _slot,
     classify_eq,
     classify_lt,
     classify_sim,
@@ -45,17 +52,19 @@ def _ledger(name: str, before: MarkedPartition, after: MarkedPartition, dw: int,
         )
 
 
-def _label(classify, family: str, mp: MarkedPartition, k: int, r: int, p: int, t: int):
-    """The label of `mp` in the given family at (p, t); a non-member raises."""
-    label = classify(mp, k, r, p, t)
+def _label(classify, family: str, mp: MarkedPartition, k, r, p, t):
+    """The levels read as ints and the label of `mp` in `family` at (p, t), from
+    its slot if that holds them; a non-member raises, also on a "sim" slot of None."""
+    key = _levels(k, r, p, t)
+    label = _slot(mp, family, key, classify)
     if label is None:
-        raise MembershipError(f"{mp.parts} is not in the {family} family at (p,t)=({p},{t})")
-    return label
+        name = "tilde" if family == "sim" else family
+        raise MembershipError(f"{mp.parts} is not in the {name} family at (p,t)=({key[2]},{key[3]})")
+    return key, label
 
 
-def _transported(name: str, verb: str, classify, mp, out, label, k: int, r: int):
-    """Classify the output `out` of map `name` on `mp` itself, check that it
-    kept the subset and the index of `label`, and return its label."""
+def _transported(name: str, verb: str, classify, mp, out, label, k: int, r: int) -> None:
+    """Check that `out`, the output of map `name` on `mp`, kept `label`'s subset and index."""
     p, t, j = label.p, label.t, label.j
     label_out = classify(out, k, r, p, t)
     if label_out is None or label_out.j != j:
@@ -63,7 +72,6 @@ def _transported(name: str, verb: str, classify, mp, out, label, k: int, r: int)
         raise GGError(f"{name} moved {mp.parts} from subset {j} to {got} at ({p},{t})")
     if label_out.index != label.index:
         raise GGError(f"index transport broke {verb} {mp.parts} at ({p},{t})")
-    return label_out
 
 
 # -- dilation / reduction ----------------------------------------------
@@ -94,10 +102,10 @@ def _basic_dilation(cur: MarkedPartition, value: int, label: str):
 
 def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Map an lt-family member to its tilde-family image (weight +2l)."""
-    l = _label(classify_lt, "lt", mp, k, r, p, t).l
+    (k, r, _, _), label = _label(classify_lt, "lt", mp, k, r, p, t)
     row = mp.row2
     cur, steps = mp, []
-    for lo, hi, lab in insertion_types(mp, l):  # no runs when l == 0: the identity
+    for lo, hi, lab in insertion_types(mp, label.l):  # no runs when l == 0: the identity
         cur, tb, rb, over = _basic_dilation(cur, row[hi - 1], lab)
         steps.append(cur)
         for _ in range(lo, hi):  # carry the odd part up the run
@@ -115,7 +123,8 @@ def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
             tb, rb = tb + 2, rb1
             steps.append(cur)
         cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb + 2, False)])
-    _ledger("dilate", mp, cur, 2 * l, 0)
+    _ledger("dilate", mp, cur, 2 * label.l, 0)
+    _transported("dilate", "dilating", classify_sim, mp, cur, label, k, r)
     return cur, tuple(steps)
 
 
@@ -141,20 +150,16 @@ def _basic_reduction(cur: MarkedPartition, value: int, label: str):
 
 def reduce(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Map a tilde-family member back to the lt family (weight -2l)."""
-    return _reduce(mp, _label(classify_sim, "tilde", mp, k, r, p, t))
-
-
-def _reduce(mp: MarkedPartition, label):
-    """`reduce` of a member whose tilde label is `label`."""
-    l = label.l
+    (k, r, _, _), label = _label(classify_sim, "sim", mp, k, r, p, t)
     row = mp.row2
     cur, steps = mp, []
-    for lo, hi, lab in reduction_types(mp, l):  # no runs when l == 0: the identity
+    for lo, hi, lab in reduction_types(mp, label.l):  # no runs when l == 0: the identity
         for i in range(lo, hi + 1):
             cur, tb, rb, over = _basic_reduction(cur, row[i - 1], lab)
             steps.append(cur)
             cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb, False)])
-    _ledger("reduce", mp, cur, -2 * l, 0)
+    _ledger("reduce", mp, cur, -2 * label.l, 0)
+    _transported("reduce", "reducing", classify_lt, mp, cur, label, k, r)
     return cur, tuple(steps)
 
 
@@ -162,12 +167,9 @@ def _reduce(mp: MarkedPartition, label):
 
 
 def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
-    """Insert the odd part 2t+1 into a tilde-family member.
-
-    Returns (result, intermediates); the two re-marking kinds expose their
-    midpoint partition as the single intermediate.
-    """
-    label = _label(classify_sim, "tilde", mp, k, r, p, t)
+    """Insert the odd part 2t+1 into a tilde-family member: (result, (midpoint,))
+    for the two re-marking kinds 7 and 12, else (result, ())."""
+    (k, r, p, t), label = _label(classify_sim, "sim", mp, k, r, p, t)
     j, l = label.j, label.l
     odd = 2 * t + 1
     row = mp.row2
@@ -245,13 +247,8 @@ def insert_odd(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedPar
 
 def separate_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     """Remove the odd part 2t+1 from an eq-family member (inverse insertion)."""
-    return _separate_odd(mp, k, r, _label(classify_eq, "eq", mp, k, r, p, t))[:2]
-
-
-def _separate_odd(mp: MarkedPartition, k: int, r: int, label):
-    """`separate_odd_trace` of a member whose eq label is `label`; returns
-    (out, intermediates, the tilde label of out)."""
-    j, p, t, l = label.j, label.p, label.t, label.l
+    (k, r, p, t), label = _label(classify_eq, "eq", mp, k, r, p, t)
+    j, l = label.j, label.l
     odd = 2 * t + 1
     row = mp.row2
     mid: tuple[MarkedPartition, ...] = ()
@@ -285,7 +282,8 @@ def _separate_odd(mp: MarkedPartition, k: int, r: int, label):
         removals, additions = _moves(row, *spans)
         out = mp.replace([(odd, None, False)] + removals, additions)
     _ledger("separate_odd", mp, out, -(2 * (p - l) + 2 * t + 1), -1)
-    return out, mid, _transported("separate_odd", "separating", classify_sim, mp, out, label, k, r)
+    _transported("separate_odd", "separating", classify_sim, mp, out, label, k, r)
+    return out, mid
 
 
 def _small_mark_not_2(mp: MarkedPartition, value: int) -> int:
@@ -309,20 +307,28 @@ def separate_odd(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedP
 # -- composites ---------------------------------------------------------
 
 
-def phi_pt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedPartition:
-    """Insertion composed with dilation: lt family -> eq family."""
-    mu, _ = dilate(mp, k, r, p, t)
-    out = insert_odd(mu, k, r, p, t)
+def phi_pt_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
+    """Insertion after dilation, lt family -> eq family: (result, (midpoint,))."""
+    k, r, p, t = _levels(k, r, p, t)
+    out = insert_odd(mu := dilate(mp, k, r, p, t)[0], k, r, p, t)
     _ledger("phi_pt", mp, out, 2 * p + 2 * t + 1, 1)
-    return out
+    return out, (mu,)
+
+
+def psi_pt_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
+    """Reduction after separation, eq family -> lt family: (result, (midpoint,))."""
+    k, r, p, t = _levels(k, r, p, t)
+    out = reduce(mu := separate_odd(mp, k, r, p, t), k, r, p, t)[0]
+    _ledger("psi_pt", mp, out, -(2 * p + 2 * t + 1), -1)
+    return out, (mu,)
+
+
+def phi_pt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedPartition:
+    return phi_pt_trace(mp, k, r, p, t)[0]
 
 
 def psi_pt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedPartition:
-    """Reduction composed with separation: eq family -> lt family."""
-    mu, _, sim = _separate_odd(mp, k, r, _label(classify_eq, "eq", mp, k, r, p, t))
-    out, _ = _reduce(mu, sim)
-    _ledger("psi_pt", mp, out, -(2 * p + 2 * t + 1), -1)
-    return out
+    return psi_pt_trace(mp, k, r, p, t)[0]
 
 
 def phi_m(mp: MarkedPartition, k: int, r: int, m: int) -> MarkedPartition:

@@ -16,7 +16,7 @@ from math import isqrt
 from typing import Any, NamedTuple, Optional
 
 from . import maps, series
-from .classify import classify_lt, classify_sim, find_pt_eq, find_pt_lt
+from .classify import find_pt_eq, find_pt_lt
 from .errors import GGError, require_nonnegative
 from .marking import gg_mark
 from .membership import enumerate_B, enumerate_C, enumerate_E, enumerate_F33, row_counts
@@ -117,25 +117,24 @@ def members_by_weight(k: int, r: int, wmax: int) -> dict[int, list]:
 
 
 def _bijection(fwd, bwd, where, sources, targets, phi, psi, image_stats) -> None:
-    """Round trips x -> phi -> psi over the sources, the image y having
-    (weight, length) == image_stats(x), and the images exactly the targets.
-    Those facts make psi the inverse of phi on the targets, so each target is
-    one backward item that passes when a clean round trip reached it, since
-    that trip computed psi(y) == (mid, x) and phi(x) == (mid, y); no backward
-    trip runs."""
+    """Round trips x -> phi -> psi over the sources, each map answering (result,
+    midpoints): psi(phi(x)) is (x, the midpoints of phi(x)), the image y has
+    (weight, length) == image_stats(x), and the images are the targets.  So psi
+    inverts phi on the targets, and a target's backward item passes when a
+    clean trip reached it; no backward trip runs."""
     images, reached = [], {}
     for x in sources:
         fwd.checked += 1
         try:
-            mid, y = phi(x)
+            y, mid = phi(x)
             back = psi(y)
         except GGError as exc:
             fwd.expect((where, x), x, exc)
             continue
-        fwd.expect((where, x), (mid, x), back)
+        fwd.expect((where, x), (x, mid), back)
         fwd.expect((where, x), image_stats(x), (y.weight, y.length))
         images.append(y.parts)
-        if back == (mid, x):
+        if back == (x, mid):
             reached[y.parts] = y
     fwd.expect(where, sorted(y.parts for y in targets), sorted(images))
     for y in targets:  # got is None where no clean trip reached y
@@ -143,24 +142,13 @@ def _bijection(fwd, bwd, where, sources, targets, phi, psi, image_stats) -> None
         bwd.expect((where, y), y, reached.get(y.parts))
 
 
-def phi_by_factors(x, k: int, r: int, p: int, t: int):
-    """insert_odd(dilate(x)) as ((lt kind of x, midpoint), image)."""
-    mu = maps.dilate(x, k, r, p, t)[0]
-    return (classify_lt(x, k, r, p, t).j, mu), maps.insert_odd(mu, k, r, p, t)
-
-
-def psi_by_factors(y, k: int, r: int, p: int, t: int):
-    """reduce(separate_odd(y)) as ((tilde kind of midpoint, midpoint), image)."""
-    x = maps.reduce(mid := maps.separate_odd(y, k, r, p, t), k, r, p, t)[0]
-    return (classify_sim(mid, k, r, p, t).j, mid), x
-
-
 def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Result]:
     """phi_pt/psi_pt from the lt members of each weight n (forward) onto the eq
     members of weight n+2p+2t+1 <= max(members) (backward), with one more part,
     placed by `find_pt_lt`/`find_pt_eq` per level m = p + t of a `members_by_weight`
-    map; a source's item runs each `*_by_factors` once, with its clause pass,
-    and a target's item reads the trip that reached it.  `where` is ((p, t), n)."""
+    map.  A source's item runs `phi_pt_trace`, then `psi_pt_trace`, with its
+    clause pass, and a target's item reads the trip that reached it; the maps
+    check the subset kinds.  `where` is ((p, t), n)."""
     wmax = max(members, default=0)
     groups: dict[tuple[int, int, int], tuple[list, list]] = {}  # (m, p, n): (sources, targets)
     for n, mps in members.items():
@@ -175,7 +163,7 @@ def pt_bijection(k: int, r: int, members: dict[int, list]) -> tuple[Result, Resu
                         groups.setdefault((m, pt[0], n - 2 * m - 1), ([], []))[1].append(mp)
     fwd, bwd = _Tally(), _Tally()
     for (m, p, n), (sources, targets) in sorted(groups.items()):
-        phi, psi = (partial(f, k=k, r=r, p=p, t=m - p) for f in (phi_by_factors, psi_by_factors))
+        phi, psi = (partial(f, k=k, r=r, p=p, t=m - p) for f in (maps.phi_pt_trace, maps.psi_pt_trace))
         _bijection(
             fwd, bwd, ((p, m - p), n), sources, targets, phi, psi,
             lambda mp: (mp.weight + 2 * m + 1, mp.length + 1),
@@ -193,7 +181,7 @@ def global_pairs(members: dict[int, list]) -> tuple[Result, Result]:
         pairs = [(gg_mark(even), zeta) for even, zeta in enumerate_F33(n)]
         _bijection(
             fwd, bwd, n, pairs, targets,
-            lambda pair: (None, maps.phi_global(*pair)), lambda y: (None, maps.psi_global(y)),
+            lambda pair: (maps.phi_global(*pair), None), lambda y: (maps.psi_global(y), None),
             lambda pair: (n, pair[0].length + len(pair[1])),
         )
     return fwd.result(), bwd.result()

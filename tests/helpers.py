@@ -1,8 +1,8 @@
 """Shared enumeration caches for the sweep-style tests, the bytes per live
 marked partition (read by a tier-1 test and by CI's job summary), the
-microseconds per fresh one and per classifier probe (read by CI's job
-summary), the plain-loop forms of the series kernels, and `Index`, an
-integer-like value that is not an int."""
+microseconds per fresh one, per classifier probe and per lt round trip
+(read by CI's job summary), the plain-loop forms of the series kernels, and
+`Index`, an integer-like value that is not an int."""
 
 import gc
 import math
@@ -16,9 +16,14 @@ from ggpart import (
     classify_eq,
     classify_lt,
     classify_sim,
+    dilate,
     enumerate_E,
+    find_pt_lt,
     gg_mark,
+    insert_odd,
+    reduce,
     row_counts,
+    separate_odd,
     verify,
 )
 
@@ -99,6 +104,31 @@ def us_per_probe(k: int = 3, r: int = 3, wmax: int = 24, repeats: int = 5) -> fl
                 calls += 2
         sweeps.append((time.perf_counter() - start) / calls)
     return statistics.median(sweeps) * 1e6
+
+
+def us_per_round_trip(k: int = 3, r: int = 3, wmax: int = 24, repeats: int = 5) -> float:
+    """Microseconds per lt round trip `dilate` -> `insert_odd` ->
+    `separate_odd` -> `reduce` over C(k, r) to weight wmax: the median of
+    `repeats` timed sweeps.  Each sweep starts from a fresh
+    `MarkedPartition(pairs)` of every member (built before the clock, so no
+    label from an earlier sweep answers the first input check) at each
+    (p, t) that `find_pt_lt` places it at with an image of weight <= wmax."""
+    placed = [
+        ([(v, False) for v in mp.parts], *pt)
+        for n, mps in c_members(k, r, wmax).items()
+        for mp in mps
+        for m in range((wmax - n + 1) // 2)  # n + 2m + 1 <= wmax
+        if (pt := find_pt_lt(mp, k, r, m))
+    ]
+    sweeps = []
+    for _ in range(repeats):
+        fresh = [(MarkedPartition(x), p, t) for x, p, t in placed]
+        start = time.perf_counter()
+        for x, p, t in fresh:
+            mu = dilate(x, k, r, p, t)[0]
+            reduce(separate_odd(insert_odd(mu, k, r, p, t), k, r, p, t), k, r, p, t)
+        sweeps.append(time.perf_counter() - start)
+    return statistics.median(sweeps) / len(placed) * 1e6
 
 
 class Index:

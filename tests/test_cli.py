@@ -148,14 +148,14 @@ def test_classify_eq_member(capsys):
         ),
         (("mark", "--fixture", "m6", "--parts", "9,9", "--overline", "9"), "--fixture m6 does not read --parts"),
         (("mark", "--fixture", "m6", "--overline", "9"), "--fixture m6 does not read --overline"),
-        # only dilate, reduce, insert and separate have intermediate grids to --trace
+        # the six (p, t) ops read --trace and still need both levels; the rest have no grids to trace
         (
-            ("map", "--op", "phi-pt", "--parts", "5,4,2", "-k", "3", "-r", "3", "-p", "0", "-t", "2", "--trace"),
-            "--op phi-pt does not read --trace",
+            ("map", "--op", "phi-pt", "--parts", "5,4,2", "-k", "3", "-r", "3", "-p", "0", "--trace"),
+            "--op phi-pt needs -t",
         ),
         (
-            ("map", "--op", "psi-pt", "--parts", "5,4,2", "-k", "3", "-r", "3", "-p", "0", "-t", "2", "--trace"),
-            "--op psi-pt does not read --trace",
+            ("map", "--op", "psi-pt", "--parts", "5,4,2", "-k", "3", "-r", "3", "-t", "2", "--trace"),
+            "--op psi-pt needs -p",
         ),
         (
             ("map", "--op", "phi-m", "--fixture", "pi1", "-k", "4", "-r", "3", "-m", "11", "--trace"),
@@ -226,6 +226,14 @@ def test_map_with_trace(capsys):
         code, _, err = run(capsys, *argv, "--trace")
         assert code == 0, (op, fixture)
         assert err == "".join(render_grid(fixture_marked(g)) + "\n--\n" for g in grids), (op, fixture)
+
+
+def test_map_pt_composite_traces_its_midpoint(capsys):
+    # psi_pt's midpoint is the separation's output, the mu fixture; stdout is the same without --trace
+    argv = ("map", "--op", "psi-pt", "--fixture", "pi2", "-k", "4", "-r", "3", "-p", "6", "-t", "5")
+    code, out, err = run(capsys, *argv, "--trace")
+    assert code == 0 and err == render_grid(fixture_marked("mu")) + "\n--\n"
+    assert run(capsys, *argv) == (0, out, "")
 
 
 def test_map_keeps_the_overline(capsys):
@@ -379,7 +387,8 @@ def test_roundtrip_command(capsys):
 
 
 def test_roundtrip_failure_names_the_first_mismatch(monkeypatch, capsys):
-    # a separation that returns its input breaks every (p, t) round trip
+    # a separation that returns its input breaks every (p, t) round trip, and
+    # through psi_pt each global one that strips an odd part
     monkeypatch.setattr(maps, "separate_odd", lambda mp, k, r, p, t: mp)
     code, out, _ = run(capsys, "roundtrip", "-k", "3", "-r", "3", "--max-weight", "6")
     assert code == 1
@@ -387,7 +396,7 @@ def test_roundtrip_failure_names_the_first_mismatch(monkeypatch, capsys):
         "phi(psi) round-trips checked=9\n"
         "psi(phi) round-trips checked=9\n"
         "mismatches=27\n"
-        "global round-trips checked=15 failures=0\n"
+        "global round-trips checked=15 failures=23\n"
         "first mismatch at (((0, 0), 0), MarkedPartition()) expected MarkedPartition() "
         "got MembershipError('(1,) is not in the tilde family at (p,t)=(0,0)')\n"
     )

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ggpart import (
     BressoudParams,
     ClassificationError,
+    GGError,
     MembershipError,
     classify_eq,
     classify_lt,
@@ -30,7 +32,7 @@ from ggpart import MarkedPartition, classify, maps
 from ggpart.fixtures import FIXTURES, fixture_marked, fixture_parts
 from ggpart.maps import insert_odd_trace, separate_odd_trace
 
-from helpers import c_members, e_members, pt_grid
+from helpers import Index, c_members, e_members, pt_grid
 
 PI1 = fixture_marked("pi1")
 PI2 = fixture_marked("pi2")
@@ -74,6 +76,12 @@ def test_dilation_identity_when_threshold_zero():
 def test_dilation_requires_membership():
     with pytest.raises(MembershipError):
         dilate(PI1, 4, 3, 6, 6)
+    # an lt member in no tilde subset: its "sim" slot holds None, and the maps still refuse it
+    mp = gg_mark((4, 4))
+    assert classify_lt(mp, 3, 3, 1, 0) is not None and classify_sim(mp, 3, 3, 1, 0) is None
+    for fn in (reduce, insert_odd):
+        with pytest.raises(MembershipError, match=r"^\(4, 4\) is not in the tilde family at \(p,t\)=\(1,0\)$"):
+            fn(mp, 3, 3, 1, 0)
 
 
 @pytest.mark.parametrize("j", range(6, 13))
@@ -122,13 +130,14 @@ def test_phi_on_empty():
 @pytest.mark.parametrize(
     "fn, src, want",
     [
-        (dilate, "pi1", (1, 0)), (insert_odd, "mu", (1, 1)), (separate_odd, "pi2", (1, 1)), (reduce, "mu", (1, 0)),
-        (psi_pt, "pi2", (1, 1)), (phi_pt, "pi1", (2, 1)),
+        (dilate, "pi1", (2, 0)), (insert_odd, "mu", (1, 1)), (separate_odd, "pi2", (1, 1)), (reduce, "mu", (2, 0)),
+        (psi_pt, "pi2", (2, 1)), (phi_pt, "pi1", (2, 1)),
     ],
 )
 def test_each_map_classifies_once(monkeypatch, fn, src, want):
-    # one membership pass for the input, plus one for the output a map checks;
-    # psi_pt's reduction reads the label of separation's output check
+    # one membership pass per partition along a chain: a factor tests its
+    # fresh input and the output it checks, and in phi_pt/psi_pt the second
+    # factor's input check reads the slot of the first factor's output check
     calls = {"_member_lt": 0, "_member_eq": 0}
     for name in calls:
         real = getattr(classify, name)
@@ -138,14 +147,13 @@ def test_each_map_classifies_once(monkeypatch, fn, src, want):
             return _real(*args)
 
         monkeypatch.setattr(classify, name, counted)
-    fn(fixture_marked(src), 4, 3, 6, 5)
+    fn(_unshared(src), 4, 3, 6, 5)
     assert (calls["_member_lt"], calls["_member_eq"]) == want
 
 
 def _count_clause_passes(monkeypatch):
-    """Patch the lt and eq clause passes and `_refine_sim`; returns
-    {name: [partition, ...]}."""
-    calls = {"lt": [], "eq": [], "_refine_sim": []}
+    """Patch the three clause passes; returns {family: [partition, ...]}."""
+    calls = {"lt": [], "eq": [], "sim": []}
 
     def counted(name, real):
         def pass_(mp, *args):
@@ -154,23 +162,28 @@ def _count_clause_passes(monkeypatch):
 
         return pass_
 
-    for family in ("lt", "eq"):
+    for family in calls:
         monkeypatch.setitem(classify._CLAUSES, family, counted(family, classify._CLAUSES[family]))
-    monkeypatch.setattr(classify, "_refine_sim", counted("_refine_sim", classify._refine_sim))
     return calls
 
 
-def _unshared(name):
+def _fresh(mp):
     # built here, not through the cached gg_mark, so no earlier label slot is set
-    return MarkedPartition([(v, False) for v in fixture_parts(name)])
+    return MarkedPartition([(v, over) for v, _, over in mp.entries])
+
+
+def _unshared(name):
+    return _fresh(fixture_marked(name))
 
 
 def test_dilate_reuses_the_probe_label(monkeypatch):
+    # one clause pass per partition: dilate's input check reads the probe's label
     pi1 = _unshared("pi1")
+    MU._memo.clear()  # the live output: no label left by an earlier test answers
     calls = _count_clause_passes(monkeypatch)
     assert classify_lt(pi1, 4, 3, 6, 5).j == 6
     assert dilate(pi1, 4, 3, 6, 5)[0] == MU
-    assert calls == {"lt": [pi1], "eq": [], "_refine_sim": []}
+    assert calls == {"lt": [pi1, MU], "eq": [], "sim": [MU]}
 
 
 def test_sim_after_lt_is_one_refinement(monkeypatch):
@@ -179,18 +192,54 @@ def test_sim_after_lt_is_one_refinement(monkeypatch):
     for _ in range(2):
         assert classify_lt(mu, 4, 3, 6, 5).j == 6
         assert classify_sim(mu, 4, 3, 6, 5).j == 6
-    assert calls == {"lt": [mu], "eq": [], "_refine_sim": [mu]}
+    assert calls == {"lt": [mu], "eq": [], "sim": [mu]}
 
 
 def test_reduce_reuses_the_separation_check(monkeypatch):
+    # one clause pass per partition: reduce's input check reads the tilde
+    # label of separation's output check on mu, and its own output check is pi1's
     pi2 = _unshared("pi2")
+    for out in (MU, PI1):  # the live outputs: no label left by an earlier test answers
+        out._memo.clear()
     calls = _count_clause_passes(monkeypatch)
     mu = separate_odd(pi2, 4, 3, 6, 5)
-    assert calls["eq"] == [pi2]
-    after_separation = {name: list(passes) for name, passes in calls.items()}
-    # reduce reads the tilde label of separation's output check on mu
+    assert calls == {"lt": [MU], "eq": [pi2], "sim": [MU]}
     assert reduce(mu, 4, 3, 6, 5)[0] == PI1
-    assert calls == after_separation
+    assert calls == {"lt": [MU, PI1], "eq": [pi2], "sim": [MU]}
+
+
+@pytest.mark.parametrize("fn, src, output_check", [(dilate, "pi1", "classify_sim"), (reduce, "mu", "classify_lt")])
+def test_dilate_and_reduce_check_the_kind_and_index_they_keep(monkeypatch, fn, src, output_check):
+    real = getattr(maps, output_check)
+    for change, message in (({"j": 7}, f"{fn.__name__} moved "), ({"index": 0}, "index transport broke ")):
+        monkeypatch.setattr(maps, output_check, lambda *args, _change=change: real(*args)._replace(**_change))
+        with pytest.raises(GGError, match=f"^{message}"):
+            fn(_unshared(src), 4, 3, 6, 5)
+
+
+def test_map_levels_are_read_as_integers():
+    four = gg_mark((4,))
+    t_half, k_half, k_text, t_float = (3, 3, 0, 1.5), (3.5, 3, 0, 2), ("3", 3, 0, 2), (3, 3, 0, 2.0)
+    # a member's label is built at integer levels only; the reject path reads none
+    for args, text in ((t_half, "t must be an integer, got 1.5"), (k_half, "k must be an integer, got 3.5")):
+        with pytest.raises(ValueError, match=rf"^{re.escape(text)}$"):
+            classify_lt(_fresh(four), *args)
+    assert classify_lt(four, 3, 3, 1, 1.5) is None  # p > N2 = 0: a non-member
+    # a map reads its levels first, so it names the level, not a part, and no
+    # slot at the equal int level answers a float
+    assert phi_pt(four, 3, 3, 0, 2).parts == (5, 4)
+    wrong = (
+        (t_half, "t must be an integer, got 1.5"),
+        (k_text, "k must be an integer, got '3'"),
+        (t_float, "t must be an integer, got 2.0"),
+    )
+    for fn in (dilate, phi_pt, psi_pt):
+        for args, text in wrong:
+            with pytest.raises(ValueError, match=rf"^{re.escape(text)}$"):
+                fn(four, *args)
+    # an integer-like level that is not an int works on the map path
+    levels = tuple(map(Index, (3, 3, 0, 2)))
+    assert phi_pt(four, *levels) == phi_pt(four, 3, 3, 0, 2) and psi_pt(phi_pt(four, *levels), *levels) == four
 
 
 def test_round_trips_land_on_the_partitions_they_started_from():
@@ -225,37 +274,42 @@ def test_pt_maps_answer_a_second_call_as_the_first(monkeypatch, k, r):
     # a clean sweep runs psi once per source and on no target alone, so here
     # psi then phi run from every target, twice on the live partition (the
     # second call meets the labels the first left) and once on a fresh copy
-    real, calls = verify.psi_by_factors, Counter()
+    real, calls = maps.psi_pt_trace, Counter()
 
     def counted(y, k, r, p, t):
         calls[y, p, t] += 1
         return real(y, k, r, p, t)
 
-    monkeypatch.setattr(verify, "psi_by_factors", counted)
+    monkeypatch.setattr(maps, "psi_pt_trace", counted)
     fwd, bwd = verify.pt_bijection(k, r, c_members(k, r, 20))
     assert fwd.ok and bwd.ok and len(calls) == fwd.checked == bwd.checked
     assert set(calls.values()) == {1}  # so the calls' targets are every target
     for y, p, t in calls:
         runs = []
-        for z in (y, y, MarkedPartition([(v, False) for v in y.parts])):
-            mid, x = real(z, k, r, p, t)
-            runs.append((mid, x, verify.phi_by_factors(x, k, r, p, t)))
-        assert runs[0] == runs[1] == runs[2] and runs[0][2] == (runs[0][0], y)
+        for z in (y, y, _fresh(y)):
+            x, mid = real(z, k, r, p, t)
+            runs.append((x, mid, maps.phi_pt_trace(x, k, r, p, t)))
+        assert runs[0] == runs[1] == runs[2] and runs[0][2] == (y, runs[0][1])
+        # each factor whose input slot answers its input check, as on a fresh copy
+        x, (mu,) = runs[0][:2]
+        for fn, z in ((separate_odd, y), (reduce, mu), (dilate, x), (insert_odd, mu)):
+            assert fn(z, k, r, p, t) == fn(_fresh(z), k, r, p, t)
 
 
 def test_pt_sweep_names_the_one_target_psi_gets_wrong(monkeypatch):
     # psi wrong on one target fails its source's round trip and its backward item only
     y = gg_mark((6, 4, 1))  # eq-placed at (p, t) = (1, 0) only
-    real = verify.psi_by_factors
+    source = psi_pt(y, 3, 3, 1, 0)
+    real = maps.psi_pt_trace
 
     def wrong_on_y(mp, **kw):
-        mid, x = real(mp, **kw)
-        return mid, (mp if mp == y else x)
+        x, mid = real(mp, **kw)
+        return (mp if mp == y else x), mid
 
-    monkeypatch.setattr(verify, "psi_by_factors", wrong_on_y)
+    monkeypatch.setattr(maps, "psi_pt_trace", wrong_on_y)
     fwd, bwd = verify.pt_bijection(3, 3, c_members(3, 3, 12))
     assert fwd.failures == bwd.failures == 1 and bwd.checked == fwd.checked == 57
-    assert fwd.first[0] == (((1, 0), 8), psi_pt(y, 3, 3, 1, 0))
+    assert fwd.first[0] == (((1, 0), 8), source)
     assert bwd.first == ((((1, 0), 8), y), y, None)
 
 
@@ -376,8 +430,10 @@ def test_global_examples():
 
 
 def test_psi_global_searches_once_per_odd_part(monkeypatch):
-    # find_m_eq33 asks p = 0..N2 at the one t, and psi_pt checks its input once
-    y = phi_global((8, 4, 2), (7,))
+    # find_m_eq33 asks p = 0..N2 at the one t, and psi_pt checks its fresh
+    # input once; on phi_global's output, insertion's output check answered it
+    live = phi_global((8, 4, 2), (7,))
+    y = _fresh(live)
     assert (y.parts, y.N(2)) == ((8, 7, 4, 2), 2)
     calls = {"_member_eq": 0}
     real = classify._member_eq
@@ -389,6 +445,8 @@ def test_psi_global_searches_once_per_odd_part(monkeypatch):
     monkeypatch.setattr(classify, "_member_eq", counted)
     assert psi_global(y) == (gg_mark((8, 4, 2)), (7,))
     assert calls == {"_member_eq": 3 + 1}
+    assert psi_global(live) == (gg_mark((8, 4, 2)), (7,))
+    assert calls == {"_member_eq": 3 + 1 + 3}
 
 
 def test_global_round_trip_sweep():
