@@ -24,7 +24,10 @@ first (`_slot`), which is safe: a slot is written only after membership
 passed, on an immutable partition shared as one live object, so along a
 chain each map's input check is answered by the previous output check.  A
 clause pass reads its levels with `errors.integer`; the probe path reads
-none, so a non-member probe at a non-integer level answers None.  A label is
+none, so a non-member probe at a non-integer level answers None.  A level
+that breaks a comparison (a string) is read with `errors.integer` in the
+probe's `except TypeError`, so the error names it and no probe pays for the
+read.  A label is
 a `SubsetLabel` named tuple, built by `tuple.__new__` to skip its constructor.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
@@ -187,8 +190,12 @@ def _derived(mp: MarkedPartition, family: str, k: int, r: int, p: int, t: int):
 
 def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the below-threshold family, or None if not a member."""
-    _check_kr(k, r)
-    return _derived(mp, "lt", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
+    try:
+        _check_kr(k, r)
+        return _derived(mp, "lt", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
+    except TypeError:
+        _levels(k, r, p, t)  # a level that is not an integer raises ValueError naming it
+        raise
 
 
 def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
@@ -305,10 +312,14 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
 
 def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the equality family, or None if not a member."""
-    _check_kr(k, r)
-    if mp.largest_odd != 2 * t + 1:  # the largest odd part fixes t: most probes stop here
-        return None
-    return _derived(mp, "eq", k, r, p, t) if _member_eq(mp, k, r, p, t) else None
+    try:
+        _check_kr(k, r)
+        if mp.largest_odd != 2 * t + 1:  # the largest odd part fixes t: most probes stop here
+            return None
+        return _derived(mp, "eq", k, r, p, t) if _member_eq(mp, k, r, p, t) else None
+    except TypeError:
+        _levels(k, r, p, t)
+        raise
 
 
 def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
@@ -449,8 +460,12 @@ def insertion_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], 
 
 def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the tilde family, or None if not a member."""
-    _check_kr(k, r)
-    return _derived(mp, "sim", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
+    try:
+        _check_kr(k, r)
+        return _derived(mp, "sim", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
+    except TypeError:
+        _levels(k, r, p, t)
+        raise
 
 
 def _sim_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
@@ -493,11 +508,29 @@ _CLAUSES = {"lt": _lt_clauses, "sim": _sim_clauses, "eq": _eq_clauses}
 # -- decompositions ----------------------------------------------------
 
 
+def _bracket(row: tuple[int, ...], target: int, slope: int) -> range:
+    """The indexes p with r2(p) + slope*p >= target >= r2(p+1) + slope*(p+1),
+    where r2(0) = +inf and r2(N2 + 1) = -inf.  Row-2 parts fall by 2 or more,
+    so for slope 0 or 2 the sum does not rise with p and these p are one run.
+    A fall of 2 needs two 2-marked odd parts, so a repeated odd part: in a
+    member of C(k, r) the sum falls at every step and the run holds at most
+    two p."""
+    lo = 0
+    while lo < len(row) and row[lo] + slope * (lo + 1) > target:
+        lo += 1
+    hi = lo
+    while hi < len(row) and row[hi] + slope * (hi + 1) == target:
+        hi += 1
+    return range(lo, hi + 1)
+
+
 def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
-    """Unique (p, t) with p + t = m placing mp in the lt family, if any."""
+    """Unique (p, t) with p + t = m placing mp in the lt family, if any.  Only
+    the p with max(r2(p+1), largest odd) < 2(m-p)+1 < r2(p) can hold, that is
+    r2(p) + 2p >= 2m + 2 >= r2(p+1) + 2(p+1)."""
     _check_kr(k, r)
     m = integer("m", m)
-    hits = [(p, m - p) for p in range(0, min(m, len(mp.row2)) + 1) if _member_lt(mp, k, r, p, m - p)]
+    hits = [(p, m - p) for p in _bracket(mp.row2, 2 * m + 2, 2) if p <= m and _member_lt(mp, k, r, p, m - p)]
     if len(hits) > 1:
         raise UniquenessError(f"{mp.parts} sits in the lt family at {hits} for m={m}")
     return hits[0] if hits else None
@@ -520,8 +553,8 @@ def find_m_eq33(mp: MarkedPartition) -> Optional[int]:
     """
     if not mp.largest_odd:
         return None
-    t = (mp.largest_odd - 1) // 2
-    hits = [p for p in range(len(mp.row2) + 1) if _member_eq(mp, 3, 3, p, t)]
+    t = (mp.largest_odd - 1) // 2  # only the p with r2(p) >= 2t+2 >= r2(p+1) can hold
+    hits = [p for p in _bracket(mp.row2, 2 * t + 2, 0) if _member_eq(mp, 3, 3, p, t)]
     if len(hits) != 1:
         raise ClassificationError(f"{mp.parts} is an eq member at t={t} for p in {hits}")
     return hits[0] + t

@@ -22,12 +22,31 @@ the weight:
 A part equal to the weight left finishes a member without a further call,
 and any other part is followed by a call only when the next level's largest
 candidate, the smaller of its ceiling and the weight left, has capacity.
+
+Tail table: at and below a fixed cut of the weight left, CUT = 14, the walk
+reads each state's completions (its tails) from a per-family table.  The
+key of a state with weight w left is (w, its ceiling min(hi, w), the count
+of small parts so far, the last k-2 stacked parts, each clamped at
+w+eta+1).  It is complete: `low`, `allowed`, `at` and `nxt` read the same
+values below the cut for every n; a part stacked more than k-2 places up
+has spent its window; and a part above w+eta sets a window ceiling of at
+least w, which no later part exceeds, so the clamp changes no bound.  The
+first visit of a state walks it and stores its tails, and every later
+visit, in this call or a later one for any n, emits prefix + tail, in the
+order of the walk; each tail, and each state's tuple of tails, is interned
+once per family.  The table is bounded by construction: a key has
+w <= CUT, a ceiling <= w, at most r-1 small parts and at most k-2 context
+parts each <= CUT+eta+1, whatever n a caller reaches.  `_tail_table` keeps
+the tables of the last 8 families (an `lru_cache` on the hashable params).
+A sweep over n gains, since every call after the first reads the small
+tails; a single cold call pays for filling the table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
+from functools import lru_cache
 from itertools import groupby
 from typing import Iterator, Optional, Sequence
 
@@ -153,6 +172,17 @@ def all_partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int
         freed += v + 1
 
 
+CUT = 14  # the weight left at and below which `enumerate_B` reads the tail table
+
+
+@lru_cache(maxsize=8)
+def _tail_table(params: BressoudParams) -> tuple[dict, dict]:
+    """One family's tail table {state key: its tails}, filled as
+    `enumerate_B` reaches states, and the dict that interns each tail and
+    each tuple of tails."""
+    return {}, {}
+
+
 def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
     """Complete duplicate-free list of family members of weight n, in
     descending-lex order."""
@@ -180,10 +210,12 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
         nxt = [v - eta - (v % eta == 0) for v in range(n + 1)]
     else:
         nxt = [v if v % eta == 0 else v - 1 for v in range(n + 1)]
+    tails, interned = _tail_table(params)
+    context = slice(2 - k, None) if k > 2 else slice(0, 0)  # the last k-2 stacked parts
     out: list[tuple[int, ...]] = []
     stack: list[int] = []
 
-    def rec(remaining: int, hi: int, small: int) -> None:
+    def walk(remaining: int, hi: int, small: int) -> None:
         floor = low[remaining]
         if small == r - 1 and floor <= eta:
             floor = eta + 1
@@ -205,10 +237,26 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
                 nh = wb
             if low[rest] <= nh:  # the next level's largest candidate has capacity
                 stack.append(v)
-                rec(rest, nh, small + 1 if v <= eta else small)
+                (walk if rest > CUT else read)(rest, nh, small + 1 if v <= eta else small)
                 stack.pop()
 
-    rec(n, n, 0)
+    def read(remaining: int, hi: int, small: int) -> None:
+        """Emit the tails of a state below the cut, walked on its first visit."""
+        if hi > remaining:
+            hi = remaining
+        clamp = remaining + eta + 1  # a part this large sets a window ceiling >= remaining
+        key = (remaining, hi, small, *[w if w < clamp else clamp for w in stack[context]])
+        got = tails.get(key)
+        if got is None:
+            start, depth = len(out), len(stack)
+            walk(remaining, hi, small)
+            got = tuple([interned.setdefault(tail := m[depth:], tail) for m in out[start:]])
+            tails[key] = interned.setdefault(got, got)
+        else:
+            prefix = tuple(stack)
+            out.extend([prefix + tail for tail in got])
+
+    (walk if n > CUT else read)(n, n, 0)
     return out
 
 

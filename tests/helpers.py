@@ -1,8 +1,8 @@
 """Shared enumeration caches for the sweep-style tests, the bytes per live
 marked partition (read by a tier-1 test and by CI's job summary), the
-microseconds per fresh one, per classifier probe and per lt round trip
-(read by CI's job summary), the plain-loop forms of the series kernels, and
-`Index`, an integer-like value that is not an int."""
+microseconds per fresh one, per classifier probe, per lt round trip and per
+enumerated member (read by CI's job summary), the plain-loop forms of the
+series kernels, and `Index`, an integer-like value that is not an int."""
 
 import gc
 import math
@@ -17,6 +17,7 @@ from ggpart import (
     classify_lt,
     classify_sim,
     dilate,
+    enumerate_C,
     enumerate_E,
     find_pt_lt,
     gg_mark,
@@ -26,6 +27,7 @@ from ggpart import (
     separate_odd,
     verify,
 )
+from ggpart import membership
 
 # {weight: [marked members]} for the eta=2 single-residue family
 c_members = cache(verify.members_by_weight)
@@ -129,6 +131,19 @@ def us_per_round_trip(k: int = 3, r: int = 3, wmax: int = 24, repeats: int = 5) 
             reduce(separate_odd(insert_odd(mu, k, r, p, t), k, r, p, t), k, r, p, t)
         sweeps.append(time.perf_counter() - start)
     return statistics.median(sweeps) / len(placed) * 1e6
+
+
+def us_per_member(k: int = 4, r: int = 4, wmax: int = 60, repeats: int = 5) -> float:
+    """Microseconds per member over a cold sweep `enumerate_C(k, r, n)` for n =
+    0..wmax: the median of `repeats` timed sweeps, each from an empty tail
+    table, so it counts the table's filling as a process's first sweep does."""
+    sweeps = []
+    for _ in range(repeats):
+        membership._tail_table.cache_clear()
+        start = time.perf_counter()
+        members = sum(len(enumerate_C(k, r, n)) for n in range(wmax + 1))
+        sweeps.append(time.perf_counter() - start)
+    return statistics.median(sweeps) / members * 1e6
 
 
 class Index:

@@ -255,6 +255,21 @@ def test_find_m_rejects_a_non_member():
         find_m_eq33(gg_mark((3, 3)))
 
 
+@pytest.mark.parametrize(
+    "probe, parts", [(classify_lt, (4,)), (classify_sim, (4,)), (classify_eq, (5,))], ids=["lt", "sim", "eq"]
+)
+def test_probes_name_a_string_level(probe, parts):
+    # a string level used to fail the first comparison with a bare TypeError;
+    # each partition is a member at (3, 3, 0, 2), so every level gets read
+    mp = gg_mark(parts)
+    assert probe(mp, 3, 3, 0, 2) is not None
+    for i, name in enumerate("krpt"):
+        levels = [3, 3, 0, 2]
+        levels[i] = str(levels[i])
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got '{levels[i]}'$"):
+            probe(mp, *levels)
+
+
 # -- reference membership predicates -------------------------------------
 #
 # Reference copies of the lt/eq membership predicates in definitional order:

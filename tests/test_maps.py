@@ -430,8 +430,9 @@ def test_global_examples():
 
 
 def test_psi_global_searches_once_per_odd_part(monkeypatch):
-    # find_m_eq33 asks p = 0..N2 at the one t, and psi_pt checks its fresh
-    # input once; on phi_global's output, insertion's output check answered it
+    # find_m_eq33 asks the two p whose row-2 bracket holds 2t+2 = 8, and psi_pt
+    # checks its fresh input once; on phi_global's output, insertion's output
+    # check answered it
     live = phi_global((8, 4, 2), (7,))
     y = _fresh(live)
     assert (y.parts, y.N(2)) == ((8, 7, 4, 2), 2)
@@ -444,9 +445,9 @@ def test_psi_global_searches_once_per_odd_part(monkeypatch):
 
     monkeypatch.setattr(classify, "_member_eq", counted)
     assert psi_global(y) == (gg_mark((8, 4, 2)), (7,))
-    assert calls == {"_member_eq": 3 + 1}
+    assert calls == {"_member_eq": 2 + 1}
     assert psi_global(live) == (gg_mark((8, 4, 2)), (7,))
-    assert calls == {"_member_eq": 3 + 1 + 3}
+    assert calls == {"_member_eq": 2 + 1 + 2}
 
 
 def test_global_round_trip_sweep():

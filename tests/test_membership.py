@@ -17,6 +17,7 @@ from ggpart import (
     is_in_C,
     row_counts,
 )
+from ggpart import membership
 from ggpart.membership import all_partitions
 
 from helpers import (
@@ -146,8 +147,12 @@ def test_general_eta_enumeration():
         assert sorted(enumerate_B(params, n)) == sorted(naive)
 
 
-def test_enumerate_B_equals_definition():
-    # same list in the same descending-lex order; eta 1..4, lambda 0..2, k 1..5
+@pytest.mark.parametrize(
+    "weights", [range(0, 25), range(24, -1, -1)], ids=["ascending", "descending"]
+)
+def test_enumerate_B_equals_definition(weights):
+    # same list in the same descending-lex order; eta 1..4, lambda 0..2, k 1..5;
+    # from an empty tail table, whose cut the weights cross in either order
     grid = [
         BressoudParams((), 1, 1, 1),  # k = 1: only the empty partition
         BressoudParams((), 1, 3, 2),
@@ -158,11 +163,28 @@ def test_enumerate_B_equals_definition():
         BressoudParams((), 3, 2, 2),
         BressoudParams((2,), 4, 3, 3),
         BressoudParams((1, 3), 4, 5, 4),
+        BressoudParams((1,), 2, 2, 1),  # k = 2: no window in the key
+        BressoudParams((1,), 2, 5, 5),  # k = 5: a window of 3 stacked parts
     ]
-    for n in range(0, 25):
+    membership._tail_table.cache_clear()
+    for n in weights:
         every = list(all_partitions(n))
         for params in grid:
             assert enumerate_B(params, n) == [p for p in every if is_bressoud_B(p, params)], (params, n)
+
+
+def test_tail_table_is_bounded():
+    # after sweeps to weight 60 every key lies below the cut, with context
+    # parts clamped, so a family's table does not grow with n
+    for params in (BressoudParams((1,), 2, 4, 4), BressoudParams((1, 2), 3, 3, 3)):
+        for n in range(61):
+            enumerate_B(params, n)
+        tails, _ = membership._tail_table(params)
+        assert tails
+        for remaining, hi, small, *context in tails:
+            assert 0 < remaining <= membership.CUT and hi <= remaining and small <= params.r - 1
+            assert len(context) <= params.k - 2
+            assert all(w <= membership.CUT + params.eta + 1 for w in context)
 
 
 @pytest.mark.parametrize(
