@@ -25,9 +25,11 @@ passed, on an immutable partition shared as one live object, so along a
 chain each map's input check is answered by the previous output check.  A
 clause pass reads its levels with `errors.integer`; the probe path reads
 none, so a non-member probe at a non-integer level answers None.  A level
-that breaks a comparison (a string) is read with `errors.integer` in the
-probe's `except TypeError`, so the error names it and no probe pays for the
-read.  A label is
+that breaks a comparison (a string, or an integer-like value with
+`__index__` only) is read with `errors.integer` in the probe's `except
+TypeError` (`_retry_levels`), so a string raises a ValueError naming it, an
+integer-like level retries once as an int, and no probe pays for the read.
+A label is
 a `SubsetLabel` named tuple, built by `tuple.__new__` to skip its constructor.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
@@ -168,6 +170,14 @@ def _levels(k, r, p, t) -> tuple[int, int, int, int]:
     return integer("k", k), integer("r", r), integer("p", p), integer("t", t)
 
 
+def _retry_levels(names: str, levels: tuple) -> Optional[tuple]:
+    """The levels of a probe that raised TypeError, read with `integer` (a
+    level that is not an integer raises ValueError naming it), to retry the
+    probe with once; None when each was an int, so the error was not theirs."""
+    ints = tuple(map(integer, names, levels))
+    return None if all(v.__class__ is int for v in levels) else ints
+
+
 def _slot(mp: MarkedPartition, family: str, key: tuple, classify):
     """The label in `family`'s slot on `mp` if that holds the levels `key`, else `classify`'s."""
     slot = mp._memo.get(family)
@@ -194,8 +204,9 @@ def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
         _check_kr(k, r)
         return _derived(mp, "lt", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
     except TypeError:
-        _levels(k, r, p, t)  # a level that is not an integer raises ValueError naming it
-        raise
+        if (levels := _retry_levels("krpt", (k, r, p, t))) is None:
+            raise
+        return classify_lt(mp, *levels)
 
 
 def _lt_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
@@ -318,8 +329,9 @@ def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional
             return None
         return _derived(mp, "eq", k, r, p, t) if _member_eq(mp, k, r, p, t) else None
     except TypeError:
-        _levels(k, r, p, t)
-        raise
+        if (levels := _retry_levels("krpt", (k, r, p, t))) is None:
+            raise
+        return classify_eq(mp, *levels)
 
 
 def _eq_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> SubsetLabel:
@@ -464,8 +476,9 @@ def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optiona
         _check_kr(k, r)
         return _derived(mp, "sim", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
     except TypeError:
-        _levels(k, r, p, t)
-        raise
+        if (levels := _retry_levels("krpt", (k, r, p, t))) is None:
+            raise
+        return classify_sim(mp, *levels)
 
 
 def _sim_clauses(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
@@ -528,9 +541,14 @@ def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[in
     """Unique (p, t) with p + t = m placing mp in the lt family, if any.  Only
     the p with max(r2(p+1), largest odd) < 2(m-p)+1 < r2(p) can hold, that is
     r2(p) + 2p >= 2m + 2 >= r2(p+1) + 2(p+1)."""
-    _check_kr(k, r)
-    m = integer("m", m)
-    hits = [(p, m - p) for p in _bracket(mp.row2, 2 * m + 2, 2) if p <= m and _member_lt(mp, k, r, p, m - p)]
+    try:
+        _check_kr(k, r)
+        m = integer("m", m)
+        hits = [(p, m - p) for p in _bracket(mp.row2, 2 * m + 2, 2) if p <= m and _member_lt(mp, k, r, p, m - p)]
+    except TypeError:
+        if (levels := _retry_levels("krm", (k, r, m))) is None:
+            raise
+        return find_pt_lt(mp, *levels)
     if len(hits) > 1:
         raise UniquenessError(f"{mp.parts} sits in the lt family at {hits} for m={m}")
     return hits[0] if hits else None
@@ -539,9 +557,14 @@ def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[in
 def find_pt_eq(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[int, int]]:
     """The (p, t) with p + t = m placing mp in the eq family, if any.  The
     largest odd part is 2t+1, so p = m - t is the one candidate."""
-    _check_kr(k, r)
-    m, t = integer("m", m), (mp.largest_odd - 1) // 2
-    return (m - t, t) if _member_eq(mp, k, r, m - t, t) else None
+    try:
+        _check_kr(k, r)
+        m, t = integer("m", m), (mp.largest_odd - 1) // 2
+        return (m - t, t) if _member_eq(mp, k, r, m - t, t) else None
+    except TypeError:
+        if (levels := _retry_levels("krm", (k, r, m))) is None:
+            raise
+        return find_pt_eq(mp, *levels)
 
 
 def find_m_eq33(mp: MarkedPartition) -> Optional[int]:

@@ -11,11 +11,13 @@ m-level maps to absorb a whole partition of distinct odd parts.  Each
 insertion or separation kind is one or two batches of row-2 move spans
 (`_moves`): a run of row-2 parts shifts by 2 as the odd part goes in or out.
 
-Every step addresses parts by (value, mark) in the current canonical marking
-and re-marks after each batch of replacements; a missing target aborts with
-the trace attached.  Each of the four factors reads its levels as ints and
-its input's label, checks its weight/length ledger, then classifies its
-output and checks that the subset kind and index were kept.  The input label
+Every step names the parts it moves by value and overline only, and re-marks
+after each batch of replacements.  The output of a step is the canonical
+marking of its parts, so no mark the paper names at a removal can change it:
+it would only assert that a copy with that mark exists.  A missing value
+aborts with the partition attached.  Each of the four factors reads its
+levels as ints and its input's label, checks its weight/length ledger, then
+classifies its output and checks that the subset kind and index were kept.  The input label
 is the family's slot when that holds this (k, r, p, t): a slot is written
 only after membership passed, so along a chain each input check is answered
 by the previous output check.  `phi_pt_trace`/`psi_pt_trace` compose the
@@ -38,7 +40,7 @@ from .classify import (
     insertion_types,
     reduction_types,
 )
-from .errors import GGError, MembershipError, MissingEntryError, integers
+from .errors import GGError, MembershipError, integers
 from .marking import MarkedPartition, gg_mark
 from .membership import is_in_C
 
@@ -77,87 +79,50 @@ def _transported(name: str, verb: str, classify, mp, out, label, k: int, r: int)
 # -- dilation / reduction ----------------------------------------------
 
 
-def _basic_dilation(cur: MarkedPartition, value: int, label: str):
-    """One basic dilation at a row-2 part of the given insertion type.
-
-    Returns (partition, t, r, overlined) for the odd part it created.
-    """
-    if label == "A2":
-        t = (value - 2) // 2
-        new = cur.replace([(2 * t, 1, False)], [(2 * t + 1, False)])
-        return new, t, 1, False
-    t = value // 2
-    if label in ("A1", "B"):
-        marks = cur.marks_of(value)
-        if not marks:
-            raise MissingEntryError(f"no parts {value} to dilate in {cur!r}", cur)
-        r = max(marks)
-        over = label == "B"
-    else:  # A3, C
-        r = 2
-        over = label == "A3"
-    new = cur.replace([(value, r, False)], [(2 * t + 1, over)])
-    return new, t, r, over
-
-
 def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
-    """Map an lt-family member to its tilde-family image (weight +2l)."""
+    """Map an lt-family member to its tilde-family image (weight +2l).
+
+    Each run's basic dilation turns its lowest part into the odd part one
+    above it, overlined for types A3 and B; type A2 takes the 1-marked part
+    2 below instead.  The carry then moves the odd part 2t_b+1 up the run
+    past the part 2t_b+4, which drops to 2t_b+2, and the odd part leaves the
+    run as the even part one above it.
+    """
     (k, r, _, _), label = _label(classify_lt, "lt", mp, k, r, p, t)
     row = mp.row2
     cur, steps = mp, []
     for lo, hi, lab in insertion_types(mp, label.l):  # no runs when l == 0: the identity
-        cur, tb, rb, over = _basic_dilation(cur, row[hi - 1], lab)
+        gone = row[hi - 1] - 2 if lab == "A2" else row[hi - 1]
+        odd, over = gone + 1, lab in ("A3", "B")
+        cur = cur.replace([(gone, False)], [(odd, over)])
         steps.append(cur)
         for _ in range(lo, hi):  # carry the odd part up the run
-            target = 2 * tb + 4
-            marks = [m for m in cur.marks_of(target) if m <= rb]
-            if not marks:
-                raise MissingEntryError(
-                    f"no {target} with mark <= {rb} while walking {mp.parts}", cur
-                )
-            rb1 = max(marks)
-            cur = cur.replace(
-                [(2 * tb + 1, rb, over), (target, rb1, False)],
-                [(2 * tb + 2, False), (2 * tb + 5, over)],
-            )
-            tb, rb = tb + 2, rb1
+            cur = cur.replace([(odd, over), (odd + 3, False)], [(odd + 1, False), (odd + 4, over)])
+            odd += 4
             steps.append(cur)
-        cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb + 2, False)])
+        cur = cur.replace([(odd, over)], [(odd + 1, False)])
     _ledger("dilate", mp, cur, 2 * label.l, 0)
     _transported("dilate", "dilating", classify_sim, mp, cur, label, k, r)
     return cur, tuple(steps)
 
 
-def _basic_reduction(cur: MarkedPartition, value: int, label: str):
-    """One basic reduction at a row-2 part of the given reduction type."""
-    if label in ("A1", "B"):
-        t = value // 2
-        marks = cur.marks_of(value + 2)
-        if label == "B":
-            marks = {m for m in marks if m != 1}
-        if not marks:
-            raise MissingEntryError(f"no parts {value + 2} to reduce in {cur!r}", cur)
-        r = min(marks)
-        over = label == "B"
-        new = cur.replace([(value + 2, r, False)], [(2 * t + 1, over)])
-        return new, t, r, over
-    t = (value - 2) // 2
-    r = 1 if label == "A2" else 2
-    over = label == "A3"
-    new = cur.replace([(value, r, False)], [(2 * t + 1, over)])
-    return new, t, r, over
-
-
 def reduce(mp: MarkedPartition, k: int, r: int, p: int, t: int):
-    """Map a tilde-family member back to the lt family (weight -2l)."""
+    """Map a tilde-family member back to the lt family (weight -2l).
+
+    At each index of a run the basic reduction turns the row-2 part, or for
+    types A1 and B the part 2 above it, into the odd part one below,
+    overlined for types A3 and B; that odd part then drops by one more.
+    """
     (k, r, _, _), label = _label(classify_sim, "sim", mp, k, r, p, t)
     row = mp.row2
     cur, steps = mp, []
     for lo, hi, lab in reduction_types(mp, label.l):  # no runs when l == 0: the identity
+        over = lab in ("A3", "B")
         for i in range(lo, hi + 1):
-            cur, tb, rb, over = _basic_reduction(cur, row[i - 1], lab)
+            gone = row[i - 1] + 2 if lab in ("A1", "B") else row[i - 1]
+            cur = cur.replace([(gone, False)], [(gone - 1, over)])
             steps.append(cur)
-            cur = cur.replace([(2 * tb + 1, rb, over)], [(2 * tb, False)])
+            cur = cur.replace([(gone - 1, over)], [(gone - 2, False)])
     _ledger("reduce", mp, cur, -2 * label.l, 0)
     _transported("reduce", "reducing", classify_lt, mp, cur, label, k, r)
     return cur, tuple(steps)
@@ -181,26 +146,21 @@ def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
         p1 = cluster_indexes(mp, p)[0]
         nu = mp.replace([], [(odd, False)])
         mid = (nu,)
-        marks = _descending_marks(nu, row[p1 - 1 : p])
-        out = nu.replace(*_moves(row, (p1, p, 0, 2, marks)))
+        out = nu.replace(*_moves(row, (p1, p, 0, 2)))
     else:
         clusters = cluster_indexes(mp, p)
         p1 = clusters[0]
-        if j == 6:
-            spans = [(p1, p, -2, 2, 1)]
-        elif j == 8:
-            spans = [(p1, p, 0, 2, 2)]
-        else:  # 9 to 12 lift the 1-marked parts p1..p first
-            spans = [(p1, p, 0, 2, 1)]
+        # 6 lifts the parts 2 below those at p1..p, 8 to 12 those parts (in the
+        # paper, their 2-marked copies for 8 and their 1-marked ones for 9 to 12)
+        spans = [(p1, p, -2 if j == 6 else 0, 2)]
         if j == 11:
-            spans.append((clusters[1], p1 - 1, -2, 2, 1))
+            spans.append((clusters[1], p1 - 1, -2, 2))
         removals, additions = _moves(row, *spans)
         out = mp.replace(removals, additions + [(odd, False)])
         if j == 12:
             p2, nu = clusters[1], out
             mid = (nu,)
-            marks = _descending_marks(nu, row[p2 - 1 : p1 - 1])
-            out = nu.replace(*_moves(row, (p2, p1 - 1, 0, 2, marks)))
+            out = nu.replace(*_moves(row, (p2, p1 - 1, 0, 2)))
     _ledger("insert_odd", mp, out, 2 * (p - l) + 2 * t + 1, 1)
     _transported("insert_odd", "inserting into", classify_eq, mp, out, label, k, r)
     return out, mid
@@ -209,36 +169,16 @@ def insert_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
 def _moves(row: tuple[int, ...], *spans) -> tuple[list, list]:
     """The (removals, additions) of a batch of row-2 move spans.
 
-    A span (lo, hi, frm, by, marks) takes out the copy of row[i-1] + frm
-    that carries `marks` (one mark, or a list with one mark per index from
-    lo) and puts in row[i-1] + frm + by, for i = lo..hi.
+    A span (lo, hi, frm, by) takes out a copy of row[i-1] + frm and puts in
+    row[i-1] + frm + by, for i = lo..hi.
     """
     removals, additions = [], []
-    for lo, hi, frm, by, marks in spans:
+    for lo, hi, frm, by in spans:
         for i in range(lo, hi + 1):
             value = row[i - 1] + frm
-            removals.append((value, marks if isinstance(marks, int) else marks[i - lo], False))
+            removals.append((value, False))
             additions.append((value + by, False))
     return removals, additions
-
-
-def _descending_marks(nu: MarkedPartition, values: tuple[int, ...]) -> list[int]:
-    """Thread the non-increasing mark chain r_i through `values` (ascending
-    index order = descending values): the first pick is the largest mark of
-    the last value, each next pick the largest mark <= its successor's."""
-    out: list[int] = [0] * len(values)
-    hi = None
-    for pos in range(len(values) - 1, -1, -1):
-        marks = nu.marks_of(values[pos])
-        if hi is not None:
-            marks = {m for m in marks if m <= hi}
-        if not marks:
-            raise MissingEntryError(
-                f"mark chain broke at value {values[pos]} (cap {hi}) in {nu!r}", nu
-            )
-        hi = max(marks)
-        out[pos] = hi
-    return out
 
 
 def insert_odd(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> MarkedPartition:
@@ -254,43 +194,32 @@ def separate_odd_trace(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     mid: tuple[MarkedPartition, ...] = ()
 
     if j <= 5:
-        out = mp.replace([(odd, None, False)], [])
+        out = mp.replace([(odd, False)], [])
     elif j == 7:
-        marks = [_small_mark_not_2(mp, v) for v in row[l:p]]
-        nu = mp.replace(*_moves(row, (l + 1, p, 0, -2, marks)))
+        nu = mp.replace(*_moves(row, (l + 1, p, 0, -2)))
         mid = (nu,)
-        out = nu.replace([(odd, None, False)], [])
+        out = nu.replace([(odd, False)], [])
     elif j == 12:
         s = _smallest_chain_index(mp, row, p, once=True)
-        marks = [_small_mark_not_2(mp, v) for v in row[l : s - 1]]
-        nu = mp.replace(*_moves(row, (l + 1, s - 1, 0, -2, marks)))
+        nu = mp.replace(*_moves(row, (l + 1, s - 1, 0, -2)))
         mid = (nu,)
-        removals, additions = _moves(row, (s + 1, p + 1, 2, -2, 1))
-        out = nu.replace([(odd, None, False)] + removals, additions)
+        removals, additions = _moves(row, (s + 1, p + 1, 2, -2))
+        out = nu.replace([(odd, False)] + removals, additions)
     else:
-        if j == 6:
-            spans = [(l + 1, p, 0, -2, 1)]
-        elif j == 8:
-            spans = [(l + 1, p, 0, -2, 2)]
+        if j in (6, 8):
+            spans = [(l + 1, p, 0, -2)]
         elif j == 9:
-            spans = [(l + 1, p, 2, -2, 1)]
+            spans = [(l + 1, p, 2, -2)]
         elif j == 10:
-            spans = [(l + 2, p + 1, 2, -2, 1)]
+            spans = [(l + 2, p + 1, 2, -2)]
         else:  # j == 11
             s = _smallest_chain_index(mp, row, p)
-            spans = [(s, p, 2, -2, 1), (l + 1, s - 1, 0, -2, 1)]
+            spans = [(s, p, 2, -2), (l + 1, s - 1, 0, -2)]
         removals, additions = _moves(row, *spans)
-        out = mp.replace([(odd, None, False)] + removals, additions)
+        out = mp.replace([(odd, False)] + removals, additions)
     _ledger("separate_odd", mp, out, -(2 * (p - l) + 2 * t + 1), -1)
     _transported("separate_odd", "separating", classify_sim, mp, out, label, k, r)
     return out, mid
-
-
-def _small_mark_not_2(mp: MarkedPartition, value: int) -> int:
-    marks = [m for m in mp.marks_of(value) if m != 2]
-    if not marks:
-        raise MissingEntryError(f"no mark other than 2 on parts {value} in {mp!r}", mp)
-    return min(marks)
 
 
 def _smallest_chain_index(mp: MarkedPartition, row, p: int, once: bool = False) -> int:

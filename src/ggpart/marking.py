@@ -19,21 +19,21 @@ It makes one ascending pass: a value's marks are final once its copies are
 marked, so each part joins `parts` and its row as its mark is given, and
 the lists are reversed at the end.  The marks of each value are kept as
 one int, bit m set for mark m; a live partition stores that map, its parts
-and rows, and no (value, mark, overlined) triples: `entries` derives them,
-and `replace` edits a copy.  All values are immutable.  `gg_mark`,
-`gg_mark_special` and `replace` hand out one live object per (parts,
-overlined value): `_marked` returns the partition already alive for that
-key, and runs the greedy marking only on a miss.  The live table is a
+and rows, and no (value, mark, overlined) triples: `entries` derives them.
+All values are immutable.  `gg_mark`, `gg_mark_special` and `replace` hand
+out one live object per (parts, overlined value): `_marked` returns the
+partition already alive for that key, and runs the greedy marking only on
+a miss.  The live table is a
 plain dict of weak references, each a `_Ref` carrying its key, the
 partition's own parts tuple and overlined value; one shared callback drops
 a dead partition's entry unless its key was registered again.  So a map's
 inverse lands on the very partition its forward half started from,
 memoised facts included; every memo entry is a pure function of the
 partition.  `MarkedPartition(pairs)` called directly always makes a new
-object.  Marks asserted by the surgery callers are looked up in the
-canonically marked result, never patched in place, so a wrong assertion
-surfaces as a :class:`~ggpart.errors.MissingEntryError`, not as silent
-corruption.
+object.  `replace` names its removals by value and overline, never by
+mark: the result is the canonical marking of the new parts, so which copy
+goes cannot change it, and a removal with no such copy raises
+:class:`~ggpart.errors.MissingEntryError`.
 """
 
 from __future__ import annotations
@@ -181,24 +181,21 @@ class MarkedPartition:
     def replace(self, removals, additions) -> "MarkedPartition":
         """Remove and insert parts in one batch; the result is canonically marked.
 
-        removals: iterable of (value, mark_or_None, overlined); a None mark
-        takes the smallest mark among the copies of the value with the given
-        overline state.
-        additions: iterable of (value, overlined).
+        removals: iterable of (value, overlined), each taking the overlined
+        copy of the value or a plain one; additions: iterable of (value,
+        overlined).  A removal names no mark: the result is the canonical
+        marking of the new parts, so which copy of a value goes cannot change
+        it.  A removal with no such copy left raises `MissingEntryError`.
         """
-        bits, over, parts = dict(self._bits), self.overline, list(self.parts)
-        for value, mark, overlined in removals:
-            over_bit = 1 << over[1] if over and over[0] == value else 0
-            free = over_bit if overlined else bits.get(value, 0) & ~over_bit
-            if mark is not None:
-                free &= 1 << mark if mark > 0 else 0
-            if not free:
-                who = f"{'overlined ' if overlined else ''}{mark if mark is not None else 'any'}-marked {value}"
-                raise MissingEntryError(f"no {who} in {self!r}", partition=self)
-            bits[value] ^= free & -free  # the smallest matching mark
-            over = None if overlined else over
+        over, parts = self.overline and self.overline[0], list(self.parts)
+        for value, overlined in removals:
+            on_over = over == value  # a plain removal needs a copy besides the overlined one
+            if not (on_over if overlined else parts.count(value) > on_over):
+                who = "overlined" if overlined else "plain"
+                raise MissingEntryError(f"no {who} {value} in {self!r}", partition=self)
             parts.remove(value)
-        overs = [over[0]] if over else []
+            over = None if overlined else over
+        overs = [over] if over else []
         for value, overlined in additions:
             value = integer("part", value)
             parts.append(value)

@@ -28,6 +28,7 @@ from ggpart.fixtures import fixture_marked
 from ggpart.membership import all_partitions
 
 from helpers import (
+    Index,
     c_members,
     pt_grid,
     row_at,
@@ -259,15 +260,33 @@ def test_find_m_rejects_a_non_member():
     "probe, parts", [(classify_lt, (4,)), (classify_sim, (4,)), (classify_eq, (5,))], ids=["lt", "sim", "eq"]
 )
 def test_probes_name_a_string_level(probe, parts):
-    # a string level used to fail the first comparison with a bare TypeError;
-    # each partition is a member at (3, 3, 0, 2), so every level gets read
+    # a string level used to fail the first comparison with a bare TypeError,
+    # and so did an integer-like one; each partition is a member at (3, 3, 0, 2),
+    # so every level gets read
     mp = gg_mark(parts)
-    assert probe(mp, 3, 3, 0, 2) is not None
+    want = probe(mp, 3, 3, 0, 2)
+    assert want is not None
     for i, name in enumerate("krpt"):
         levels = [3, 3, 0, 2]
         levels[i] = str(levels[i])
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got '{levels[i]}'$"):
             probe(mp, *levels)
+        levels[i] = Index(int(levels[i]))
+        assert probe(mp, *levels) == want
+    assert probe(mp, *map(Index, (3, 3, 0, 2))) == want
+
+
+def test_pt_searches_take_integer_like_levels():
+    # find_pt_lt/find_pt_eq used to raise a bare TypeError at an `__index__`-only
+    # level, and at a string k or r
+    for find, mp in ((find_pt_lt, gg_mark((4,))), (find_pt_eq, gg_mark((5,)))):
+        assert find(mp, 3, 3, 2) == (0, 2)
+        assert find(mp, Index(3), Index(3), Index(2)) == (0, 2)
+        for i, name in enumerate("kr"):
+            levels = [3, 3, 2]
+            levels[i] = "3"
+            with pytest.raises(ValueError, match=rf"^{name} must be an integer, got '3'$"):
+                find(mp, *levels)
 
 
 # -- reference membership predicates -------------------------------------

@@ -43,8 +43,8 @@ NEAR = [(dp, dt) for dp in (0, 1, -1) for dt in (0, 1, -1)]
 def seeds(k: int, r: int) -> dict[int, list]:
     """{kind: [(member, p, t)]} of the tilde family: the fixtures m6..m12,
     (10,8,6,2,2) at (2,0), the only kind-12 placement of the sweeps to weight
-    44, and the last lt member of each kind in the sweep to image weight
-    SWEEP, dilated; each where `classify_sim` gives it that kind."""
+    44, and the last lt member of each (kind, p, l) in the sweep to image
+    weight SWEEP, dilated; each where `classify_sim` gives it that kind."""
     found = [(fixture_marked(f"m{j}"), FIXTURES[f"m{j}"]["params"]) for j in range(6, 13)]
     tried = [(mp, prm["p"], prm["t"]) for mp, prm in found] + [(gg_mark((10, 8, 6, 2, 2)), 2, 0)]
     last = {}
@@ -52,7 +52,8 @@ def seeds(k: int, r: int) -> dict[int, list]:
         for mp in mps:
             for m in range((SWEEP - n + 1) // 2):
                 if pt := find_pt_lt(mp, k, r, m):
-                    last[classify_lt(mp, k, r, *pt).j] = (mp, *pt)
+                    label = classify_lt(mp, k, r, *pt)
+                    last[label.j, pt[0], label.l] = (mp, *pt)
     tried += [(dilate(mp, k, r, p, t)[0], p, t) for mp, p, t in last.values()]
     out: dict[int, list] = {}
     for mp, p, t in tried:
@@ -61,9 +62,9 @@ def seeds(k: int, r: int) -> dict[int, list]:
     return out
 
 
-def _edit(rng: random.Random, parts: list[int]) -> list[int]:
+def _edit(rng: random.Random, parts: tuple[int, ...]) -> list[int]:
     """One edit: add a part, remove a part, or move a part by 2 up or down."""
-    parts = parts[:]
+    parts = list(parts)
     op = rng.randrange(3) if parts else 0
     if op == 0:
         parts.append(rng.randint(1, (parts[0] if parts else 0) + 4))
@@ -95,13 +96,12 @@ def walk(k: int, r: int, seed: int, steps: int) -> Counter:
     rng = random.Random(seed)
     coverage: Counter = Counter()
     for j, pool in sorted(seeds(k, r).items()):
-        pool = list(pool)
         seen = {(mp.parts, p, t) for mp, p, t in pool}
         for mp, p, t in pool:
             _round_trips(mp, k, r, p, t)
         for _ in range(steps):
             mp, p, t = rng.choice(pool)
-            cand = gg_mark(_edit(rng, list(mp.parts)))
+            cand = gg_mark(_edit(rng, mp.parts))
             if not is_in_C(cand, k, r):
                 continue
             for q, s in ((p + dp, t + dt) for dp, dt in NEAR):

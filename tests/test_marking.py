@@ -188,7 +188,7 @@ def test_invalid_overlines(parts, overline):
 
 def test_replace_part_worked_step():
     mp = gg_mark(PI1_PARTS)
-    out = mp.replace([(22, 3, False)], [(23, False)])
+    out = mp.replace([(22, False)], [(23, False)])
     want = fixture_marked("pi1_step4")
     assert out.rows == want.rows
     assert out.has(23, 3)
@@ -200,8 +200,8 @@ def test_replace_identity_surgery():
             if not p:
                 continue
             mp = gg_mark(p)
-            v, m, _ = mp.entries[0]
-            out = mp.replace([(v, m, False)], [(v, False)])
+            v = mp.parts[0]
+            out = mp.replace([(v, False)], [(v, False)])
             assert out.rows == mp.rows
 
 
@@ -233,9 +233,15 @@ def test_replace_refuses_non_integer_additions():
 
 
 def test_replace_missing_entry():
-    mp = gg_mark((4, 2))
-    with pytest.raises(MissingEntryError):
-        mp.replace([(4, 3, False)], [(5, False)])
+    special = gg_mark_special((5, 3), 5)
+    cases = [
+        (gg_mark((4, 2)), [(5, False)]),  # an absent value
+        (special, [(5, False)]),  # a plain removal whose only copy is the overlined one
+        (special, [(3, True)]),  # an overlined removal with no such copy
+    ]
+    for mp, removals in cases:
+        with pytest.raises(MissingEntryError):
+            mp.replace(removals, [(6, False)])
 
 
 def test_replace_rejects_bad_overlines():
@@ -245,22 +251,22 @@ def test_replace_rejects_bad_overlines():
         special.replace([], [(7, True)])
     with pytest.raises(InvalidSpecialPartition, match="not the largest odd part"):
         gg_mark((5,)).replace([], [(3, True)])
-    assert special.replace([(5, None, True)], [(5, True)]) is special
+    assert special.replace([(5, True)], [(5, True)]) is special
 
 
 @given(partitions_st, st.integers(0, 7), st.integers(1, 15))
 @settings(max_examples=200)
 def test_replace_round_trip_multiset(parts, pick, new_value):
     mp = gg_mark(parts)
-    if not mp.entries:
+    if not mp.parts:
         return
-    v, m, _ = mp.entries[pick % len(mp.entries)]
-    out = mp.replace([(v, m, False)], [(new_value, False)])
+    v = mp.parts[pick % len(mp.parts)]
+    out = mp.replace([(v, False)], [(new_value, False)])
     removed = list(mp.parts)
     removed.remove(v)
     removed.append(new_value)
     assert sorted(out.parts) == sorted(removed)
-    back = out.replace([(new_value, None, False)], [(v, False)])
+    back = out.replace([(new_value, False)], [(v, False)])
     assert sorted(back.parts) == sorted(mp.parts)
     assert back.rows == mp.rows
 
@@ -331,7 +337,7 @@ def test_interpreter_exit_with_live_partitions_is_quiet():
         "for mp in kept[::2]:\n"
         "    mp._memo['cycle'] = mp\n"
         "for v in range(300, 3000):\n"
-        "    base.replace([(2, None, False)], [(v, False), (v + 1, False)])\n"
+        "    base.replace([(2, False)], [(v, False), (v + 1, False)])\n"
     )
     paths = [str(Path(marking.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
@@ -345,19 +351,21 @@ def test_interpreter_exit_with_live_partitions_is_quiet():
 def test_replace_keeps_its_errors():
     special = fixture_marked("pi1_step2")  # overlined 33, on mark 2
     cases = [
-        (special, [(33, None, True), (33, None, True)], "overlined any-marked 33"),  # one copy twice
-        (special, [(33, 2, False)], "2-marked 33"),  # only the overlined copy carries mark 2
-        (special, [(35, None, False)], "any-marked 35"),  # absent
-        (gg_mark_special((5, 3), 5), [(3, None, True)], "overlined any-marked 3"),  # not the overlined part
-        (gg_mark((4, 2)), [(4, 0, False)], "0-marked 4"),  # marks start at 1
+        (special, [(33, True), (33, True)], "overlined 33"),  # one copy twice
+        (special, [(33, False)], "plain 33"),  # the only 33 is the overlined copy
+        (special, [(35, False)], "plain 35"),  # absent
+        (gg_mark_special((5, 3), 5), [(3, True)], "overlined 3"),  # not the overlined part
+        (gg_mark((4, 2)), [(4, False), (4, False)], "plain 4"),  # one copy twice
     ]
     for mp, removals, who in cases:
         with pytest.raises(MissingEntryError, match=f"^no {who} in {re.escape(repr(mp))}$"):
             mp.replace(removals, [])
-    # a plain copy on the overline's mark number goes
+    # a plain part on the overline's mark number (36, mark 2) goes, and a plain
+    # removal of the overlined value takes a plain copy and keeps the overline
     parts = list(special.parts)
     parts.remove(36)
-    assert special.replace([(36, 2, False)], []) is gg_mark_special(parts, 33)
+    assert special.replace([(36, False)], []) is gg_mark_special(parts, 33)
+    assert gg_mark_special((5, 5, 3), 5).replace([(5, False)], []) is gg_mark_special((5, 3), 5)
 
 
 def test_entries_equal_the_stored_triples():
