@@ -126,9 +126,14 @@ def cluster_indexes(mp: MarkedPartition, p: int) -> tuple[int, ...]:
     """Starting cluster indexes p_1 > p_2 > ... > 1 at or below p, for
     1 <= p <= N2: the first index of each starting cluster, a maximal run of
     2-marked parts stepping by 4 with one starting type."""
-    if not 1 <= p <= len(mp.row2):
-        raise ValueError(f"cluster indexes need 1 <= p <= N2 = {len(mp.row2)}, got {p}")
-    return tuple(lo for lo, _, _ in _runs(mp, p, _one_type, upward=False))
+    try:
+        if not 1 <= p <= len(mp.row2):
+            raise ValueError(f"cluster indexes need 1 <= p <= N2 = {len(mp.row2)}, got {p}")
+        return tuple(lo for lo, _, _ in _runs(mp, p, _one_type, upward=False))
+    except TypeError:
+        if (levels := _retry_levels("p", (p,))) is None:
+            raise
+        return cluster_indexes(mp, *levels)
 
 
 # -- family membership -------------------------------------------------
@@ -441,7 +446,12 @@ def _reduction_label(mp, prof, row, s, e) -> Optional[str]:
 def reduction_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], ...]:
     """Typed runs (lo, hi, label) of the indexes 1..l above the insertion
     threshold, smallest index first."""
-    return _runs(mp, l, _reduction_label, upward=True)
+    try:
+        return _runs(mp, l, _reduction_label, upward=True)
+    except TypeError:
+        if (levels := _retry_levels("l", (l,))) is None:
+            raise
+        return reduction_types(mp, *levels)
 
 
 def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
@@ -467,7 +477,12 @@ def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
 def insertion_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], ...]:
     """Typed runs (lo, hi, label) of the indexes 1..l above the insertion
     threshold, largest index first."""
-    return _runs(mp, l, _insertion_label, upward=False)
+    try:
+        return _runs(mp, l, _insertion_label, upward=False)
+    except TypeError:
+        if (levels := _retry_levels("l", (l,))) is None:
+            raise
+        return insertion_types(mp, *levels)
 
 
 def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:

@@ -13,18 +13,22 @@ weight-shifting maps, but they are first-class values here.  The
 constructor rejects an overline on an even part, on an odd part that is
 not the largest, or on two copies, with `InvalidSpecialPartition`.
 
-A `MarkedPartition` is built from (value, overlined) pairs and always runs
-the greedy assignment itself, so a non-canonical marking cannot be built.
-It makes one ascending pass: a value's marks are final once its copies are
-marked, so each part joins `parts` and its row as its mark is given, and
-the lists are reversed at the end.  The marks of each value are kept as
-one int, bit m set for mark m; a live partition stores that map, its parts
-and rows, and no (value, mark, overlined) triples: `entries` derives them.
-All values are immutable.  `gg_mark`, `gg_mark_special` and `replace` hand
-out one live object per (parts, overlined value): `_marked` returns the
-partition already alive for that key, and runs the greedy marking only on
-a miss.  The live table is a
-plain dict of weak references, each a `_Ref` carrying its key, the
+A `MarkedPartition` always runs the greedy assignment itself, so a
+non-canonical marking cannot be built.  One core, `_greedy`, marks a
+non-increasing parts tuple with at most one overlined value: it walks the
+parts from the smallest up, one copy at a time, the plain copies of the
+overlined value before the overlined one, and each part joins its row as
+its mark is given; a value's marks are final once its copies are marked.
+`_marked` feeds it the parts tuple as it is, and the public constructor
+`MarkedPartition(pairs)` converts its (value, overlined) pairs to that
+tuple and value (two overlined pairs raise) and calls the same core.  The
+marks of each value are kept as one int, bit m set for mark m; a live
+partition stores that map, its parts and rows, and no (value, mark,
+overlined) triples: `entries` derives them.  All values are immutable.
+`gg_mark`, `gg_mark_special` and `replace` hand out one live object per
+(parts, overlined value): `_marked` returns the partition already alive
+for that key, and runs the greedy marking only on a miss.  The live table
+is a plain dict of weak references, each a `_Ref` carrying its key, the
 partition's own parts tuple and overlined value; one shared callback drops
 a dead partition's entry unless its key was registered again.  So a map's
 inverse lands on the very partition its forward half started from,
@@ -50,6 +54,7 @@ class _Ref(weakref.ref):
 
 
 _LIVE: "dict[tuple, _Ref]" = {}
+_new = object.__new__
 
 
 def _evict(ref: _Ref, _live: dict = _LIVE) -> None:
@@ -83,18 +88,37 @@ class MarkedPartition:
     )
 
     def __init__(self, pairs: Sequence[tuple[int, bool]]):
-        # ascending, plain copies before the overlined one (its search starts at mark 2)
+        parts, overs = [], []
+        for value, over in pairs:
+            parts.append(value)
+            if over:
+                overs.append(value)
+        if len(overs) > 1:
+            raise InvalidSpecialPartition("more than one overlined part: {}, {}".format(*sorted(overs)))
+        parts.sort(reverse=True)
+        self._greedy(tuple(parts), overs[0] if overs else None)
+
+    def _greedy(self, parts: tuple[int, ...], over: Optional[int]) -> None:
+        """The greedy pass over the non-increasing `parts`, with one copy of
+        `over` overlined (None: no overline): from the smallest part up, one
+        copy at a time, the plain copies of `over` before the overlined one
+        (its search starts at mark 2)."""
+        if over is not None and over != next((v for v in parts if v % 2), 0):
+            raise InvalidSpecialPartition(f"overlined part {over} is not the largest odd part of {parts}")
         bits_at: dict[int, int] = {}
         get = bits_at.get
-        parts: list[int] = []
         rows: list[list[int]] = []
-        overline = None
         largest_odd = 0
-        for value, over in sorted(pairs):
+        left = parts.count(over) if over is not None else 0  # copies of `over` to mark; the last is overlined
+        for value in reversed(parts):
             taken = get(value, 0)
-            used = taken | get(value - 1, 0) | (3 if over else 1)  # bit 0 is no mark
+            used = taken | get(value - 1, 0) | 1  # bit 0 is no mark
             if value % 2:
                 largest_odd = value
+                if value == over:
+                    left -= 1
+                    if not left:
+                        used |= 2
             else:
                 used |= get(value - 2, 0)
             free = (used + 1) & ~used  # the lowest clear bit: the smallest free mark
@@ -103,20 +127,12 @@ class MarkedPartition:
             while len(rows) < mark:  # an overlined copy may open row 2 before row 1
                 rows.append([])
             rows[mark - 1].append(value)
-            parts.append(value)
-            if over:
-                if overline is not None:
-                    raise InvalidSpecialPartition(f"more than one overlined part: {overline[0]}, {value}")
-                overline = (value, mark)
-        self.parts = tuple(parts[::-1])
+        self.parts = parts
         self.rows = tuple(tuple(row[::-1]) for row in rows)
         self.row2 = self.rows[1] if len(rows) > 1 else ()
-        self.overline = overline
+        # the overlined copy, marked after every plain copy, holds its value's top mark
+        self.overline = None if over is None else (over, bits_at[over].bit_length() - 1)
         self.largest_odd = largest_odd
-        if overline is not None and overline[0] != largest_odd:
-            raise InvalidSpecialPartition(
-                f"overlined part {overline[0]} is not the largest odd part of {self.parts}"
-            )
         self.weight = sum(parts)
         self.length = len(parts)
         self._bits = bits_at
@@ -135,9 +151,11 @@ class MarkedPartition:
 
     def N(self, i: int) -> int:
         """Size of row i (zero for rows beyond the marking)."""
+        if 0 < i <= len(self.rows):
+            return len(self.rows[i - 1])
         if i < 1:
             raise ValueError(f"row index must be >= 1, got {i}")
-        return len(self.rows[i - 1]) if i <= len(self.rows) else 0
+        return 0
 
     def row_values(self, i: int) -> tuple[int, ...]:
         if i < 1:
@@ -189,6 +207,8 @@ class MarkedPartition:
         """
         over, parts = self.overline and self.overline[0], list(self.parts)
         for value, overlined in removals:
+            if value.__class__ is not int:
+                value = integer("part", value)
             on_over = over == value  # a plain removal needs a copy besides the overlined one
             if not (on_over if overlined else parts.count(value) > on_over):
                 who = "overlined" if overlined else "plain"
@@ -197,7 +217,8 @@ class MarkedPartition:
             over = None if overlined else over
         overs = [over] if over else []
         for value, overlined in additions:
-            value = integer("part", value)
+            if value.__class__ is not int:
+                value = integer("part", value)
             parts.append(value)
             if overlined:
                 overs.append(value)
@@ -214,20 +235,17 @@ def _marked(parts: tuple[int, ...], overline: Optional[int]) -> MarkedPartition:
     ref = _LIVE.get((parts, overline))
     mp = ref() if ref is not None else None
     if mp is None:
-        pairs = [(v, False) for v in parts]
-        if overline is not None:
-            pairs.remove((overline, False))
-            pairs.append((overline, True))
-        mp = MarkedPartition(pairs)
+        mp = _new(MarkedPartition)
+        mp._greedy(parts, overline)
         ref = _Ref(mp, _evict)
-        ref.key = (mp.parts, overline)  # keyed by its own parts: no second tuple
+        ref.key = (parts, overline)
         _LIVE[ref.key] = ref
     return mp
 
 
 def _normalize(parts: Iterable[int]) -> tuple[int, ...]:
     out = tuple(sorted(integers("part", parts), reverse=True))
-    if any(v < 1 for v in out):
+    if out and out[-1] < 1:
         raise ValueError(f"parts must be positive integers, got {out}")
     return out
 

@@ -7,11 +7,14 @@ order and turns each condition into a bound on the next part, so its loop
 runs only over values that keep all four conditions and can still finish
 the weight:
 
-- capacity: a member has parts[i] >= parts[i+k-1] + eta, so with largest
-  part <= v its j-th part is at most v - eta*(j // (k-1)) and its weight at
-  most cap[v] = (k-1)*v + cap[v-eta], where cap[v] = (k-1)*v for v <= eta.
-  cap increases, so the next part is at least low[w], the smallest v with
-  cap[v] >= w, when the weight left is w;
+- capacity: cap[v] bounds the weight of a member with every part <= v.
+  With a the largest allowed value <= v and g(a) = a - eta - [eta | a] the
+  window ceiling, cap[v] = (k-1)*a + cap[g(a)] (`_capacity`).  It is a
+  bound: the first k-1 parts are <= a, the part k-1 places after the
+  largest p0 is <= g(p0) <= g(a) as g never decreases, and the parts from
+  there on form a member.  cap never decreases and does not depend on n,
+  so the next part is at least low[w], the smallest v with cap[v] >= w,
+  when the weight left is w;
 - residue: only values v with v % eta in {0} | {alpha_i % eta} are tried;
 - repeat: after a part v the next part is at most v if eta divides v, and
   at most v - 1 otherwise;
@@ -20,26 +23,29 @@ the weight:
 - small parts: once r-1 parts are <= eta, the next part is at least eta + 1.
 
 A part equal to the weight left finishes a member without a further call,
-and any other part is followed by a call only when the next level's largest
-candidate, the smaller of its ceiling and the weight left, has capacity.
+and any other part is followed by the next level, a call above the cut and
+a table read at or below it, only when that level's ceiling has capacity.
 
 Tail table: at and below a fixed cut of the weight left, CUT = 14, the walk
 reads each state's completions (its tails) from a per-family table.  The
 key of a state with weight w left is (w, its ceiling min(hi, w), the count
 of small parts so far, the last k-2 stacked parts, each clamped at
 w+eta+1).  It is complete: `low`, `allowed`, `at` and `nxt` read the same
-values below the cut for every n; a part stacked more than k-2 places up
-has spent its window; and a part above w+eta sets a window ceiling of at
-least w, which no later part exceeds, so the clamp changes no bound.  The
-first visit of a state walks it and stores its tails, and every later
-visit, in this call or a later one for any n, emits prefix + tail, in the
-order of the walk; each tail, and each state's tuple of tails, is interned
-once per family.  The table is bounded by construction: a key has
-w <= CUT, a ceiling <= w, at most r-1 small parts and at most k-2 context
-parts each <= CUT+eta+1, whatever n a caller reaches.  `_tail_table` keeps
-the tables of the last 8 families (an `lru_cache` on the hashable params).
-A sweep over n gains, since every call after the first reads the small
-tails; a single cold call pays for filling the table.
+values below the cut for every n (a low[w] past w, for a w no member has,
+empties the state's loop whatever its value); a part stacked more than
+k-2 places up has spent its window; and a part above w+eta sets a window
+ceiling of at least w, which no later part exceeds, so the clamp changes
+no bound.  The walk builds the key of each next state below the cut in
+its own loop, with no call: its first visit walks the state and stores its
+tails, and every later visit, in this call or a later one for any n,
+emits prefix + tail in the order of the walk, or nothing for a state with
+no tail; each tail, and each state's tuple of tails, is interned once per
+family.  The table is bounded by construction: a key has w <= CUT, a
+ceiling <= w, at most r-1 small parts and at most k-2 context parts each
+<= CUT+eta+1, whatever n a caller reaches.  `_tail_table` keeps the tables
+of the last 8 families (an `lru_cache` on the hashable params).  A sweep
+over n gains, since every call after the first reads the small tails; a
+single cold call pays for filling the table.
 """
 
 from __future__ import annotations
@@ -175,6 +181,22 @@ def all_partitions(n: int, max_part: Optional[int] = None) -> Iterator[tuple[int
 CUT = 14  # the weight left at and below which `enumerate_B` reads the tail table
 
 
+def _capacity(params: BressoudParams, n: int) -> list[int]:
+    """cap[v] for v = 0..n: a bound on the weight of a member with every part
+    <= v.  With a the largest allowed value <= v, cap[v] = (k-1)*a +
+    cap[g(a)], where g(a) = a - eta - [eta | a] is the window ceiling."""
+    eta, k = params.eta, params.k
+    residues = {0} | {a % eta for a in params.alphas}
+    cap = [0] * (n + 1)
+    a = 0
+    for v in range(1, n + 1):
+        if v % eta in residues:
+            a = v
+        g = a - eta - (a % eta == 0)
+        cap[v] = (k - 1) * a + (cap[g] if g > 0 else 0)
+    return cap
+
+
 @lru_cache(maxsize=8)
 def _tail_table(params: BressoudParams) -> tuple[dict, dict]:
     """One family's tail table {state key: its tails}, filled as
@@ -193,10 +215,7 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
     if k == 1:
         return []
     residues = {0} | {a % eta for a in params.alphas}
-    # cap[v]: the largest weight of a member with every part <= v
-    cap = [0] * (n + 1)
-    for v in range(1, n + 1):
-        cap[v] = (k - 1) * v + (cap[v - eta] if v > eta else 0)
+    cap = _capacity(params, n)
     low = [bisect_left(cap, w) for w in range(n + 1)]
     allowed = [v for v in range(n, 0, -1) if v % eta in residues]
     # allowed[at[v]:at[u]] holds the allowed values in (u, v]; at[eta] is the
@@ -211,7 +230,6 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
     else:
         nxt = [v if v % eta == 0 else v - 1 for v in range(n + 1)]
     tails, interned = _tail_table(params)
-    context = slice(2 - k, None) if k > 2 else slice(0, 0)  # the last k-2 stacked parts
     out: list[tuple[int, ...]] = []
     stack: list[int] = []
 
@@ -226,6 +244,9 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
         if 2 < k <= depth + 2:
             w = stack[depth - k + 2]
             wb = w - eta - (w % eta == 0)
+        # above: the stacked parts that stay in the next level's key context
+        # besides the next part itself (k >= 4)
+        above = stack[3 - k :] if k > 3 else ()
         # a conditional, not min(): the builtin call cost a fifth of the run time
         for v in allowed[at[hi if hi < remaining else remaining] : at[floor - 1]]:
             if v == remaining:
@@ -235,28 +256,47 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
             nh = nxt[v]
             if nh > wb:
                 nh = wb
-            if low[rest] <= nh:  # the next level's largest candidate has capacity
+            if low[rest] > nh:  # the next level's ceiling has no capacity
+                continue
+            s = small + (v <= eta)
+            if rest > CUT:
                 stack.append(v)
-                (walk if rest > CUT else read)(rest, nh, small + 1 if v <= eta else small)
+                walk(rest, nh, s)
                 stack.pop()
+                continue
+            # below the cut: read the next level's tails, keyed by its state
+            if nh > rest:
+                nh = rest
+            clamp = rest + eta + 1  # a part this large sets a window ceiling >= rest
+            own = v if v < clamp else clamp
+            if not above:  # k <= 3, or a stack too shallow for more context
+                key = (rest, nh, s, own) if k > 2 else (rest, nh, s)
+            elif k == 4:
+                u = above[0]
+                key = (rest, nh, s, u if u < clamp else clamp, own)
+            else:
+                key = (rest, nh, s, *[u if u < clamp else clamp for u in above], own)
+            got = tails.get(key)
+            if got is None:
+                stack.append(v)
+                fill(key, rest, nh, s)
+                stack.pop()
+            elif got:  # a state with no completion, (), emits nothing
+                out.extend(map((*stack, v).__add__, got))
 
-    def read(remaining: int, hi: int, small: int) -> None:
-        """Emit the tails of a state below the cut, walked on its first visit."""
-        if hi > remaining:
-            hi = remaining
-        clamp = remaining + eta + 1  # a part this large sets a window ceiling >= remaining
-        key = (remaining, hi, small, *[w if w < clamp else clamp for w in stack[context]])
-        got = tails.get(key)
-        if got is None:
-            start, depth = len(out), len(stack)
-            walk(remaining, hi, small)
-            got = tuple([interned.setdefault(tail := m[depth:], tail) for m in out[start:]])
-            tails[key] = interned.setdefault(got, got)
-        else:
-            prefix = tuple(stack)
-            out.extend([prefix + tail for tail in got])
+    def fill(key: tuple, remaining: int, hi: int, small: int) -> None:
+        """Walk a state below the cut on its first visit and store its tails."""
+        start, depth = len(out), len(stack)
+        walk(remaining, hi, small)
+        got = tuple([interned.setdefault(tail := m[depth:], tail) for m in out[start:]])
+        tails[key] = interned.setdefault(got, got)
 
-    (walk if n > CUT else read)(n, n, 0)
+    if n > CUT:
+        walk(n, n, 0)
+    elif (got := tails.get((n, n, 0))) is None:
+        fill((n, n, 0), n, n, 0)
+    else:
+        out.extend(got)
     return out
 
 

@@ -1,8 +1,9 @@
 """Shared enumeration caches for the sweep-style tests, the bytes per live
 marked partition (read by a tier-1 test and by CI's job summary), the
-microseconds per fresh one, per classifier probe, per lt round trip and per
-enumerated member (read by CI's job summary), the plain-loop forms of the
-series kernels, and `Index`, an integer-like value that is not an int."""
+microseconds per fresh one (by its constructor and by `gg_mark`), per
+classifier probe, per lt round trip and per enumerated member (read by CI's
+job summary), the plain-loop forms of the series kernels, and `Index`, an
+integer-like value that is not an int."""
 
 import gc
 import math
@@ -27,7 +28,7 @@ from ggpart import (
     separate_odd,
     verify,
 )
-from ggpart import membership
+from ggpart import marking, membership
 
 # {weight: [marked members]} for the eta=2 single-residue family
 c_members = cache(verify.members_by_weight)
@@ -81,6 +82,23 @@ def us_per_partition(k: int = 4, r: int = 4, wmax: int = 40, repeats: int = 15) 
             MarkedPartition(x)
         sweeps.append(time.perf_counter() - start)
     return statistics.median(sweeps) / len(pairs) * 1e6
+
+
+def us_per_mark(k: int = 4, r: int = 4, wmax: int = 40, repeats: int = 15) -> float:
+    """Microseconds per fresh `gg_mark(parts)` over every member of E(k, r)
+    to weight wmax: the median of `repeats` timed sweeps, each from an empty
+    `gg_mark` cache with no partition alive, so every call runs the greedy
+    marking."""
+    members = [p for n in range(wmax + 1) for p in enumerate_E(k, r, n)]
+    sweeps = []
+    for _ in range(repeats):
+        marking._gg_mark_cached.cache_clear()  # drops the last sweep's partitions
+        start = time.perf_counter()
+        for p in members:
+            gg_mark(p)
+        sweeps.append(time.perf_counter() - start)
+    marking._gg_mark_cached.cache_clear()
+    return statistics.median(sweeps) / len(members) * 1e6
 
 
 def us_per_probe(k: int = 3, r: int = 3, wmax: int = 24, repeats: int = 5) -> float:

@@ -289,6 +289,20 @@ def test_pt_searches_take_integer_like_levels():
                 find(mp, *levels)
 
 
+@pytest.mark.parametrize(
+    "typing, name", [(cluster_indexes, "p"), (reduction_types, "l"), (insertion_types, "l")],
+    ids=["cluster", "reduction", "insertion"],
+)
+def test_typings_name_a_bad_level(typing, name):
+    # a string level used to fail the first comparison with a bare TypeError,
+    # and so did an integer-like one
+    mp = gg_mark((8, 6, 4, 2, 2, 1))
+    want = typing(mp, 2)
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got '2'$"):
+        typing(mp, "2")
+    assert typing(mp, Index(2)) == want
+
+
 # -- reference membership predicates -------------------------------------
 #
 # Reference copies of the lt/eq membership predicates in definitional order:

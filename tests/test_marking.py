@@ -232,6 +232,16 @@ def test_replace_refuses_non_integer_additions():
     assert mp.replace([], [(Index(4), False)]) is gg_mark((4, 4, 2))
 
 
+def test_replace_refuses_non_integer_removals():
+    # a removal of 4.0 used to take the 4, where the same value as an addition raised
+    mp = gg_mark((4, 2))
+    for value in (4.0, "4"):
+        with pytest.raises(ValueError, match=rf"^part must be an integer, got {re.escape(repr(value))}$"):
+            mp.replace([(value, False)], [])
+    assert mp.replace([(Index(4), False)], []) is gg_mark((2,))
+    assert gg_mark_special((5, 3), 5).replace([(Index(5), True)], []) is gg_mark((3,))
+
+
 def test_replace_missing_entry():
     special = gg_mark_special((5, 3), 5)
     cases = [

@@ -147,30 +147,53 @@ def test_general_eta_enumeration():
         assert sorted(enumerate_B(params, n)) == sorted(naive)
 
 
+ENUMERATION_GRID = [
+    BressoudParams((), 1, 1, 1),  # k = 1: only the empty partition
+    BressoudParams((), 1, 3, 2),
+    BressoudParams((), 1, 2, 1),
+    BressoudParams((1,), 2, 2, 2),
+    BressoudParams((), 2, 5, 3),
+    BressoudParams((1, 2), 3, 4, 2),
+    BressoudParams((), 3, 2, 2),
+    BressoudParams((2,), 4, 3, 3),
+    BressoudParams((1, 3), 4, 5, 4),
+    BressoudParams((1,), 2, 2, 1),  # k = 2: no window in the key
+    BressoudParams((1,), 2, 5, 5),  # k = 5: a window of 3 stacked parts
+]
+
+
 @pytest.mark.parametrize(
     "weights", [range(0, 25), range(24, -1, -1)], ids=["ascending", "descending"]
 )
 def test_enumerate_B_equals_definition(weights):
     # same list in the same descending-lex order; eta 1..4, lambda 0..2, k 1..5;
     # from an empty tail table, whose cut the weights cross in either order
-    grid = [
-        BressoudParams((), 1, 1, 1),  # k = 1: only the empty partition
-        BressoudParams((), 1, 3, 2),
-        BressoudParams((), 1, 2, 1),
-        BressoudParams((1,), 2, 2, 2),
-        BressoudParams((), 2, 5, 3),
-        BressoudParams((1, 2), 3, 4, 2),
-        BressoudParams((), 3, 2, 2),
-        BressoudParams((2,), 4, 3, 3),
-        BressoudParams((1, 3), 4, 5, 4),
-        BressoudParams((1,), 2, 2, 1),  # k = 2: no window in the key
-        BressoudParams((1,), 2, 5, 5),  # k = 5: a window of 3 stacked parts
-    ]
     membership._tail_table.cache_clear()
     for n in weights:
         every = list(all_partitions(n))
-        for params in grid:
+        for params in ENUMERATION_GRID:
             assert enumerate_B(params, n) == [p for p in every if is_bressoud_B(p, params)], (params, n)
+
+
+def test_capacity_bounds_every_member():
+    # cap[v] never decreases, and no member with largest part <= v weighs more
+    # than cap[v]: the enumeration grid, E(4, 3), E(4, 4) and C(4, 3), to weight 24
+    wmax = 24
+    every = [p for n in range(wmax + 1) for p in all_partitions(n)]
+    grid = ENUMERATION_GRID + [
+        BressoudParams((), 2, 4, 3),
+        BressoudParams((), 2, 4, 4),
+        BressoudParams((1,), 2, 4, 3),
+    ]
+    for params in grid:
+        cap = membership._capacity(params, wmax)
+        assert all(a <= b for a, b in zip(cap, cap[1:])), params
+        heaviest = [0] * (wmax + 1)  # the largest weight of a member with largest part v
+        for p in every:
+            if is_bressoud_B(p, params) and p:
+                heaviest[p[0]] = max(heaviest[p[0]], sum(p))
+        for v in range(wmax + 1):
+            assert cap[v] >= max(heaviest[: v + 1]), (params, v)
 
 
 def test_tail_table_is_bounded():
