@@ -17,20 +17,22 @@ chain) have one reader, `_chain`, shared by the eq membership test, the eq
 clauses and the separation maps.
 The only caches are per partition: the starting profile, which several
 procedures share, and one label slot per family ("lt", "sim", "eq") holding
-the last label derived and its (k, r, p, t), read and written only here.
+the last label derived and its (k, r, p, t), written only here.
 `classify_*` test membership before the slot (most probes reject, and the
 bracket costs less than a slot read).  A map's input check reads the slot
-first (`_slot`), which is safe: a slot is written only after membership
-passed, on an immutable partition shared as one live object, so along a
-chain each map's input check is answered by the previous output check.  A
-clause pass reads its levels with `errors.integer`; the probe path reads
-none, so a non-member probe at a non-integer level answers None.  A level
-that breaks a comparison (a string, or an integer-like value with
-`__index__` only) is read with `errors.integer` in the probe's `except
-TypeError` (`_retry_levels`), so a string raises a ValueError naming it, an
-integer-like level retries once as an int, and no probe pays for the read.
-A label is
-a `SubsetLabel` named tuple, built by `tuple.__new__` to skip its constructor.
+first (`maps._label`), which is safe: a slot is written only after
+membership passed, on an immutable partition shared as one live object, so
+along a chain each map's input check is answered by the previous output
+check.  The probes and the (p, t) searches test k >= r >= 3 inline and call
+`_kr_error` only to raise.  A clause pass reads its levels with
+`errors.integer`; the probe path reads none, so a non-member probe at a
+non-integer level answers None.  A level that breaks a comparison (a
+string, or an integer-like value with `__index__` only) is read with
+`errors.integer` in the probe's `except TypeError` (`_retry_levels`), so a
+string raises a ValueError naming it, an integer-like level retries once as
+an int, and no probe pays for the read.  The typings and `cluster_indexes`
+read a level that is not an int with `errors.integer`.  A label is a
+`SubsetLabel` named tuple, built by `tuple.__new__` to skip its constructor.
 
 Starting-type conventions: types are the strings "s-1", "s0", "s1", "s2",
 "s3"; each 2-marked part up to the threshold matches exactly one of the
@@ -126,22 +128,18 @@ def cluster_indexes(mp: MarkedPartition, p: int) -> tuple[int, ...]:
     """Starting cluster indexes p_1 > p_2 > ... > 1 at or below p, for
     1 <= p <= N2: the first index of each starting cluster, a maximal run of
     2-marked parts stepping by 4 with one starting type."""
-    try:
-        if not 1 <= p <= len(mp.row2):
-            raise ValueError(f"cluster indexes need 1 <= p <= N2 = {len(mp.row2)}, got {p}")
-        return tuple(lo for lo, _, _ in _runs(mp, p, _one_type, upward=False))
-    except TypeError:
-        if (levels := _retry_levels("p", (p,))) is None:
-            raise
-        return cluster_indexes(mp, *levels)
+    if p.__class__ is not int:
+        p = integer("p", p)
+    if not 1 <= p <= len(mp.row2):
+        raise ValueError(f"cluster indexes need 1 <= p <= N2 = {len(mp.row2)}, got {p}")
+    return tuple(lo for lo, _, _ in _runs(mp, p, _one_type, upward=False))
 
 
 # -- family membership -------------------------------------------------
 
 
-def _check_kr(k: int, r: int) -> None:
-    if not (k >= r >= 3):
-        raise ValueError(f"classification requires k >= r >= 3, got k={k} r={r}")
+def _kr_error(k: int, r: int) -> ValueError:
+    return ValueError(f"classification requires k >= r >= 3, got k={k} r={r}")
 
 
 def _member_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
@@ -183,17 +181,11 @@ def _retry_levels(names: str, levels: tuple) -> Optional[tuple]:
     return None if all(v.__class__ is int for v in levels) else ints
 
 
-def _slot(mp: MarkedPartition, family: str, key: tuple, classify):
-    """The label in `family`'s slot on `mp` if that holds the levels `key`, else `classify`'s."""
-    slot = mp._memo.get(family)
-    return slot[1] if slot is not None and slot[0] == key else classify(mp, *key)
-
-
 def _derived(mp: MarkedPartition, family: str, k: int, r: int, p: int, t: int):
     """The label of a member in `family` at (p, t): the family's slot on `mp`
     if it holds this (k, r, p, t), else a fresh clause pass, which replaces it."""
     key = (k, r, p, t)
-    slot = mp._memo.get(family)  # read here, not by `_slot`: the call costs the probes
+    slot = mp._memo.get(family)
     if slot is not None and slot[0] == key:
         return slot[1]
     if not (k.__class__ is r.__class__ is p.__class__ is t.__class__ is int):
@@ -206,7 +198,8 @@ def _derived(mp: MarkedPartition, family: str, k: int, r: int, p: int, t: int):
 def classify_lt(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the below-threshold family, or None if not a member."""
     try:
-        _check_kr(k, r)
+        if not k >= r >= 3:
+            raise _kr_error(k, r)
         return _derived(mp, "lt", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
     except TypeError:
         if (levels := _retry_levels("krpt", (k, r, p, t))) is None:
@@ -329,7 +322,8 @@ def _member_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> bool:
 def classify_eq(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the equality family, or None if not a member."""
     try:
-        _check_kr(k, r)
+        if not k >= r >= 3:
+            raise _kr_error(k, r)
         if mp.largest_odd != 2 * t + 1:  # the largest odd part fixes t: most probes stop here
             return None
         return _derived(mp, "eq", k, r, p, t) if _member_eq(mp, k, r, p, t) else None
@@ -446,12 +440,7 @@ def _reduction_label(mp, prof, row, s, e) -> Optional[str]:
 def reduction_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], ...]:
     """Typed runs (lo, hi, label) of the indexes 1..l above the insertion
     threshold, smallest index first."""
-    try:
-        return _runs(mp, l, _reduction_label, upward=True)
-    except TypeError:
-        if (levels := _retry_levels("l", (l,))) is None:
-            raise
-        return reduction_types(mp, *levels)
+    return _runs(mp, l if l.__class__ is int else integer("l", l), _reduction_label, upward=True)
 
 
 def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
@@ -477,18 +466,14 @@ def _insertion_label(mp, prof, row, s, e) -> Optional[str]:
 def insertion_types(mp: MarkedPartition, l: int) -> tuple[tuple[int, int, str], ...]:
     """Typed runs (lo, hi, label) of the indexes 1..l above the insertion
     threshold, largest index first."""
-    try:
-        return _runs(mp, l, _insertion_label, upward=False)
-    except TypeError:
-        if (levels := _retry_levels("l", (l,))) is None:
-            raise
-        return insertion_types(mp, *levels)
+    return _runs(mp, l if l.__class__ is int else integer("l", l), _insertion_label, upward=False)
 
 
 def classify_sim(mp: MarkedPartition, k: int, r: int, p: int, t: int) -> Optional[SubsetLabel]:
     """Subset number within the tilde family, or None if not a member."""
     try:
-        _check_kr(k, r)
+        if not k >= r >= 3:
+            raise _kr_error(k, r)
         return _derived(mp, "sim", k, r, p, t) if _member_lt(mp, k, r, p, t) else None
     except TypeError:
         if (levels := _retry_levels("krpt", (k, r, p, t))) is None:
@@ -557,8 +542,10 @@ def find_pt_lt(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[in
     the p with max(r2(p+1), largest odd) < 2(m-p)+1 < r2(p) can hold, that is
     r2(p) + 2p >= 2m + 2 >= r2(p+1) + 2(p+1)."""
     try:
-        _check_kr(k, r)
-        m = integer("m", m)
+        if not k >= r >= 3:
+            raise _kr_error(k, r)
+        if m.__class__ is not int:
+            m = integer("m", m)
         hits = [(p, m - p) for p in _bracket(mp.row2, 2 * m + 2, 2) if p <= m and _member_lt(mp, k, r, p, m - p)]
     except TypeError:
         if (levels := _retry_levels("krm", (k, r, m))) is None:
@@ -573,8 +560,11 @@ def find_pt_eq(mp: MarkedPartition, k: int, r: int, m: int) -> Optional[tuple[in
     """The (p, t) with p + t = m placing mp in the eq family, if any.  The
     largest odd part is 2t+1, so p = m - t is the one candidate."""
     try:
-        _check_kr(k, r)
-        m, t = integer("m", m), (mp.largest_odd - 1) // 2
+        if not k >= r >= 3:
+            raise _kr_error(k, r)
+        if m.__class__ is not int:
+            m = integer("m", m)
+        t = (mp.largest_odd - 1) // 2
         return (m - t, t) if _member_eq(mp, k, r, m - t, t) else None
     except TypeError:
         if (levels := _retry_levels("krm", (k, r, m))) is None:

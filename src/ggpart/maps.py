@@ -17,11 +17,15 @@ marking of its parts, so no mark the paper names at a removal can change it:
 it would only assert that a copy with that mark exists.  A missing value
 aborts with the partition attached.  Each of the four factors reads its
 levels as ints and its input's label, checks its weight/length ledger, then
-classifies its output and checks that the subset kind and index were kept.  The input label
-is the family's slot when that holds this (k, r, p, t): a slot is written
-only after membership passed, so along a chain each input check is answered
-by the previous output check.  `phi_pt_trace`/`psi_pt_trace` compose the
-public factors, return (result, (midpoint,)) and check the whole ledger.
+classifies its output and checks that the subset kind and index were kept.
+The input label is the family's slot when that holds this (k, r, p, t),
+which `_label` reads itself: a slot is written only after membership
+passed, so along a chain each input check is answered by the previous
+output check.  At l = 0 `dilate` and `reduce` are the identity and read no
+typing; the input's membership test has read its starting profile, so
+the skip leaves no profile error unraised.  `phi_pt_trace`/`psi_pt_trace`
+compose the public factors, return (result, (midpoint,)) and check the
+whole ledger.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from __future__ import annotations
 from .classify import (
     _chain,
     _levels,
-    _slot,
     classify_eq,
     classify_lt,
     classify_sim,
@@ -57,8 +60,12 @@ def _ledger(name: str, before: MarkedPartition, after: MarkedPartition, dw: int,
 def _label(classify, family: str, mp: MarkedPartition, k, r, p, t):
     """The levels read as ints and the label of `mp` in `family` at (p, t), from
     its slot if that holds them; a non-member raises, also on a "sim" slot of None."""
-    key = _levels(k, r, p, t)
-    label = _slot(mp, family, key, classify)
+    if k.__class__ is r.__class__ is p.__class__ is t.__class__ is int:
+        key = (k, r, p, t)
+    else:
+        key = _levels(k, r, p, t)
+    slot = mp._memo.get(family)
+    label = slot[1] if slot is not None and slot[0] == key else classify(mp, *key)
     if label is None:
         name = "tilde" if family == "sim" else family
         raise MembershipError(f"{mp.parts} is not in the {name} family at (p,t)=({key[2]},{key[3]})")
@@ -91,7 +98,7 @@ def dilate(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     (k, r, _, _), label = _label(classify_lt, "lt", mp, k, r, p, t)
     row = mp.row2
     cur, steps = mp, []
-    for lo, hi, lab in insertion_types(mp, label.l):  # no runs when l == 0: the identity
+    for lo, hi, lab in insertion_types(mp, label.l) if label.l else ():
         gone = row[hi - 1] - 2 if lab == "A2" else row[hi - 1]
         odd, over = gone + 1, lab in ("A3", "B")
         cur = cur.replace([(gone, False)], [(odd, over)])
@@ -116,7 +123,7 @@ def reduce(mp: MarkedPartition, k: int, r: int, p: int, t: int):
     (k, r, _, _), label = _label(classify_sim, "sim", mp, k, r, p, t)
     row = mp.row2
     cur, steps = mp, []
-    for lo, hi, lab in reduction_types(mp, label.l):  # no runs when l == 0: the identity
+    for lo, hi, lab in reduction_types(mp, label.l) if label.l else ():
         over = lab in ("A3", "B")
         for i in range(lo, hi + 1):
             gone = row[i - 1] + 2 if lab in ("A1", "B") else row[i - 1]

@@ -24,7 +24,10 @@ its mark is given; a value's marks are final once its copies are marked.
 tuple and value (two overlined pairs raise) and calls the same core.  The
 marks of each value are kept as one int, bit m set for mark m; a live
 partition stores that map, its parts and rows, and no (value, mark,
-overlined) triples: `entries` derives them.  All values are immutable.
+overlined) triples: `entries` derives them.  The same pass records two
+small ints that answer C(k, r) membership (`membership.is_in_C`): the row
+count, or -1 once an odd value repeats, and the largest mark on the values
+1 and 2.  All values are immutable.
 `gg_mark`, `gg_mark_special` and `replace` hand out one live object per
 (parts, overlined value): `_marked` returns the partition already alive
 for that key, and runs the greedy marking only on a miss.  The live table
@@ -76,15 +79,16 @@ class MarkedPartition:
 
     It stores `parts`, `rows[i-1]` (the decreasing tuple of i-marked values),
     `row2` (`rows[1]`, or ()), `overline` (the (value, mark) of the overlined
-    copy, or None), `largest_odd` (0 when there is none) and the value-to-marks
-    bits; `entries`, the (value, mark, overlined) triples by decreasing value,
-    then mark, is derived from the bits on each read.  An overline on any
+    copy, or None), `largest_odd` (0 when there is none), the value-to-marks
+    bits and the two C(k, r) facts `_c_rows` and `_c_small`; `entries`, the
+    (value, mark, overlined) triples by decreasing value, then mark, is
+    derived from the bits on each read.  An overline on any
     other value than `largest_odd`, or on two copies, raises.
     """
 
     __slots__ = (
         "parts", "rows", "row2", "overline", "largest_odd", "weight", "length",
-        "_bits", "_memo", "__weakref__",
+        "_bits", "_c_rows", "_c_small", "_memo", "__weakref__",
     )
 
     def __init__(self, pairs: Sequence[tuple[int, bool]]):
@@ -109,12 +113,15 @@ class MarkedPartition:
         get = bits_at.get
         rows: list[list[int]] = []
         largest_odd = 0
+        repeat = False  # an odd value met twice
         left = parts.count(over) if over is not None else 0  # copies of `over` to mark; the last is overlined
         for value in reversed(parts):
             taken = get(value, 0)
             used = taken | get(value - 1, 0) | 1  # bit 0 is no mark
             if value % 2:
                 largest_odd = value
+                if taken:
+                    repeat = True
                 if value == over:
                     left -= 1
                     if not left:
@@ -136,6 +143,8 @@ class MarkedPartition:
         self.weight = sum(parts)
         self.length = len(parts)
         self._bits = bits_at
+        self._c_rows = -1 if repeat else len(rows)
+        self._c_small = ((get(1, 0) | get(2, 0)) >> 1).bit_length()
         self._memo: dict = {}
 
     @property

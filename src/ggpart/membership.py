@@ -20,7 +20,9 @@ the weight:
   at most v - 1 otherwise;
 - window: the part k-1 places after a part w is at most w - eta, and at
   most w - eta - 1 if eta divides w;
-- small parts: once r-1 parts are <= eta, the next part is at least eta + 1.
+- small parts: once r-1 parts are <= eta, the next part is at least eta + 1;
+- weight: every allowed value is a multiple of g = gcd(eta, alpha_1..), so a
+  weight n that g does not divide has no member (even-only families: odd n).
 
 A part equal to the weight left finishes a member without a further call,
 and any other part is followed by the next level, a call above the cut and
@@ -54,6 +56,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 from itertools import groupby
+from math import gcd
 from typing import Iterator, Optional, Sequence
 
 from .errors import integer, integers, require_nonnegative
@@ -122,28 +125,17 @@ def is_bressoud_B(parts: Sequence[int], params: BressoudParams) -> bool:
 
 
 def is_in_C(p, k: int, r: int) -> bool:
-    """Marking characterization of the eta=2 family with one residue class.
+    """Marking characterization of the eta=2 family with one residue class:
+    at most k-1 rows, no repeated odd part, and no mark above r-1 on the
+    values 1 and 2.
 
-    Accepts a part sequence or an already marked partition.  The tests
-    check it against `is_bressoud_B`, the family's four defining conditions.
+    Accepts a part sequence or an already marked partition, and reads the
+    two facts the greedy pass recorded (`MarkedPartition._c_rows`, -1 once an
+    odd value repeats, and `_c_small`).  The tests check it against
+    `is_bressoud_B`, the family's four defining conditions.
     """
     mp = p if isinstance(p, MarkedPartition) else gg_mark(p)
-    key = ("inC", k, r)
-    hit = mp._memo.get(key)
-    if hit is None:
-        hit = mp._memo[key] = _is_in_C(mp, k, r)
-    return hit
-
-
-def _is_in_C(mp: MarkedPartition, k: int, r: int) -> bool:
-    if mp.n_rows > k - 1:
-        return False
-    if any(v % 2 and bits & (bits - 1) for v, bits in mp._bits.items()):  # a repeated odd part
-        return False
-    for small in (1, 2):
-        if mp.max_mark(small) > r - 1:
-            return False
-    return True
+    return k - 1 >= mp._c_rows >= 0 and r - 1 >= mp._c_small
 
 
 def row_counts(mp: MarkedPartition, upto: int) -> tuple[int, ...]:
@@ -212,7 +204,7 @@ def enumerate_B(params: BressoudParams, n: int) -> list[tuple[int, ...]]:
     eta, k, r = params.eta, params.k, params.r
     if n == 0:
         return [()]
-    if k == 1:
+    if k == 1 or n % gcd(eta, *params.alphas):
         return []
     residues = {0} | {a % eta for a in params.alphas}
     cap = _capacity(params, n)

@@ -295,11 +295,14 @@ def test_pt_searches_take_integer_like_levels():
 )
 def test_typings_name_a_bad_level(typing, name):
     # a string level used to fail the first comparison with a bare TypeError,
-    # and so did an integer-like one
+    # and so did an integer-like one; the reduction typing read 2.5 as 2, and the
+    # cluster reader called it out of range
     mp = gg_mark((8, 6, 4, 2, 2, 1))
     want = typing(mp, 2)
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got '2'$"):
         typing(mp, "2")
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 2\.5$"):
+        typing(mp, 2.5)
     assert typing(mp, Index(2)) == want
 
 

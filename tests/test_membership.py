@@ -1,5 +1,6 @@
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -13,11 +14,12 @@ from ggpart import (
     enumerate_I,
     gg_companion_bivariate,
     gg_mark,
+    gg_mark_special,
     is_bressoud_B,
     is_in_C,
     row_counts,
 )
-from ggpart import membership
+from ggpart import InvalidSpecialPartition, MissingEntryError, membership
 from ggpart.membership import all_partitions
 
 from helpers import (
@@ -108,6 +110,57 @@ def test_pi1_membership():
     assert is_in_C(pi1, 4, 3)
     assert not is_in_C(pi1, 3, 3)  # three rows need k >= 4
     assert is_in_C((), 3, 3)
+
+
+def _ref_is_in_C(mp, k, r):
+    """The walk of the marks that `is_in_C` replaced: the row count, then a
+    repeated odd part, then the largest marks of 1 and 2."""
+    if mp.n_rows > k - 1:
+        return False
+    if any(v % 2 and bits & (bits - 1) for v, bits in mp._bits.items()):
+        return False
+    return all(mp.max_mark(small) <= r - 1 for small in (1, 2))
+
+
+ORACLE_KRS = ((2, 1), (3, 3), (4, 2), (5, 5))
+
+
+def test_is_in_C_matches_the_marks_walk():
+    # every partition to weight 18, plain and with its largest odd part overlined
+    specials = 0
+    for n in range(19):
+        for p in all_partitions(n):
+            marked = [gg_mark(p)]
+            if odd := next((v for v in p if v % 2), 0):
+                marked.append(gg_mark_special(p, odd))
+                specials += 1
+            for mp in marked:
+                for k, r in ORACLE_KRS:
+                    assert is_in_C(mp, k, r) == _ref_is_in_C(mp, k, r), (mp, k, r)
+    assert specials > 1000
+
+
+def test_is_in_C_matches_the_marks_walk_along_replace_chains():
+    # seeded chains of `replace`, each step removing up to two copies and adding
+    # up to two parts, an odd one sometimes overlined; a step that names a
+    # missing copy or a misplaced overline raises and the chain stays put
+    rng = random.Random(4242)
+    outputs = 0
+    for _ in range(40):
+        mp = gg_mark(rng.choice(list(all_partitions(rng.randrange(4, 15)))))
+        for _ in range(60):
+            over = mp.overline and mp.overline[0]
+            gone = rng.sample(mp.parts, min(len(mp.parts), rng.randrange(3)))
+            removals = [(v, v == over and rng.random() < 0.5) for v in gone]
+            additions = [(v, v % 2 == 1 and rng.random() < 0.3) for v in rng.choices(range(1, 13), k=rng.randrange(3))]
+            try:
+                mp = mp.replace(removals, additions)
+            except (InvalidSpecialPartition, MissingEntryError):
+                continue
+            outputs += 1
+            for k, r in ORACLE_KRS:
+                assert is_in_C(mp, k, r) == _ref_is_in_C(mp, k, r), (mp, k, r)
+    assert outputs > 1000
 
 
 def test_all_partitions_order_and_depth():
@@ -208,6 +261,24 @@ def test_tail_table_is_bounded():
             assert 0 < remaining <= membership.CUT and hi <= remaining and small <= params.r - 1
             assert len(context) <= params.k - 2
             assert all(w <= membership.CUT + params.eta + 1 for w in context)
+
+
+@pytest.mark.parametrize(
+    "params, step",
+    [(BressoudParams((), 2, 4, 4), 2), (BressoudParams((), 3, 3, 3), 3)],
+    ids=["E(4, 4)", "eta 3 without alphas"],
+)
+def test_weight_off_the_gcd_walks_nothing(params, step):
+    # every allowed value is a multiple of gcd(eta, alphas) = step, so no
+    # other weight has a member, and asking for one adds no tail-table entry
+    for n in range(0, 51, step):
+        enumerate_B(params, n)
+    tails, _ = membership._tail_table(params)
+    before = dict(tails)
+    for n in range(51):
+        if n % step:
+            assert enumerate_B(params, n) == []
+    assert tails == before
 
 
 @pytest.mark.parametrize(
